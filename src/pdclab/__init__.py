@@ -66,6 +66,7 @@ from .errors import (
     DivergenceError,
     IntegratorError,
     PdclabError,
+    ResidualError,
     SeriesConvergenceError,
     StabilityError,
     SteadyStateDegenerateError,

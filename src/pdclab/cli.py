@@ -13,12 +13,12 @@ Exit codes: 0 all comparisons pass, 1 a tolerance failed, 2 config error,
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import math
 import sys
+from collections.abc import Callable
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import InitVar, asdict, dataclass, field, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -29,28 +29,8 @@ from .errors import ConfigError, PdclabError
 from .hilbert import expectation, number_operator
 
 SCHEMA_VERSION = 1
-TASKS = ("steady_moments", "qfi", "uncertainty", "meanfield", "gap", "occupation", "sensor")
 
-_TASK_HELP = {
-    "steady_moments": "signal occupation: moment series vs Liouvillian steady state",
-    "qfi": "gamma_b=0 Gaussian QFI: closed form vs moment-family route",
-    "uncertainty": "delta^2 g: closed form vs independently assembled route",
-    "meanfield": "phase structure: branch existence / stability / critical drive",
-    "gap": "Liouvillian spectral gap of the reduced model vs rate estimate",
-    "occupation": "occupation regression: three-level closed form vs exact steady state",
-    "sensor": "delta^2 lambda_a sweep with optimal-coupling check",
-}
-
-_PARAM_FIELDS = (
-    "g",
-    "lambda_a",
-    "gamma_a",
-    "gamma_b",
-    "kappa_e",
-    "nbar",
-    "omega1",
-    "omega2",
-)
+_PARAM_FIELDS = tuple(f.name for f in fields(SystemParams))
 
 _DEFAULTS = {
     "truncation.signal_dim": 40,
@@ -74,6 +54,10 @@ class Scenario:
     floor: float = 1e-12
 
 
+def _rel_dev(reference: float, value: float, floor: float) -> float:
+    return abs(reference - value) / max(abs(reference), floor)
+
+
 @dataclass
 class ComparisonRow:
     quantity: str
@@ -82,12 +66,10 @@ class ComparisonRow:
     rel_dev: float = field(init=False)
     passed: bool = field(init=False)
     tolerance: float = 1e-6
+    floor: InitVar[float] = 1e-12  # denominator floor of rel_dev
 
-    def __post_init__(self):
-        floor = 1e-12
-        self.rel_dev = abs(self.analytic - self.numeric) / max(
-            abs(self.analytic), floor
-        )
+    def __post_init__(self, floor: float):
+        self.rel_dev = _rel_dev(self.analytic, self.numeric, floor)
         self.passed = self.rel_dev < self.tolerance
 
 
@@ -182,17 +164,24 @@ def parse_config(path: str | Path, strict: bool = True) -> Scenario:
     )
 
 
-def _with_value(params: SystemParams, name: str, value: float) -> SystemParams:
-    kwargs = {f: getattr(params, f) for f in _PARAM_FIELDS}
-    kwargs[name] = value
-    return SystemParams(**kwargs)
-
-
 def _sweep_points(scenario: Scenario) -> list[tuple[float, SystemParams]]:
     if scenario.sweep is None:
         return [(scenario.params.g, scenario.params)]
     name, values = scenario.sweep
-    return [(v, _with_value(scenario.params, name, v)) for v in sorted(values)]
+    return [(v, replace(scenario.params, **{name: v})) for v in sorted(values)]
+
+
+def _g_points(default_grid):
+    """Points over g: the swept values if g is swept, else default_grid(params)."""
+
+    def points(scenario: Scenario) -> list[tuple[float, SystemParams]]:
+        if scenario.sweep and scenario.sweep[0] == "g":
+            grid = sorted(scenario.sweep[1])
+        else:
+            grid = default_grid(scenario.params)
+        return [(g, replace(scenario.params, g=g)) for g in grid]
+
+    return points
 
 
 def _parallel(points, worker, threads: int):
@@ -203,286 +192,217 @@ def _parallel(points, worker, threads: int):
 
 
 # --- tasks ----------------------------------------------------------------------
+#
+# A worker maps one point (scenario, value, params) to one table row. A rule
+# maps the sorted table to (quantity, analytic, numeric, tolerance) tuples.
 
-def _task_occupation(scenario: Scenario, threads: int):
-    base = scenario.params
-    if scenario.sweep and scenario.sweep[0] == "g":
-        grid = tuple(sorted(scenario.sweep[1]))
+def _each_point(prefix: str, analytic_col: str, numeric_col: str, tolerance):
+    """Rule with one comparison per point; tolerance(scenario) sets its bound."""
+
+    def rule(scenario: Scenario, table):
+        tol = tolerance(scenario)
+        return [
+            (f"{prefix}@{row['value']:g}", row[analytic_col], row[numeric_col], tol)
+            for row in table
+        ]
+
+    return rule
+
+
+def _steady_moments(scenario: Scenario, value: float, p: SystemParams):
+    series = analytic.moment_ss(1, 1, p).real
+    result, dim = dynamics.auto_truncated_steady(
+        lambda d: dynamics.build_reduced_model(p, d),
+        start_dim=min(scenario.signal_dim, 24),
+        max_dim=scenario.signal_dim,
+    )
+    numeric = expectation(number_operator(result.rho.space), result.rho).real
+    rel = _rel_dev(series, numeric, scenario.floor)
+    return {"value": value, "Nb_series": series, "Nb_liouville": numeric, "dim": dim,
+            "rel_dev": rel}
+
+
+def _qfi(scenario: Scenario, value: float, p: SystemParams):
+    # gamma_b = 0 steady state is a displaced vacuum: moments factorize,
+    # so the Gaussian model carries the amplitude and a vacuum covariance
+    def fam(g):
+        amp = analytic.moment_gb0(0, 1, replace(p, g=g))
+        disp = np.array([math.sqrt(2.0) * amp.imag, math.sqrt(2.0) * amp.real])
+        return metrology.GaussianMoments(disp, 0.5 * np.eye(2))
+
+    closed = analytic.qfi_gb0_closed(p)
+    numeric = metrology.qfi_gaussian_family(fam, p.g).value
+    rel = _rel_dev(closed, numeric, scenario.floor)
+    return {"value": value, "F_closed": closed, "F_gaussian": numeric, "rel_dev": rel}
+
+
+def _uncertainty(scenario: Scenario, value: float, p: SystemParams):
+    if scenario.params.gamma_b > 0:
+        closed = meanfield.delta2_g_normal(p, 0.0, "printed").delta2
+        other = meanfield.delta2_g_normal(p, 0.0, "moments").delta2
+        quantity, tol = "delta2_g_printed_vs_moments", max(scenario.rel_tol, 1e-5)
+    elif p.kappa_e > 0:
+        closed = analytic.delta2_g("gb0_kappa", "photon", p).delta2
+        other = 1.0 / analytic.qfi_gb0_closed(p)
+        quantity, tol = "delta2_g_photon_vs_qcrb", 1e-10
     else:
-        grid = OCCUPATION_GRID
+        closed = analytic.delta2_g("gb0", "photon", p).delta2
+        other = p.g**3 / p.lambda_a
+        quantity, tol = "delta2_g_photon_vs_scaling", 1e-12
+    rel = _rel_dev(closed, other, scenario.floor)
+    return {"value": value, "delta2_closed": closed, "delta2_other": other,
+            "rel_dev": rel, "comparison": (f"{quantity}@{value:g}", closed, other, tol)}
 
-    def worker(g: float):
-        p = _with_value(base, "g", g)
-        nb_three = dynamics.three_level_occupation(p)
-        nb_exact = analytic.moment_ss(1, 1, p).real
-        rel = abs(nb_three - nb_exact) / max(abs(nb_exact), scenario.floor)
-        return {"g": g, "Nb_three_level": nb_three, "Nb_exact": nb_exact, "rel_dev": rel}
 
-    table = _parallel(list(grid), worker, threads)
-    table.sort(key=lambda row: row["g"])
+def _meanfield(scenario: Scenario, value: float, p: SystemParams):
+    lam_c = analytic.critical_lambda(p)
+    sols = meanfield.steady_solutions(p)
+    branches = sum(1 for s in sols if s.branch != "normal")
+    normal_stable = meanfield.build_W(p, sols[0]).stable
+    above = p.lambda_a > lam_c
+    coherent = (branches == 2) == above and normal_stable == (not above)
+    return {"value": value, "lambda_a": p.lambda_a, "lambda_c": lam_c,
+            "branches": branches, "normal_stable": normal_stable, "coherent": coherent}
+
+
+def _gap(scenario: Scenario, value: float, p: SystemParams):
+    dim = min(scenario.signal_dim, 24)
+    gap = dynamics.spectral_gap(dynamics.build_reduced_model(p, dim))
+    estimate = 2.0 * (p.kappa + p.kappa_e) if p.gamma_b == 0 else p.gamma_b
+    return {"value": value, "gap": gap, "rate_estimate": estimate, "dim": dim}
+
+
+def _occupation(scenario: Scenario, g: float, p: SystemParams):
+    nb_three = dynamics.three_level_occupation(p)
+    nb_exact = analytic.moment_ss(1, 1, p).real
+    rel = _rel_dev(nb_exact, nb_three, scenario.floor)
+    return {"g": g, "Nb_three_level": nb_three, "Nb_exact": nb_exact, "rel_dev": rel}
+
+
+def _occupation_rule(scenario: Scenario, table):
     devs = [row["rel_dev"] for row in table]
     monotone = all(a < b for a, b in zip(devs, devs[1:]))
-    rows = [
-        ComparisonRow(
-            "occupation_rel_dev_strictly_decreasing_toward_small_g",
-            1.0,
-            1.0 if monotone else 0.0,
-            tolerance=0.5,
-        ),
-        ComparisonRow(
-            f"occupation_Nb_three_level@g={table[0]['g']:g}",
-            table[0]["Nb_three_level"],
-            table[0]["Nb_exact"],
-            tolerance=0.02,
-        ),
+    first = table[0]
+    return [
+        ("occupation_rel_dev_strictly_decreasing_toward_small_g",
+         1.0, float(monotone), 0.5),
+        (f"occupation_Nb_three_level@g={first['g']:g}",
+         first["Nb_three_level"], first["Nb_exact"], 0.02),
     ]
-    return rows, ("g", "Nb_three_level", "Nb_exact", "rel_dev"), table
 
 
-def _task_steady_moments(scenario: Scenario, threads: int):
-    def worker(point):
-        value, p = point
-        series = analytic.moment_ss(1, 1, p).real
-        result, dim = dynamics.auto_truncated_steady(
-            lambda d: dynamics.build_reduced_model(p, d),
-            start_dim=min(scenario.signal_dim, 24),
-            max_dim=scenario.signal_dim,
-        )
-        numeric = expectation(number_operator(result.rho.space), result.rho).real
-        rel = abs(series - numeric) / max(abs(series), scenario.floor)
-        return {
-            "value": value,
-            "Nb_series": series,
-            "Nb_liouville": numeric,
-            "dim": dim,
-            "rel_dev": rel,
-        }
-
-    table = _parallel(_sweep_points(scenario), worker, threads)
-    table.sort(key=lambda row: row["value"])
-    rows = [
-        ComparisonRow(
-            f"Nb_series_vs_liouville@{row['value']:g}",
-            row["Nb_series"],
-            row["Nb_liouville"],
-            tolerance=scenario.rel_tol,
-        )
-        for row in table
-    ]
-    return rows, ("value", "Nb_series", "Nb_liouville", "dim", "rel_dev"), table
+def _sensor_grid(p: SystemParams):
+    g_star = math.sqrt(p.gamma_a * p.kappa_e / 2.0) if p.kappa_e > 0 else p.g
+    return [g_star * f for f in (0.25, 0.5, 0.75, 1.0, 1.5, 2.0, 3.0)]
 
 
-def _task_qfi(scenario: Scenario, threads: int):
-    if scenario.params.gamma_b != 0 or scenario.params.kappa_e <= 0:
-        raise ConfigError("qfi task needs gamma_b = 0 and kappa_e > 0")
-
-    def worker(point):
-        value, p = point
-
-        # gamma_b = 0 steady state is a displaced vacuum: moments factorize,
-        # so the Gaussian model carries the amplitude and a vacuum covariance
-        def fam(g):
-            amp = analytic.moment_gb0(0, 1, _with_value(p, "g", g))
-            disp = np.array([math.sqrt(2.0) * amp.imag, math.sqrt(2.0) * amp.real])
-            return metrology.GaussianMoments(disp, 0.5 * np.eye(2))
-
-        closed = analytic.qfi_gb0_closed(p)
-        numeric = metrology.qfi_gaussian_family(fam, p.g).value
-        rel = abs(closed - numeric) / max(abs(closed), scenario.floor)
-        return {"value": value, "F_closed": closed, "F_gaussian": numeric, "rel_dev": rel}
-
-    table = _parallel(_sweep_points(scenario), worker, threads)
-    table.sort(key=lambda row: row["value"])
-    rows = [
-        ComparisonRow(
-            f"qfi_gaussian_vs_closed@{row['value']:g}",
-            row["F_closed"],
-            row["F_gaussian"],
-            tolerance=max(scenario.rel_tol, 1e-5),
-        )
-        for row in table
-    ]
-    return rows, ("value", "F_closed", "F_gaussian", "rel_dev"), table
+def _sensor(scenario: Scenario, g: float, p: SystemParams):
+    d2, d2_nb, opt = analytic.lambda_sensor(p)
+    return {"g": g, "delta2_lambda": d2, "delta2_vs_Nb": d2_nb, "optimum": opt}
 
 
-def _task_uncertainty(scenario: Scenario, threads: int):
+def _sensor_rule(scenario: Scenario, table):
     p = scenario.params
-
-    def gb0_rows(point):
-        value, pp = point
-        d2 = analytic.delta2_g("gb0_kappa" if pp.kappa_e > 0 else "gb0", "photon", pp)
-        if pp.kappa_e > 0:
-            other = 1.0 / analytic.qfi_gb0_closed(pp)
-            quantity = f"delta2_g_photon_vs_qcrb@{value:g}"
-            tol = 1e-10
-        else:
-            other = pp.g**3 / pp.lambda_a
-            quantity = f"delta2_g_photon_vs_scaling@{value:g}"
-            tol = 1e-12
-        return (
-            ComparisonRow(quantity, d2.delta2, other, tolerance=tol),
-            {"value": value, "delta2_closed": d2.delta2, "delta2_other": other},
-        )
-
-    def normal_rows(point):
-        value, pp = point
-        printed = meanfield.delta2_g_normal(pp, 0.0, "printed").delta2
-        moments = meanfield.delta2_g_normal(pp, 0.0, "moments").delta2
-        return (
-            ComparisonRow(
-                f"delta2_g_printed_vs_moments@{value:g}",
-                printed,
-                moments,
-                tolerance=max(scenario.rel_tol, 1e-5),
-            ),
-            {"value": value, "delta2_closed": printed, "delta2_other": moments},
-        )
-
-    if p.gamma_b > 0 and p.nbar != 0:
-        # the two routes coincide only for a zero-temperature bath
-        raise ConfigError("uncertainty task compares routes at nbar = 0")
-    worker = gb0_rows if p.gamma_b == 0 else normal_rows
-    results = _parallel(_sweep_points(scenario), worker, threads)
-    results.sort(key=lambda pair: pair[1]["value"])
-    rows = [pair[0] for pair in results]
-    table = [
-        {
-            "value": pair[1]["value"],
-            "delta2_closed": pair[1]["delta2_closed"],
-            "delta2_other": pair[1]["delta2_other"],
-            "rel_dev": pair[0].rel_dev,
-        }
-        for pair in results
-    ]
-    return rows, ("value", "delta2_closed", "delta2_other", "rel_dev"), table
-
-
-def _task_meanfield(scenario: Scenario, threads: int):
-    def worker(point):
-        value, pp = point
-        lam_c = analytic.critical_lambda(pp)
-        sols = meanfield.steady_solutions(pp)
-        branches = sum(1 for s in sols if s.branch != "normal")
-        normal_stable = meanfield.build_W(pp, sols[0]).stable
-        above = pp.lambda_a > lam_c
-        coherent = (branches == 2) == above and normal_stable == (not above)
-        return {
-            "value": value,
-            "lambda_a": pp.lambda_a,
-            "lambda_c": lam_c,
-            "branches": branches,
-            "normal_stable": normal_stable,
-            "coherent": coherent,
-        }
-
-    table = _parallel(_sweep_points(scenario), worker, threads)
-    table.sort(key=lambda row: row["value"])
-    agreement = all(row["coherent"] for row in table)
-    rows = [
-        ComparisonRow(
-            "phase_boundary_three_way_coherence",
-            1.0,
-            1.0 if agreement else 0.0,
-            tolerance=0.5,
-        )
-    ]
-    cols = ("value", "lambda_a", "lambda_c", "branches", "normal_stable", "coherent")
-    return rows, cols, table
-
-
-def _task_gap(scenario: Scenario, threads: int):
-    def worker(point):
-        value, pp = point
-        gap = dynamics.spectral_gap(
-            dynamics.build_reduced_model(pp, min(scenario.signal_dim, 24))
-        )
-        estimate = (
-            2.0 * (pp.kappa + pp.kappa_e) if pp.gamma_b == 0 else pp.gamma_b
-        )
-        return {"value": value, "gap": gap, "rate_estimate": estimate}
-
-    table = _parallel(_sweep_points(scenario), worker, threads)
-    table.sort(key=lambda row: row["value"])
-    rows = [
-        ComparisonRow(
-            f"gap_vs_rate_estimate@{row['value']:g}",
-            row["rate_estimate"],
-            row["gap"],
-            # the estimate is a scale, not an identity: factor-2 agreement
-            tolerance=1.0,
-        )
-        for row in table
-    ]
-    return rows, ("value", "gap", "rate_estimate"), table
-
-
-def _task_sensor(scenario: Scenario, threads: int):
-    p = scenario.params
-    if p.gamma_b != 0:
-        raise ConfigError("sensor task needs gamma_b = 0")
-    if scenario.sweep and scenario.sweep[0] == "g":
-        grid = tuple(sorted(scenario.sweep[1]))
-    else:
-        g_star = math.sqrt(p.gamma_a * p.kappa_e / 2.0) if p.kappa_e > 0 else p.g
-        grid = tuple(g_star * f for f in (0.25, 0.5, 0.75, 1.0, 1.5, 2.0, 3.0))
-
-    def worker(g: float):
-        pp = _with_value(p, "g", g)
-        d2, d2_nb, _ = analytic.lambda_sensor(pp)
-        return {"g": g, "delta2_lambda": d2, "delta2_vs_Nb": d2_nb}
-
-    table = _parallel(list(grid), worker, threads)
-    table.sort(key=lambda row: row["g"])
-    _, _, opt = analytic.lambda_sensor(_with_value(p, "g", grid[0]))
-
     # delta2_lambda * Nb = lambda_a^2 holds identically; report the worst point
+    floor = scenario.floor
     worst = max(
-        table,
-        key=lambda row: abs(row["delta2_lambda"] - row["delta2_vs_Nb"])
-        / max(abs(row["delta2_lambda"]), scenario.floor),
+        table, key=lambda row: _rel_dev(row["delta2_lambda"], row["delta2_vs_Nb"], floor)
     )
-    rows = [
-        ComparisonRow(
-            f"sensor_identity_delta2_vs_Nb_route@g={worst['g']:g}",
-            worst["delta2_lambda"],
-            worst["delta2_vs_Nb"],
-            tolerance=1e-12,
-        )
-    ]
+    rows = [(f"sensor_identity_delta2_vs_Nb_route@g={worst['g']:g}",
+             worst["delta2_lambda"], worst["delta2_vs_Nb"], 1e-12)]
     if p.kappa_e > 0:
         best = min(table, key=lambda row: row["delta2_lambda"])
         g_true = math.sqrt(p.gamma_a * p.kappa_e / 2.0)
         spacing = max(
             abs(b["g"] - a["g"]) for a, b in zip(table, table[1:])
         ) if len(table) > 1 else abs(best["g"])
-        rows.append(
-            ComparisonRow(
-                "sensor_grid_argmin_vs_closed",
-                g_true,
-                best["g"],
-                tolerance=max(spacing / max(g_true, scenario.floor), scenario.rel_tol),
-            )
-        )
-        rows.append(
-            ComparisonRow(
-                "sensor_min_value_vs_stated",
-                opt.stated_value,
-                opt.value,
-                tolerance=1e-10,
-            )
-        )
-    return rows, ("g", "delta2_lambda", "delta2_vs_Nb"), table
+        tol = max(spacing / max(g_true, floor), scenario.rel_tol)
+        rows.append(("sensor_grid_argmin_vs_closed", g_true, best["g"], tol))
+        # the optimum over g is the same at every point
+        opt = table[0]["optimum"]
+        rows.append(("sensor_min_value_vs_stated", opt.stated_value, opt.value, 1e-10))
+    return rows
 
 
-_TASK_FN = {
-    "occupation": _task_occupation,
-    "steady_moments": _task_steady_moments,
-    "qfi": _task_qfi,
-    "uncertainty": _task_uncertainty,
-    "meanfield": _task_meanfield,
-    "gap": _task_gap,
-    "sensor": _task_sensor,
+@dataclass(frozen=True)
+class Task:
+    """What one task computes; `_run_task` does the work all tasks share."""
+
+    help: str
+    columns: tuple[str, ...]  # the first column is the sort key
+    worker: Callable  # (scenario, value, params) -> table row
+    rule: Callable  # (scenario, table) -> [(quantity, analytic, numeric, tolerance)]
+    points: Callable = _sweep_points  # scenario -> [(value, params)]
+    requires: tuple[Callable, str] | None = None  # (predicate on params, error)
+
+
+TASKS = {
+    "steady_moments": Task(
+        "signal occupation: moment series vs Liouvillian steady state",
+        ("value", "Nb_series", "Nb_liouville", "dim", "rel_dev"),
+        _steady_moments,
+        _each_point("Nb_series_vs_liouville", "Nb_series", "Nb_liouville",
+                    lambda sc: sc.rel_tol),
+    ),
+    "qfi": Task(
+        "gamma_b=0 Gaussian QFI: closed form vs moment-family route",
+        ("value", "F_closed", "F_gaussian", "rel_dev"),
+        _qfi,
+        _each_point("qfi_gaussian_vs_closed", "F_closed", "F_gaussian",
+                    lambda sc: max(sc.rel_tol, 1e-5)),
+        requires=(lambda p: p.gamma_b == 0 and p.kappa_e > 0,
+                  "qfi task needs gamma_b = 0 and kappa_e > 0"),
+    ),
+    "uncertainty": Task(
+        "delta^2 g: closed form vs independently assembled route",
+        ("value", "delta2_closed", "delta2_other", "rel_dev"),
+        _uncertainty,
+        lambda sc, table: [row["comparison"] for row in table],
+        # the two routes coincide only for a zero-temperature bath
+        requires=(lambda p: p.gamma_b == 0 or p.nbar == 0,
+                  "uncertainty task compares routes at nbar = 0"),
+    ),
+    "meanfield": Task(
+        "phase structure: branch existence / stability / critical drive",
+        ("value", "lambda_a", "lambda_c", "branches", "normal_stable", "coherent"),
+        _meanfield,
+        lambda sc, table: [("phase_boundary_three_way_coherence", 1.0,
+                            float(all(row["coherent"] for row in table)), 0.5)],
+    ),
+    "gap": Task(
+        "Liouvillian spectral gap of the reduced model vs rate estimate",
+        ("value", "gap", "rate_estimate", "dim"),
+        _gap,
+        # the estimate is a scale, not an identity: factor-2 agreement
+        _each_point("gap_vs_rate_estimate", "rate_estimate", "gap", lambda sc: 1.0),
+    ),
+    "occupation": Task(
+        "occupation regression: three-level closed form vs exact steady state",
+        ("g", "Nb_three_level", "Nb_exact", "rel_dev"),
+        _occupation,
+        _occupation_rule,
+        points=_g_points(lambda p: OCCUPATION_GRID),
+    ),
+    "sensor": Task(
+        "delta^2 lambda_a sweep with optimal-coupling check",
+        ("g", "delta2_lambda", "delta2_vs_Nb"),
+        _sensor,
+        _sensor_rule,
+        points=_g_points(_sensor_grid),
+        requires=(lambda p: p.gamma_b == 0, "sensor task needs gamma_b = 0"),
+    ),
 }
+
+
+def _run_task(task: Task, scenario: Scenario, threads: int):
+    """Check the precondition, make the sorted table, build the comparisons."""
+    if task.requires is not None and not task.requires[0](scenario.params):
+        raise ConfigError(task.requires[1])
+    points = task.points(scenario)
+    table = _parallel(points, lambda pt: task.worker(scenario, *pt), threads)
+    table.sort(key=lambda row: row[task.columns[0]])
+    comparisons = task.rule(scenario, table)
+    return [ComparisonRow(*c, floor=scenario.floor) for c in comparisons], table
 
 
 # --- output ----------------------------------------------------------------------
@@ -503,7 +423,7 @@ def write_csv(path: Path, columns, table):
 
 
 def _row_dict(row: ComparisonRow) -> dict:
-    d = dataclasses.asdict(row)
+    d = asdict(row)
     d["pass"] = d.pop("passed")
     return d
 
@@ -558,23 +478,15 @@ def run(config_path: str, out_dir: str = ".", threads: int = 1, strict: bool = T
     out.mkdir(parents=True, exist_ok=True)
     all_rows: list[ComparisonRow] = []
     try:
-        for task in scenario.tasks:
-            rows, columns, table = _TASK_FN[task](scenario, threads)
-            write_csv(out / f"{scenario.name}_{task}.csv", columns, table)
-            write_json(
-                out / f"{scenario.name}_{task}.json",
-                scenario,
-                task,
-                columns,
-                table,
-                rows,
-            )
+        for name in scenario.tasks:
+            task = TASKS[name]
+            rows, table = _run_task(task, scenario, threads)
+            stem = f"{scenario.name}_{name}"
+            write_csv(out / f"{stem}.csv", task.columns, table)
+            write_json(out / f"{stem}.json", scenario, name, task.columns, table, rows)
             all_rows.extend(rows)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
-        # parameter combinations rejected by model-level validation
+    except (ConfigError, ValueError) as exc:
+        # ValueError: parameter combinations rejected by model-level validation
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except PdclabError as exc:
@@ -601,8 +513,8 @@ def print_defaults() -> int:
 
 
 def list_tasks() -> int:
-    for t in TASKS:
-        print(f"{t:16s} {_TASK_HELP[t]}")
+    for name, task in TASKS.items():
+        print(f"{name:16s} {task.help}")
     return 0
 
 

@@ -36,6 +36,10 @@ class DivergenceError(PdclabError):
     """A requested quantity is divergent (zero derivative, zero rate)."""
 
 
+class ResidualError(PdclabError):
+    """A computed solution does not satisfy its equations to tolerance."""
+
+
 class StabilityError(PdclabError):
     """Parameters outside the stable/normal-phase domain of a formula."""
 

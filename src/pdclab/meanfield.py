@@ -18,14 +18,14 @@ gamma_a^2 gamma_b^2 - 4 g^2 lambda_a^2 and the anomalous-moment prefactor.
 from __future__ import annotations
 
 import cmath
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 from scipy.linalg import solve_sylvester
 
 from .analytic import UncertaintyReport, delta2_g
 from .dynamics import SystemParams
-from .errors import StabilityError
+from .errors import ResidualError, StabilityError
 from .metrology import MeasurementRecord, default_step, error_propagation
 
 __all__ = [
@@ -74,6 +74,23 @@ def mean_field_residual(params: SystemParams, sol: MeanFieldSolution) -> float:
     return max(abs(r1), abs(r2))
 
 
+def _term_scale(params: SystemParams, sol: MeanFieldSolution) -> float:
+    """Largest term of the steady equations at `sol`, floored at 1.
+
+    Round-off in the residual grows with the terms that cancel in it, so the
+    residual checks are relative to this scale (absolute for O(1) terms).
+    """
+    a, b = sol.amp_a, sol.amp_b
+    return max(
+        1.0,
+        abs(params.g * b * b),
+        abs(params.gamma_a * a),
+        abs(params.lambda_a),
+        abs(2 * params.g * a * b),
+        abs(params.gamma_b * b),
+    )
+
+
 def steady_solutions(params: SystemParams) -> list[MeanFieldSolution]:
     """All semiclassical steady states at the given parameters."""
     if params.gamma_a <= 0:
@@ -93,14 +110,15 @@ def steady_solutions(params: SystemParams) -> list[MeanFieldSolution]:
         )
     for sol in sols:
         res = mean_field_residual(params, sol)
-        if res > 1e-10:
-            raise RuntimeError(f"steady solution residual {res:.3e} exceeds 1e-10")
+        tol = 1e-10 * _term_scale(params, sol)
+        if res > tol:
+            raise ResidualError(f"steady solution residual {res:.3e} exceeds {tol:.3e}")
     return sols
 
 
 def build_W(params: SystemParams, sol: MeanFieldSolution) -> StabilityReport:
     """Linearized evolution matrix around a steady solution, with stability."""
-    if mean_field_residual(params, sol) > 1e-8:
+    if mean_field_residual(params, sol) > 1e-8 * _term_scale(params, sol):
         raise ValueError("solution does not satisfy the steady equations")
     g = params.g
     a, b = sol.amp_a, sol.amp_b
@@ -224,8 +242,8 @@ def delta2_g_normal(
         # n diverges at the critical coupling; stay well clear of the pole or
         # the quadratic finite-difference error swamps the derivative
         h = min(h, 0.02 * headroom)
-    up = fluct_moments_analytic(_with_g(params, params.g + h), nbar)
-    dn = fluct_moments_analytic(_with_g(params, params.g - h), nbar)
+    up = fluct_moments_analytic(replace(params, g=params.g + h), nbar)
+    dn = fluct_moments_analytic(replace(params, g=params.g - h), nbar)
     rec = MeasurementRecord(
         mean=mom.n_fluct,
         variance=mom.fourth - mom.n_fluct**2,
@@ -233,16 +251,3 @@ def delta2_g_normal(
     )
     regime = "thermal" if nbar > 0 else "normal_phase"
     return UncertaintyReport(error_propagation(rec), regime, "photon")
-
-
-def _with_g(params: SystemParams, g: float) -> SystemParams:
-    return SystemParams(
-        g=g,
-        lambda_a=params.lambda_a,
-        gamma_a=params.gamma_a,
-        gamma_b=params.gamma_b,
-        kappa_e=params.kappa_e,
-        omega1=params.omega1,
-        omega2=params.omega2,
-        nbar=params.nbar,
-    )

@@ -1,13 +1,17 @@
 """Scenario runner: config parsing, outputs, exit codes, determinism."""
 
+import csv
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
 from pdclab.cli import ComparisonRow, Scenario, main, parse_config
 from pdclab.errors import ConfigError
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 GOOD = """
 # comment lines and blank lines are ignored
@@ -118,6 +122,19 @@ def test_comparison_row_semantics():
     # zero reference: the floor keeps the ratio finite
     null = ComparisonRow("x", analytic=0.0, numeric=1e-13, tolerance=1.0)
     assert null.rel_dev == pytest.approx(0.1)
+    # the floor bounds the denominator from below and can decide the verdict
+    cases = [
+        # analytic, numeric, floor, rel_dev, passed
+        (0.0, 1e-9, 1e-12, 1e3, False),
+        (0.0, 1e-9, 1e-2, 1e-7, True),
+        (1e-4, 2e-4, 1e-12, 1.0, False),
+        (1e-4, 2e-4, 1e3, 1e-7, True),
+        (2.0, 2.002, 1.0, 1e-3, False),  # a reference above the floor is untouched
+    ]
+    for analytic, numeric, floor, rel_dev, passed in cases:
+        row = ComparisonRow("x", analytic, numeric, tolerance=1e-6, floor=floor)
+        assert row.rel_dev == pytest.approx(rel_dev), (analytic, numeric, floor)
+        assert row.passed is passed, (analytic, numeric, floor)
 
 
 def test_run_end_to_end_and_outputs(tmp_path, capsys):
@@ -148,16 +165,25 @@ def test_run_end_to_end_and_outputs(tmp_path, capsys):
     assert payload["sweep"] == {"parameter": "g", "values": [0.02, 0.05, 0.1]}
     assert payload["columns"][0] == "g"
     assert len(payload["rows"]) == 3
-    assert all("pass" in c for c in payload["comparisons"])
+    keys = {"quantity", "analytic", "numeric", "rel_dev", "pass", "tolerance"}
+    assert all(set(c) == keys for c in payload["comparisons"])
 
 
 def test_run_byte_identical_across_thread_counts(tmp_path):
-    cfg = write(tmp_path, GOOD)
-    out1, out4 = tmp_path / "one", tmp_path / "four"
-    assert main(["run", str(cfg), "--out-dir", str(out1)]) == 0
-    assert main(["run", str(cfg), "--out-dir", str(out4), "--threads", "4"]) == 0
-    for name in ("demo_occupation.csv", "demo_occupation.json", "demo_gap.csv", "demo_gap.json"):
-        assert (out1 / name).read_bytes() == (out4 / name).read_bytes()
+    # the test scenario at 4 threads and every shipped config at 2
+    inputs = [(write(tmp_path, GOOD), "4")]
+    inputs += [(cfg, "2") for cfg in sorted(CONFIGS.glob("*.cfg"))]
+    assert inputs[1:], "no shipped configs found"
+    for cfg, threads in inputs:
+        out1, outn = tmp_path / cfg.stem / "one", tmp_path / cfg.stem / threads
+        assert main(["run", str(cfg), "--out-dir", str(out1), "--threads", "1"]) == 0
+        assert main(["run", str(cfg), "--out-dir", str(outn), "--threads", threads]) == 0
+        files = sorted(p.name for p in out1.iterdir())
+        tasks = parse_config(cfg).tasks
+        assert len(files) == 2 * len(tasks), cfg
+        assert sorted(p.name for p in outn.iterdir()) == files
+        for name in files:
+            assert (out1 / name).read_bytes() == (outn / name).read_bytes(), (cfg, name)
 
 
 def test_run_exit_1_on_tolerance_failure(tmp_path, capsys):
@@ -170,6 +196,64 @@ def test_run_exit_1_on_tolerance_failure(tmp_path, capsys):
     code = main(["run", str(write(tmp_path, text)), "--out-dir", str(tmp_path / "o")])
     assert code == 1
     assert "NO" in capsys.readouterr().out
+
+
+def test_run_tolerance_floor_reaches_verdict(tmp_path, capsys):
+    # the three-level occupation is 4% off here: a fail against the 2% bound,
+    # a pass once the floor turns it into an absolute bound on N_b << 1
+    text = (
+        "name = floor\ntasks = occupation\n"
+        "params.g = 0.5\nparams.lambda_a = 2.0\n"
+        "params.gamma_a = 10.0\nparams.gamma_b = 1.0\n"
+        "sweep.parameter = g\nsweep.values = 0.5\n"
+    )
+    relative = write(tmp_path, text, "relative.cfg")
+    absolute = write(tmp_path, text + "tolerances.floor = 1.0\n", "absolute.cfg")
+    assert main(["run", str(relative), "--out-dir", str(tmp_path / "r")]) == 1
+    assert main(["run", str(absolute), "--out-dir", str(tmp_path / "a")]) == 0
+    payload = json.loads((tmp_path / "a" / "floor_occupation.json").read_text())
+    assert payload["tolerances"]["floor"] == 1.0
+    assert all(c["pass"] for c in payload["comparisons"])
+
+
+def test_gap_reports_the_truncation_it_used(tmp_path):
+    # the gap task caps the signal truncation at 24 whatever the config asks
+    text = GOOD.replace("tasks = occupation, gap", "tasks = gap").replace(
+        "truncation.signal_dim = 20", "truncation.signal_dim = 40"
+    )
+    assert main(["run", str(write(tmp_path, text)), "--out-dir", str(tmp_path / "o")]) == 0
+    with open(tmp_path / "o" / "demo_gap.csv", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert [row["dim"] for row in rows] == ["24", "24", "24"]
+    payload = json.loads((tmp_path / "o" / "demo_gap.json").read_text())
+    assert payload["truncation"]["signal_dim"] == 40
+    assert [row[-1] for row in payload["rows"]] == [24, 24, 24]
+
+
+MEANFIELD_FAR_ABOVE = (
+    "name = mf\ntasks = meanfield\n"
+    "params.g = 1.0\nparams.lambda_a = 0.2\n"
+    "params.gamma_a = 1.0\nparams.gamma_b = 1.0\n"
+    "sweep.parameter = lambda_a\nsweep.values = 0.3, 1e9\n"
+)
+
+
+def test_run_meanfield_far_above_threshold(tmp_path, capsys):
+    # lambda_a = 1e9 leaves a float64 round-off residual near 1e-7 in the
+    # mean-field equations; relative to their terms it is 1e-16
+    path = write(tmp_path, MEANFIELD_FAR_ABOVE)
+    assert main(["run", str(path), "--out-dir", str(tmp_path / "o")]) == 0
+    assert capsys.readouterr().err == ""
+    lines = (tmp_path / "o" / "mf_meanfield.csv").read_text().splitlines()
+    assert lines[2].startswith("1000000000,1000000000,0.5,2,false,true")
+
+
+def test_run_exit_3_on_mean_field_residual_failure(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr("pdclab.meanfield.mean_field_residual", lambda params, sol: 1.0)
+    path = write(tmp_path, MEANFIELD_FAR_ABOVE)
+    assert main(["run", str(path), "--out-dir", str(tmp_path / "o")]) == 3
+    err = capsys.readouterr().err
+    assert "solver failure: ResidualError" in err
 
 
 def test_run_exit_2_on_config_error(tmp_path, capsys):
