@@ -28,13 +28,12 @@ from .dynamics import SystemParams
 from .errors import ConfigError, PdclabError
 from .hilbert import expectation, number_operator
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 
 _PARAM_FIELDS = tuple(f.name for f in fields(SystemParams))
 
 _DEFAULTS = {
     "truncation.signal_dim": 40,
-    "truncation.pump_dim": 15,
     "tolerances.rel": 1e-6,
     "tolerances.floor": 1e-12,
 }
@@ -49,7 +48,6 @@ class Scenario:
     tasks: list[str]
     sweep: tuple[str, tuple[float, ...]] | None = None
     signal_dim: int = 40
-    pump_dim: int = 15
     rel_tol: float = 1e-6
     floor: float = 1e-12
 
@@ -158,7 +156,6 @@ def parse_config(path: str | Path, strict: bool = True) -> Scenario:
         tasks=tasks,
         sweep=sweep,
         signal_dim=int(raw.get("truncation.signal_dim", _DEFAULTS["truncation.signal_dim"])),
-        pump_dim=int(raw.get("truncation.pump_dim", _DEFAULTS["truncation.pump_dim"])),
         rel_tol=float(raw.get("tolerances.rel", _DEFAULTS["tolerances.rel"])),
         floor=float(raw.get("tolerances.floor", _DEFAULTS["tolerances.floor"])),
     )
@@ -434,10 +431,7 @@ def write_json(path: Path, scenario: Scenario, task: str, columns, table, rows):
         "scenario": scenario.name,
         "task": task,
         "params": {f: getattr(scenario.params, f) for f in _PARAM_FIELDS},
-        "truncation": {
-            "signal_dim": scenario.signal_dim,
-            "pump_dim": scenario.pump_dim,
-        },
+        "truncation": {"signal_dim": scenario.signal_dim},
         "tolerances": {"rel": scenario.rel_tol, "floor": scenario.floor},
         "sweep": (
             {"parameter": scenario.sweep[0], "values": list(scenario.sweep[1])}

@@ -46,8 +46,14 @@ def test_parse_config_round_trip(tmp_path):
     assert sc.signal_dim == 20
     assert sc.rel_tol == 1e-7
     # untouched keys fall back to defaults
-    assert sc.pump_dim == 15
     assert sc.floor == 1e-12
+
+
+def test_parse_config_rejects_removed_pump_dim(tmp_path):
+    # no task builds the two-mode model, so the pump truncation is not a key
+    path = write(tmp_path, GOOD + "truncation.pump_dim = 15\n")
+    with pytest.raises(ConfigError, match="unknown config keys: truncation.pump_dim"):
+        parse_config(path)
 
 
 def test_parse_config_unknown_key_strict(tmp_path):
@@ -157,11 +163,11 @@ def test_run_end_to_end_and_outputs(tmp_path, capsys):
     assert lines[2].startswith("0.050000000000000003,")
 
     payload = json.loads(json_path.read_text())
-    assert payload["schema_version"] == 1
+    assert payload["schema_version"] == 2
     assert payload["task"] == "occupation"
     assert payload["scenario"] == "demo"
     assert payload["params"]["gamma_a"] == 10.0
-    assert payload["truncation"] == {"signal_dim": 20, "pump_dim": 15}
+    assert payload["truncation"] == {"signal_dim": 20}
     assert payload["sweep"] == {"parameter": "g", "values": [0.02, 0.05, 0.1]}
     assert payload["columns"][0] == "g"
     assert len(payload["rows"]) == 3
@@ -293,6 +299,7 @@ def test_list_tasks_and_defaults(capsys):
     assert main(["print-defaults"]) == 0
     out = capsys.readouterr().out
     assert "params.g" in out and "truncation.signal_dim" in out
+    assert "pump_dim" not in out
 
 
 def test_module_entry_point_runs():

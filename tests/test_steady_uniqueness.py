@@ -1,0 +1,162 @@
+"""Uniqueness of the Liouvillian steady state: one LU, its rcond, and kernel counts.
+
+`steady_state` decides uniqueness from the condition estimate of the one
+trace-row LU it builds. The slow path it replaced solved a second system whose
+row 0 is a random normalization functional and compared the two states; that
+probe is kept here as a test-local reference.
+"""
+
+import numpy as np
+import pytest
+import scipy.sparse as sp
+import scipy.sparse.linalg as spla
+from scipy.sparse.csgraph import connected_components
+
+from pdclab.dynamics import (
+    SystemParams,
+    _kernel_dimension,
+    _trace_row_system,
+    build_full_model,
+    build_reduced_model,
+    liouvillian_matrix,
+    steady_state,
+)
+from pdclab.errors import SteadyStateDegenerateError
+
+_DENSE_COUNTS: dict[tuple, int] = {}
+
+
+def _dense_kernel_count(lio) -> int:
+    """Eigenvalues of the whole dense L with |Re z| <= 1e-10 ||L||_inf."""
+    key = (lio.shape, lio.indptr.tobytes(), lio.indices.tobytes(), lio.data.tobytes())
+    if key not in _DENSE_COUNTS:
+        ev = np.linalg.eigvals(lio.toarray())
+        scale = spla.norm(lio, np.inf)
+        _DENSE_COUNTS[key] = int(np.sum(np.abs(ev.real) <= 1e-10 * scale))
+    return _DENSE_COUNTS[key]
+
+
+def _trace_row_rho(lio, d: int) -> np.ndarray:
+    """Plain trace-row solve with one step of iterative refinement."""
+    a, b = _trace_row_system(lio, d)
+    lu = spla.splu(a)
+    x = lu.solve(b)
+    x += lu.solve(b - a @ x)
+    rho = x.reshape((d, d), order="F")
+    rho = 0.5 * (rho + rho.conj().T)
+    return rho / np.trace(rho).real
+
+
+def _row_replaced_solve(lio, row: np.ndarray) -> np.ndarray:
+    """Solve L x = 0 with row 0 replaced by the normalization row (x . row = 1)."""
+    coo = lio.tocoo()
+    keep = coo.row != 0
+    nz = np.nonzero(row)[0]
+    rows = np.concatenate([coo.row[keep], np.zeros(len(nz), dtype=coo.row.dtype)])
+    cols = np.concatenate([coo.col[keep], nz])
+    data = np.concatenate([coo.data[keep], row[nz]])
+    a = sp.csc_matrix((data, (rows, cols)), shape=lio.shape)
+    b = np.zeros(lio.shape[0], dtype=complex)
+    b[0] = 1.0
+    lu = spla.splu(a)
+    x = lu.solve(b)
+    x += lu.solve(b - a @ x)
+    return x
+
+
+def _probe_verdict(model, tol: float = 1e-10) -> tuple[str, int]:
+    """The random-row uniqueness probe: a second normalization row must select
+    the same state as the trace row, else the kernel is degenerate."""
+    d = model.dim
+    lio = liouvillian_matrix(model)
+    rho = _trace_row_rho(lio, d)
+    rng = np.random.default_rng(7)
+    w = rng.normal(size=lio.shape[0]) + 1j * rng.normal(size=lio.shape[0])
+    w /= np.linalg.norm(w)
+    try:
+        x2 = _row_replaced_solve(lio, w)
+    except RuntimeError:
+        return "degenerate", _dense_kernel_count(lio)
+    rho2 = x2.reshape((d, d), order="F")
+    tr2 = np.trace(rho2)
+    if abs(tr2) < 1e-12 * np.abs(x2).max() * d:
+        return "degenerate", _dense_kernel_count(lio)
+    rho2 = 0.5 * (rho2 + rho2.conj().T)
+    rho2 = rho2 / np.trace(rho2).real
+    if np.abs(rho2 - rho).max() > max(1e-6, 1e3 * tol):
+        return "degenerate", _dense_kernel_count(lio)
+    return "unique", 1
+
+
+@pytest.mark.parametrize("d", (8, 16, 40))
+def test_one_lu_agrees_with_the_random_row_probe(d, monkeypatch):
+    """Same verdicts and kernel dimensions as the probe; rho is the trace-row solve.
+
+    gamma_b runs from the degenerate manifold (0) through 1e-10 to 1. The grid
+    leaves out gamma_b ~ 1e-14: there the probe's verdict is rounding noise, as
+    its mismatch (5e-6 to 1e-5) straddles its own 1e-6 cut.
+    """
+    splu_calls = []
+
+    def counting_splu(*args, **kwargs):
+        splu_calls.append(args[0].shape)
+        return real_splu(*args, **kwargs)
+
+    real_splu = spla.splu
+    for gamma_b in (0.0, 1e-10, 1e-8, 1e-6, 1e-4, 1e-2, 1.0):
+        for nbar in (0.0, 0.5):
+            params = SystemParams(
+                g=0.2, lambda_a=0.5, gamma_a=4.0, gamma_b=gamma_b, kappa_e=0.05, nbar=nbar
+            )
+            model = build_reduced_model(params, d)
+            expected = _probe_verdict(model)
+            splu_calls.clear()
+            with monkeypatch.context() as patch:
+                patch.setattr(spla, "splu", counting_splu)
+                try:
+                    result = steady_state(model)
+                except SteadyStateDegenerateError as exc:
+                    verdict = ("degenerate", exc.kernel_dim)
+                else:
+                    verdict = ("unique", result.kernel_dim)
+            assert verdict == expected, (gamma_b, nbar)
+            if verdict[0] == "unique":
+                assert len(splu_calls) == 1, (gamma_b, nbar)
+                rho = _trace_row_rho(liouvillian_matrix(model), d)
+                assert np.array_equal(result.rho.matrix, rho), (gamma_b, nbar)
+    assert expected == ("unique", 1)  # the grid ends on a unique model
+
+
+@pytest.mark.parametrize("d_a, d_b", ((3, 8), (4, 10)))
+@pytest.mark.parametrize("nbar", (0.0, 0.5))
+def test_full_model_lossless_signal_is_degenerate(d_a, d_b, nbar):
+    # b-parity is a strong symmetry at gamma_b = 0: one steady state per sector
+    params = SystemParams(g=0.3, lambda_a=0.4, gamma_a=1.0, gamma_b=0.0, nbar=nbar)
+    with pytest.raises(SteadyStateDegenerateError) as err:
+        steady_state(build_full_model(params, d_a, d_b))
+    assert err.value.kernel_dim == 2
+
+
+def test_zero_liouvillian_is_degenerate():
+    # d = 2 truncates b^2 to zero, and gamma_b = 0 leaves no other channel
+    params = SystemParams(g=0.1, lambda_a=1.0, gamma_a=10.0, gamma_b=0.0)
+    model = build_reduced_model(params, 2)
+    assert liouvillian_matrix(model).count_nonzero() == 0
+    with pytest.raises(SteadyStateDegenerateError) as err:
+        steady_state(model)
+    assert err.value.kernel_dim == 4
+
+
+@pytest.mark.parametrize(
+    "model, blocks, kernel_dim",
+    [
+        (build_reduced_model(SystemParams(g=0.2, lambda_a=0.5, gamma_a=4.0, gamma_b=0.0, kappa_e=0.05), 12), 4, 4),
+        (build_reduced_model(SystemParams(g=0.2, lambda_a=0.5, gamma_a=4.0, gamma_b=0.5, kappa_e=0.05), 12), 2, 1),
+        (build_full_model(SystemParams(g=0.3, lambda_a=0.4, gamma_a=1.0, gamma_b=0.0), 3, 8), 4, 2),
+    ],
+    ids=["reduced-gb0", "reduced-gb0.5", "full-3x8-gb0"],
+)
+def test_kernel_dimension_by_blocks_equals_dense_count(model, blocks, kernel_dim):
+    lio = liouvillian_matrix(model)
+    assert connected_components(abs(lio), connection="weak")[0] == blocks
+    assert _kernel_dimension(lio) == _dense_kernel_count(lio) == kernel_dim
