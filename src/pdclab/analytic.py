@@ -203,6 +203,8 @@ def moment_ss(l: int, k: int, params: SystemParams, series_tol: float = 1e-14) -
         c_n = w * f[m] * f[m]
         s_sum += c_s
         n_sum += c_n
+        if r == 0.0:
+            break  # zero drive (u = 0): the sum is its m = 0 term
         if m >= min_m and s_sum != 0.0 and n_sum != 0.0:
             if c_s <= series_tol * abs(s_sum) and c_n <= series_tol * n_sum:
                 consec += 1
@@ -293,10 +295,13 @@ def delta2_g(
     normal_phase / thermal / critical (mean-field). Forms are evaluated as
     printed; the critical regime additionally offers variant="derived", the
     limit of the thermal form, which differs from the printed value by a
-    factor 2 gamma_a gamma_b (recorded inconsistency).
+    factor 2 gamma_a gamma_b (recorded inconsistency). Every form diverges at
+    lambda_a = 0, which raises DivergenceError.
     """
     g, lam = params.g, params.lambda_a
     ga, gb = params.gamma_a, params.gamma_b
+    if lam == 0:
+        raise DivergenceError("uncertainty divergent at lambda_a = 0: no drive, no signal")
 
     if regime == "gb0":
         if observable == "photon":
@@ -421,6 +426,8 @@ def lambda_sensor(params: SystemParams) -> tuple[float, float, SensorOptimum]:
         raise ValueError("sensor formulas hold only at gamma_b = 0")
     if params.g <= 0:
         raise ValueError("requires g > 0")
+    if params.lambda_a == 0:
+        raise ValueError("requires lambda_a != 0: lambda_a^2 / N_b is 0/0 at zero drive")
     lam, ga, ke = params.lambda_a, params.gamma_a, params.kappa_e
 
     def formula(g: float) -> float:

@@ -146,6 +146,13 @@ def parse_config(path: str | Path, strict: bool = True) -> Scenario:
             raise ConfigError("sweep.values must be finite")
         sweep = (sweep_param, values)
 
+    tolerances = {}
+    for key in ("tolerances.rel", "tolerances.floor"):
+        value = _parse_scalar(key, raw[key]) if key in raw else _DEFAULTS[key]
+        if not (math.isfinite(value) and value > 0):
+            raise ConfigError(f"{key} must be finite and > 0, got {value!r}")
+        tolerances[key] = value
+
     name = raw.get("name", path.stem).strip()
     if not name or not all(c.isalnum() or c in "-_" for c in name):
         raise ConfigError(f"scenario name must be alphanumeric/-/_: {name!r}")
@@ -156,8 +163,8 @@ def parse_config(path: str | Path, strict: bool = True) -> Scenario:
         tasks=tasks,
         sweep=sweep,
         signal_dim=int(raw.get("truncation.signal_dim", _DEFAULTS["truncation.signal_dim"])),
-        rel_tol=float(raw.get("tolerances.rel", _DEFAULTS["tolerances.rel"])),
-        floor=float(raw.get("tolerances.floor", _DEFAULTS["tolerances.floor"])),
+        rel_tol=tolerances["tolerances.rel"],
+        floor=tolerances["tolerances.floor"],
     )
 
 

@@ -32,6 +32,7 @@ from scipy.integrate import solve_ivp
 from .errors import (
     DimensionMismatchError,
     IntegratorError,
+    ResidualError,
     SteadyStateDegenerateError,
     TruncationError,
 )
@@ -43,6 +44,7 @@ from .hilbert import (
     TensorSpace,
     annihilation,
     embed,
+    top_level_population,
 )
 
 __all__ = [
@@ -66,6 +68,9 @@ __all__ = [
 # Dense eigendecomposition of a Liouvillian is O(side^3); beyond this side
 # length the cost is unreasonable for a gap query.
 _DENSE_EIG_MAX_SIDE = 2048
+
+# An eigenvalue z of L is a zero mode when |Re z| <= _ZERO_MODE_CUT * ||L||_inf.
+_ZERO_MODE_CUT = 1e-10
 
 
 @dataclass(frozen=True)
@@ -131,7 +136,6 @@ class LindbladModel:
 class SteadyStateResult:
     rho: DensityMatrix
     residual: float
-    method: str  # "null-space" | "long-time"
     kernel_dim: int = 1
 
 
@@ -178,6 +182,9 @@ def build_reduced_model(params: SystemParams, d_b: int) -> LindbladModel:
 
 def liouvillian_matrix(model: LindbladModel) -> sp.csr_matrix:
     """Vectorized generator acting on vec(rho) in column-major convention.
+
+    The superoperator is the one sparse object of the package: the dense
+    Hamiltonian and collapse operators become CSR here.
 
     vec(A rho B) = (B^T kron A) vec(rho), hence
     L = -i(I kron H - H^T kron I)
@@ -309,7 +316,7 @@ def _condition_number(a: sp.csc_matrix, lu) -> float:
 
 
 def _kernel_dimension(lio: sp.csr_matrix) -> int | None:
-    """Count eigenvalues with |Re z| <= 1e-10 ||L||_inf, one block at a time.
+    """Count the zero modes of L (see _ZERO_MODE_CUT), one block at a time.
 
     Each weakly connected component of L's sparsity pattern is an invariant
     block, so the spectrum of L is the union of the blocks' spectra.
@@ -325,7 +332,7 @@ def _kernel_dimension(lio: sp.csr_matrix) -> int | None:
     for k in range(n_blocks):
         idx = np.flatnonzero(labels == k)
         ev = np.linalg.eigvals(lio[idx][:, idx].toarray())
-        count += int(np.sum(np.abs(ev.real) <= 1e-10 * scale))
+        count += int(np.sum(np.abs(ev.real) <= _ZERO_MODE_CUT * scale))
     return count
 
 
@@ -333,22 +340,6 @@ def _clean_density(x: np.ndarray, d: int) -> np.ndarray:
     rho = _unvec(x, d)
     rho = 0.5 * (rho + rho.conj().T)
     return rho / np.trace(rho).real
-
-
-def _long_time_steady(model: LindbladModel, tol: float) -> SteadyStateResult:
-    d = model.dim
-    rho = DensityMatrix(np.eye(d, dtype=complex) / d, model.space)
-    t = 1.0
-    lio = liouvillian_matrix(model)
-    for _ in range(24):
-        nxt = evolve_open(model, rho, t, rtol=1e-10, atol=1e-12)
-        diff = np.abs(nxt.matrix - rho.matrix).max()
-        rho = nxt
-        if diff < max(tol, 1e-12):
-            break
-        t = min(t * 2.0, 1e6)
-    residual = float(np.abs(lio @ _vec(rho.matrix)).max())
-    return SteadyStateResult(rho, residual, "long-time")
 
 
 def steady_state(model: LindbladModel, tol: float = 1e-10) -> SteadyStateResult:
@@ -359,12 +350,10 @@ def steady_state(model: LindbladModel, tol: float = 1e-10) -> SteadyStateResult:
     one-dimensional, so the kernel counts as degenerate when the LU meets an
     exactly zero pivot or A is numerically singular: cond1(A) * eps >= 1,
     i.e. rcond <= machine epsilon, the singularity test of LAPACK xGESVX and
-    MATLAB. Degeneracy raises SteadyStateDegenerateError carrying the kernel
-    dimension, or None when L is too large to count it; a count of at most
-    one zero mode falls back to long-time integration instead. tol governs
-    only the residual fallback: when the solve's residual exceeds
-    max(tol, 1e-12) * max(1, ||L||_inf), long-time integration is tried and
-    kept if its residual is smaller.
+    MATLAB. A singular A raises SteadyStateDegenerateError carrying the count
+    of L's zero modes, or None when L is too large to count them. tol is the
+    acceptance bound of the solve: a residual max|L vec(rho)| above
+    max(tol, 1e-12) * max(1, ||L||_inf) raises ResidualError.
     """
     if not any(rate > 0 for rate, _ in model.channels):
         raise ValueError("steady_state needs at least one dissipative channel")
@@ -384,27 +373,26 @@ def steady_state(model: LindbladModel, tol: float = 1e-10) -> SteadyStateResult:
         singular = True
     if singular:
         kdim = _kernel_dimension(lio)
-        if kdim is None or kdim > 1:
-            raise SteadyStateDegenerateError(
-                f"Liouvillian null space has dimension {kdim if kdim else '>1'}; "
-                "no unique steady state",
-                kernel_dim=kdim,
-            )
-        return _long_time_steady(model, tol)
+        counted = "too large to count" if kdim is None else kdim
+        raise SteadyStateDegenerateError(
+            f"no unique steady state: the trace-row system is singular "
+            f"(Liouvillian zero modes: {counted})",
+            kernel_dim=kdim,
+        )
 
     rho = _clean_density(x, d)
     residual = float(np.abs(lio @ _vec(rho)).max())
-    if residual > max(tol, 1e-12) * max(1.0, spla.norm(lio, np.inf)):
-        fallback = _long_time_steady(model, tol)
-        if fallback.residual < residual:
-            return fallback
-    return SteadyStateResult(
-        DensityMatrix(rho, model.space, tol=1e-7), residual, "null-space"
-    )
+    bound = max(tol, 1e-12) * max(1.0, spla.norm(lio, np.inf))
+    if residual > bound:
+        raise ResidualError(f"steady-state residual {residual:.3e} exceeds {bound:.3e}")
+    return SteadyStateResult(DensityMatrix(rho, model.space, tol=1e-7), residual)
 
 
-def spectral_gap(model: LindbladModel, zero_mode_threshold: float | None = None) -> float:
-    """Smallest nonzero decay rate: -max{Re z : z in spec(L), Re z < -eps}."""
+def spectral_gap(model: LindbladModel) -> float:
+    """Smallest nonzero decay rate: -max{Re z : z in spec(L), Re z < -eps}.
+
+    eps = _ZERO_MODE_CUT * ||L||_inf, the zero-mode cut of _kernel_dimension.
+    """
     lio = liouvillian_matrix(model)
     side = lio.shape[0]
     if side > _DENSE_EIG_MAX_SIDE:
@@ -413,9 +401,7 @@ def spectral_gap(model: LindbladModel, zero_mode_threshold: float | None = None)
             "reduce the truncation"
         )
     ev = np.linalg.eigvals(lio.toarray())
-    eps = zero_mode_threshold
-    if eps is None:
-        eps = 1e-10 * spla.norm(lio, np.inf)
+    eps = _ZERO_MODE_CUT * spla.norm(lio, np.inf)
     decaying = ev.real[ev.real < -eps]
     if decaying.size == 0:
         raise ValueError("no decaying modes below the zero-mode threshold")
@@ -457,13 +443,12 @@ def auto_truncated_steady(
     d = start_dim
     while True:
         result = steady_state(builder(d), tol=tol)
-        pops = np.real(np.diag(result.rho.matrix))
-        if pops[-2:].sum() < pop_tol:
+        top = top_level_population(result.rho)
+        if top < pop_tol:
             return result, d
         if d >= max_dim:
             raise TruncationError(
-                f"top-level population {pops[-2:].sum():.3e} still above "
-                f"{pop_tol} at dim {d}"
+                f"top-level population {top:.3e} still above {pop_tol} at dim {d}"
             )
         d = min(max_dim, d + max(4, d // 2))
 

@@ -18,9 +18,10 @@ class IntegratorError(PdclabError):
 
 
 class SteadyStateDegenerateError(PdclabError):
-    """The Liouvillian null space has dimension > 1; no unique steady state.
+    """No unique steady state: the steady-state system is singular.
 
-    The kernel dimension, when known, is attached as ``kernel_dim``.
+    The count of the Liouvillian's zero modes, when known, is attached as
+    ``kernel_dim``; it exceeds 1 when the null space is degenerate.
     """
 
     def __init__(self, message: str, kernel_dim: int | None = None):

@@ -6,25 +6,23 @@ mode second throughout the package. Operators and states carry their space so
 that dimension mismatches are caught at the boundary instead of deep inside a
 solver.
 
-Storage is dense below dimension 64 and CSR sparse at or above it; the
-Liouvillian of a two-mode problem scales as (d_a*d_b)^2, which makes the sparse
-path mandatory at realistic truncations.
+Storage has one rule: states, density matrices and operators on a space of
+dim n are dense complex arrays. Only the superoperator, whose side is n^2, is
+sparse; dynamics.liouvillian_matrix is the single place where dense operators
+become CSR.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import reduce
 
 import numpy as np
-import scipy.sparse as sp
 
 from .errors import DimensionMismatchError, TruncationError
 
-SPARSE_DIM_THRESHOLD = 64
-
 __all__ = [
-    "SPARSE_DIM_THRESHOLD",
     "FockSpace",
     "TensorSpace",
     "Space",
@@ -73,30 +71,18 @@ class TensorSpace:
 Space = FockSpace | TensorSpace
 
 
-def _is_sparse(m) -> bool:
-    return sp.issparse(m)
-
-
-def _as_sparse(m):
-    return m if sp.issparse(m) else sp.csr_matrix(m)
-
-
-def _prefer_sparse(dim: int) -> bool:
-    return dim >= SPARSE_DIM_THRESHOLD
-
-
 @dataclass
 class Operator:
     """A linear operator tagged with the space it acts on.
 
-    The matrix may be a dense ndarray or a scipy sparse matrix; mixed algebra
-    promotes to sparse. Instances are treated as immutable.
+    The matrix is a dense complex ndarray. Instances are treated as immutable.
     """
 
-    matrix: object
+    matrix: np.ndarray
     space: Space
 
     def __post_init__(self):
+        self.matrix = np.asarray(self.matrix, dtype=complex)
         n = self.space.dim
         if self.matrix.shape != (n, n):
             raise DimensionMismatchError(
@@ -110,10 +96,6 @@ class Operator:
     def dag(self) -> "Operator":
         return Operator(self.matrix.conj().T, self.space)
 
-    def to_array(self) -> np.ndarray:
-        m = self.matrix
-        return m.toarray() if _is_sparse(m) else np.asarray(m)
-
     def _check(self, other: "Operator"):
         if self.space != other.space:
             raise DimensionMismatchError("operators act on different spaces")
@@ -124,10 +106,7 @@ class Operator:
 
     def __add__(self, other: "Operator") -> "Operator":
         self._check(other)
-        a, b = self.matrix, other.matrix
-        if _is_sparse(a) != _is_sparse(b):
-            a, b = _as_sparse(a), _as_sparse(b)
-        return Operator(a + b, self.space)
+        return Operator(self.matrix + other.matrix, self.space)
 
     def __sub__(self, other: "Operator") -> "Operator":
         return self + (-1.0) * other
@@ -138,10 +117,7 @@ class Operator:
     __mul__ = __rmul__
 
     def is_hermitian(self, tol: float = 1e-10) -> bool:
-        d = self.matrix - self.matrix.conj().T
-        if _is_sparse(d):
-            return abs(d).max() <= tol if d.nnz else True
-        return np.abs(d).max() <= tol
+        return np.abs(self.matrix - self.matrix.conj().T).max() <= tol
 
 
 @dataclass
@@ -208,26 +184,15 @@ def annihilation(space: FockSpace) -> Operator:
     """Mode annihilation operator with <n-1|a|n> = sqrt(n)."""
     d = space.dim
     off = np.sqrt(np.arange(1, d, dtype=float))
-    if _prefer_sparse(d):
-        m = sp.diags(off.astype(complex), 1, shape=(d, d), format="csr")
-    else:
-        m = np.diag(off.astype(complex), 1)
-    return Operator(m, space)
+    return Operator(np.diag(off.astype(complex), 1), space)
 
 
 def number_operator(space: FockSpace) -> Operator:
-    d = space.dim
-    diag = np.arange(d, dtype=complex)
-    if _prefer_sparse(d):
-        return Operator(sp.diags(diag, 0, format="csr"), space)
-    return Operator(np.diag(diag), space)
+    return Operator(np.diag(np.arange(space.dim, dtype=complex)), space)
 
 
 def identity_operator(space: Space) -> Operator:
-    d = space.dim
-    if _prefer_sparse(d):
-        return Operator(sp.identity(d, dtype=complex, format="csr"), space)
-    return Operator(np.eye(d, dtype=complex), space)
+    return Operator(np.eye(space.dim, dtype=complex), space)
 
 
 def embed(op: Operator, slot: int, spaces: tuple[FockSpace, ...]) -> Operator:
@@ -241,23 +206,9 @@ def embed(op: Operator, slot: int, spaces: tuple[FockSpace, ...]) -> Operator:
         raise DimensionMismatchError(
             f"operator dim {op.dim} does not match factor {slot} dim {spaces[slot].dim}"
         )
-    target = TensorSpace(tuple(spaces))
-    use_sparse = _prefer_sparse(target.dim) or _is_sparse(op.matrix)
-    result = None
-    for i, f in enumerate(spaces):
-        if i == slot:
-            block = op.matrix
-        elif use_sparse:
-            block = sp.identity(f.dim, dtype=complex, format="csr")
-        else:
-            block = np.eye(f.dim, dtype=complex)
-        if result is None:
-            result = block
-        elif use_sparse:
-            result = sp.kron(_as_sparse(result), _as_sparse(block), format="csr")
-        else:
-            result = np.kron(result, block)
-    return Operator(result, target)
+    blocks = [op.matrix if i == slot else np.eye(f.dim, dtype=complex)
+              for i, f in enumerate(spaces)]
+    return Operator(reduce(np.kron, blocks), TensorSpace(tuple(spaces)))
 
 
 def tensor_state(*states: StateVector) -> StateVector:
@@ -328,10 +279,7 @@ def expectation(op: Operator, state: StateVector | DensityMatrix) -> complex:
         raise DimensionMismatchError("operator and state spaces differ")
     if isinstance(state, StateVector):
         return complex(np.vdot(state.amplitudes, op.matrix @ state.amplitudes))
-    prod = op.matrix @ state.matrix
-    if _is_sparse(prod):
-        return complex(prod.diagonal().sum())
-    return complex(np.trace(prod))
+    return complex(np.trace(op.matrix @ state.matrix))
 
 
 def top_level_population(rho: DensityMatrix, mode: int = 0, levels: int = 2) -> float:

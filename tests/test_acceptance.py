@@ -109,7 +109,7 @@ def test_criterion_02_moment_series_vs_kernel():
         worst = 0.0
         for g in WEAK_DRIVE_GRID:
             rho = _exact_reduced_steady(g)
-            b = annihilation(rho.space).to_array()
+            b = annihilation(rho.space).matrix
             bd = b.conj().T
             for l in range(3):
                 for k in range(3):

@@ -28,7 +28,7 @@ from pdclab.analytic import (
 )
 from pdclab.dynamics import SystemParams, build_reduced_model, steady_state
 from pdclab.errors import DivergenceError, SeriesConvergenceError
-from pdclab.hilbert import FockSpace, annihilation, expectation
+from pdclab.hilbert import FockSpace, annihilation, expectation, number_operator
 
 WORK = SystemParams(g=0.4, lambda_a=0.9, gamma_a=6.0, gamma_b=0.5, kappa_e=0.1)
 
@@ -146,10 +146,21 @@ def test_moment_ss_against_liouvillian_steady_state():
     rho = steady_state(model).rho
     b = annihilation(FockSpace(24))
     for l, k in [(1, 1), (0, 2), (2, 2), (1, 0)]:
-        num = np.linalg.matrix_power(b.to_array(), k)
-        dag = np.linalg.matrix_power(b.dag().to_array(), l)
+        num = np.linalg.matrix_power(b.matrix, k)
+        dag = np.linalg.matrix_power(b.dag().matrix, l)
         numeric = complex(np.trace(dag @ num @ rho.matrix))
         assert moment_ss(l, k, WORK) == pytest.approx(numeric, abs=1e-10)
+
+
+def test_moment_ss_at_zero_drive_is_the_vacuum():
+    # u = 0: every term past m = 0 vanishes, so the series is its first term
+    p = SystemParams(g=0.4, lambda_a=0.0, gamma_a=6.0, gamma_b=0.5, kappa_e=0.1)
+    rho = steady_state(build_reduced_model(p, 16)).rho
+    numeric = expectation(number_operator(FockSpace(16)), rho)
+    assert numeric == 0.0
+    assert moment_ss(1, 1, p) == numeric
+    assert moment_ss(0, 0, p) == 1.0
+    assert moment_ss(0, 2, p) == 0.0
 
 
 def test_moment_ss_small_gamma_b_limit_is_tanh_branch():
@@ -316,6 +327,17 @@ def test_delta2_g_critical_variants_differ_by_2_gamma_gamma():
     )
 
 
+@pytest.mark.parametrize(
+    "regime, observable",
+    [("gb0", "photon"), ("gb0", "homodyne"), ("gb0_kappa", "photon"),
+     ("three_level", "qcrb"), ("normal_phase", "photon"), ("critical", "photon")],
+)
+def test_delta2_g_diverges_at_zero_drive(regime, observable):
+    p = SystemParams(g=0.4, lambda_a=0.0, gamma_a=6.0, gamma_b=0.5, kappa_e=0.1)
+    with pytest.raises(DivergenceError, match="lambda_a = 0"):
+        delta2_g(regime, observable, p)
+
+
 def test_delta2_g_unknown_regime_raises():
     with pytest.raises(ValueError):
         delta2_g("anti_normal", "photon", WORK)
@@ -359,6 +381,13 @@ def test_lambda_sensor_identity_and_optimum():
 def test_lambda_sensor_requires_lossless_signal():
     with pytest.raises(ValueError):
         lambda_sensor(WORK)
+
+
+def test_lambda_sensor_undefined_at_zero_drive():
+    # N_b = 0 there, so the lambda_a^2 / N_b route is 0/0
+    p = SystemParams(g=0.1, lambda_a=0.0, gamma_a=10.0, gamma_b=0.0, kappa_e=0.1)
+    with pytest.raises(ValueError, match="lambda_a != 0"):
+        lambda_sensor(p)
 
 
 def test_thermal_occupation():

@@ -119,6 +119,31 @@ def test_parse_config_invalid_params_rejected(tmp_path):
         parse_config(path)
 
 
+@pytest.mark.parametrize(
+    "key, value",
+    [
+        ("tolerances.floor", "0"),
+        ("tolerances.floor", "-1e-12"),
+        ("tolerances.floor", "nan"),
+        ("tolerances.floor", "inf"),
+        ("tolerances.rel", "0.0"),
+        ("tolerances.rel", "-1e-6"),
+        ("tolerances.rel", "nan"),
+        ("tolerances.rel", "inf"),
+    ],
+)
+def test_parse_config_rejects_invalid_tolerances(tmp_path, key, value):
+    text = GOOD.replace("tolerances.rel = 1e-7\n", "") + f"{key} = {value}\n"
+    with pytest.raises(ConfigError, match=f"{key} must be finite and > 0"):
+        parse_config(write(tmp_path, text))
+
+
+def test_parse_config_rejects_non_numeric_tolerance(tmp_path):
+    path = write(tmp_path, GOOD + "tolerances.floor = tiny\n")
+    with pytest.raises(ConfigError, match="cannot parse numeric value for tolerances.floor"):
+        parse_config(path)
+
+
 def test_comparison_row_semantics():
     row = ComparisonRow("x", analytic=2.0, numeric=2.002, tolerance=1e-2)
     assert row.rel_dev == pytest.approx(1e-3)
@@ -193,11 +218,12 @@ def test_run_byte_identical_across_thread_counts(tmp_path):
 
 
 def test_run_exit_1_on_tolerance_failure(tmp_path, capsys):
+    # tolerances.rel must be > 0; no nonzero rel_dev passes 1e-300
     text = (
         "name = tight\ntasks = steady_moments\n"
         "params.g = 0.1\nparams.lambda_a = 0.01\n"
         "params.gamma_a = 10.0\nparams.gamma_b = 1.0\n"
-        "truncation.signal_dim = 16\ntolerances.rel = 0.0\n"
+        "truncation.signal_dim = 16\ntolerances.rel = 1e-300\n"
     )
     code = main(["run", str(write(tmp_path, text)), "--out-dir", str(tmp_path / "o")])
     assert code == 1
@@ -289,6 +315,42 @@ def test_run_exit_3_on_solver_failure(tmp_path, capsys):
     code = main(["run", str(write(tmp_path, text)), "--out-dir", str(tmp_path / "o")])
     assert code == 3
     assert "solver failure" in capsys.readouterr().err
+
+
+ZERO_DRIVE = "name = zero\nparams.g = 0.1\nparams.lambda_a = 0.0\nparams.gamma_a = 10.0\n"
+
+
+@pytest.mark.parametrize(
+    "rates",
+    ["params.gamma_b = 0.0\n", "params.gamma_b = 0.0\nparams.kappa_e = 0.1\n",
+     "params.gamma_b = 1.0\n"],
+    ids=["gb0", "gb0_kappa", "normal_phase"],
+)
+def test_run_zero_drive_uncertainty_exits_3(tmp_path, capsys, rates):
+    # delta^2 g diverges without drive: a solver failure, not a traceback
+    path = write(tmp_path, ZERO_DRIVE + rates + "tasks = uncertainty\n")
+    assert main(["run", str(path), "--out-dir", str(tmp_path / "o")]) == 3
+    assert "solver failure: DivergenceError" in capsys.readouterr().err
+
+
+def test_run_zero_drive_sensor_exits_2(tmp_path, capsys):
+    # lambda_a^2 / N_b is 0/0 without drive: the sensor is undefined there
+    text = ZERO_DRIVE + "params.gamma_b = 0.0\nparams.kappa_e = 0.1\ntasks = sensor\n"
+    assert main(["run", str(write(tmp_path, text)), "--out-dir", str(tmp_path / "o")]) == 2
+    assert "config error: requires lambda_a != 0" in capsys.readouterr().err
+
+
+def test_run_steady_moments_sweep_through_zero_drive(tmp_path):
+    text = (
+        ZERO_DRIVE + "params.gamma_b = 1.0\ntasks = steady_moments\n"
+        "sweep.parameter = lambda_a\nsweep.values = 0.0, 0.01\n"
+        "truncation.signal_dim = 16\n"
+    )
+    assert main(["run", str(write(tmp_path, text)), "--out-dir", str(tmp_path / "o")]) == 0
+    with open(tmp_path / "o" / "zero_steady_moments.csv", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert [float(row["value"]) for row in rows] == [0.0, 0.01]
+    assert float(rows[0]["Nb_series"]) == float(rows[0]["Nb_liouville"]) == 0.0
 
 
 def test_list_tasks_and_defaults(capsys):

@@ -1,11 +1,15 @@
 """Lindblad generators, integration, steady states, spectral gaps."""
 
 import math
+from dataclasses import fields
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from pdclab.dynamics import (
+    SteadyStateResult,
     SystemParams,
     auto_truncated_steady,
     build_full_model,
@@ -69,14 +73,67 @@ def test_liouvillian_action_matches_master_equation():
     x = rng.normal(size=(8, 8)) + 1j * rng.normal(size=(8, 8))
     rho = x @ x.conj().T
     rho /= np.trace(rho)
-    h = model.hamiltonian.to_array()
+    h = model.hamiltonian.matrix
     rhs = -1j * (h @ rho - rho @ h)
     for rate, c in model.channels:
-        cm = c.to_array()
+        cm = c.matrix
         cdc = cm.conj().T @ cm
         rhs += rate * (2 * cm @ rho @ cm.conj().T - cdc @ rho - rho @ cdc)
     via_lio = (lio @ rho.flatten(order="F")).reshape((8, 8), order="F")
     assert np.abs(via_lio - rhs).max() < 1e-12 * np.abs(rhs).max() + 1e-14
+
+
+def _sparse_ladder(d):
+    off = np.sqrt(np.arange(1, d, dtype=float)).astype(complex)
+    return sp.diags(off, 1, shape=(d, d), format="csr")
+
+
+def _sparse_model(params, dims):
+    """The model's operators assembled in scipy.sparse, as a duck-typed model.
+
+    liouvillian_matrix reads only .dim, .hamiltonian.matrix and each channel's
+    .matrix, so these operators go through the same superoperator assembly.
+    """
+    def signal(b):
+        if params.nbar > 0:
+            return [(params.gamma_b * (params.nbar + 1.0), b),
+                    (params.gamma_b * params.nbar, b.conj().T)]
+        return [(params.gamma_b, b)]
+
+    if len(dims) == 1:
+        b = _sparse_ladder(dims[0])
+        b2 = b @ b
+        h = (params.g * params.lambda_a / params.gamma_a) * (b2 + b2.conj().T)
+        channels = signal(b) + [(params.kappa + params.kappa_e, b2)]
+    else:
+        eye_a = sp.identity(dims[0], dtype=complex, format="csr")
+        eye_b = sp.identity(dims[1], dtype=complex, format="csr")
+        a = sp.kron(_sparse_ladder(dims[0]), eye_b, format="csr")
+        b = sp.kron(eye_a, _sparse_ladder(dims[1]), format="csr")
+        ad, bd = a.conj().T, b.conj().T
+        h = params.g * (a @ bd @ bd + ad @ b @ b) + (1j * params.lambda_a) * (ad - a)
+        channels = [(params.gamma_a, a)] + signal(b)
+    return SimpleNamespace(
+        dim=h.shape[0],
+        hamiltonian=SimpleNamespace(matrix=h),
+        channels=[(rate, SimpleNamespace(matrix=c)) for rate, c in channels],
+    )
+
+
+@pytest.mark.parametrize("nbar", (0.0, 0.5))
+def test_liouvillian_is_bit_identical_to_sparse_operator_assembly(nbar):
+    # dense operators on both sides of 64, the old sparse switch-over
+    params = SystemParams(g=0.3, lambda_a=0.7, gamma_a=2.0, gamma_b=0.4, kappa_e=0.1, nbar=nbar)
+    grid = [((d,), build_reduced_model(params, d)) for d in (8, 63, 64, 96, 160)]
+    grid += [(dims, build_full_model(params, *dims)) for dims in ((4, 12), (6, 14), (8, 12))]
+    for dims, model in grid:
+        assert all(type(c.matrix) is np.ndarray for _, c in model.channels)
+        assert type(model.hamiltonian.matrix) is np.ndarray
+        lio = liouvillian_matrix(model)
+        ref = liouvillian_matrix(_sparse_model(params, dims))
+        assert lio.shape == ref.shape, dims
+        for name in ("indptr", "indices", "data"):
+            assert np.array_equal(getattr(lio, name), getattr(ref, name)), (dims, name)
 
 
 def test_single_excitation_decays_at_twice_gamma():
@@ -111,6 +168,7 @@ def test_pure_decay_spectral_gap_is_gamma():
 def test_steady_state_reduced_model_properties():
     model = build_reduced_model(WORK, 24)
     result = steady_state(model)
+    assert [f.name for f in fields(SteadyStateResult)] == ["rho", "residual", "kernel_dim"]
     assert result.residual < 1e-10
     assert result.kernel_dim == 1
     rho = result.rho

@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -11,6 +12,7 @@ from pdclab.errors import DimensionMismatchError, TruncationError
 from pdclab.hilbert import (
     DensityMatrix,
     FockSpace,
+    Operator,
     StateVector,
     TensorSpace,
     annihilation,
@@ -26,32 +28,47 @@ from pdclab.hilbert import (
 )
 
 
+# one storage rule on every dimension, including both sides of 64
+DIMS = (6, 63, 64, 100)
+
+
+def _dense(op):
+    assert type(op.matrix) is np.ndarray and op.matrix.dtype == complex
+    return op.matrix
+
+
 def test_annihilation_matrix_elements():
-    space = FockSpace(6)
-    a = annihilation(space).to_array()
-    for n in range(1, 6):
-        assert a[n - 1, n] == pytest.approx(math.sqrt(n))
-    # everything off the superdiagonal vanishes
-    assert np.count_nonzero(a) == 5
+    for d in DIMS:
+        a = _dense(annihilation(FockSpace(d)))
+        for n in range(1, d):
+            assert a[n - 1, n] == pytest.approx(math.sqrt(n))
+        # everything off the superdiagonal vanishes
+        assert np.count_nonzero(a) == d - 1
 
 
 def test_number_operator_is_a_dag_a():
-    space = FockSpace(7)
-    a = annihilation(space)
-    n_direct = number_operator(space).to_array()
-    n_built = (a.dag() @ a).to_array()
-    assert np.allclose(n_direct, n_built)
-    assert np.allclose(np.diag(n_direct), np.arange(7))
+    for d in DIMS:
+        space = FockSpace(d)
+        a = annihilation(space)
+        n_direct = _dense(number_operator(space))
+        n_built = _dense(a.dag() @ a)
+        assert np.allclose(n_direct, n_built)
+        assert np.allclose(np.diag(n_direct), np.arange(d))
 
 
 def test_commutator_is_identity_below_truncation_edge():
-    space = FockSpace(9)
-    a = annihilation(space)
-    comm = (a @ a.dag() - a.dag() @ a).to_array()
-    diag = np.real(np.diag(comm))
-    assert np.allclose(diag[:-1], 1.0)
-    # the top level absorbs the truncation: [a, a+] = 1 - d |d-1><d-1|
-    assert diag[-1] == pytest.approx(1.0 - 9)
+    for d in DIMS:
+        a = annihilation(FockSpace(d))
+        comm = _dense(a @ a.dag() - a.dag() @ a)
+        diag = np.real(np.diag(comm))
+        assert np.allclose(diag[:-1], 1.0)
+        # the top level absorbs the truncation: [a, a+] = 1 - d |d-1><d-1|
+        assert diag[-1] == pytest.approx(1.0 - d)
+
+
+def test_operator_rejects_sparse_storage():
+    with pytest.raises(TypeError):
+        Operator(sp.identity(4, dtype=complex, format="csr"), FockSpace(4))
 
 
 def test_fock_states_orthonormal():
@@ -120,7 +137,7 @@ def test_embed_number_operators_commute_and_factorize():
     sa, sb = FockSpace(4), FockSpace(5)
     na = embed(number_operator(sa), 0, (sa, sb))
     nb = embed(number_operator(sb), 1, (sa, sb))
-    comm = (na @ nb - nb @ na).to_array()
+    comm = (na @ nb - nb @ na).matrix
     assert np.abs(comm).max() == 0.0
     joint = tensor_state(fock_state(2, sa), fock_state(3, sb))
     assert expectation(na, joint) == pytest.approx(2.0)
@@ -128,24 +145,26 @@ def test_embed_number_operators_commute_and_factorize():
 
 
 def test_embed_action_matches_kron():
-    sa, sb = FockSpace(3), FockSpace(3)
-    a = annihilation(sa)
-    emb = embed(a, 0, (sa, sb)).to_array()
-    direct = np.kron(a.to_array(), np.eye(3))
-    assert np.allclose(emb, direct)
+    # products of dimension 9, 63, 64 and 100
+    for d_a, d_b in ((3, 3), (7, 9), (8, 8), (10, 10)):
+        sa, sb = FockSpace(d_a), FockSpace(d_b)
+        a, b = annihilation(sa), annihilation(sb)
+        emb_a, emb_b = _dense(embed(a, 0, (sa, sb))), _dense(embed(b, 1, (sa, sb)))
+        assert np.array_equal(emb_a, np.kron(a.matrix, np.eye(d_b)))
+        assert np.array_equal(emb_b, np.kron(np.eye(d_a), b.matrix))
 
 
 def test_operator_algebra_round_trip():
-    space = FockSpace(4)
-    a = annihilation(space)
-    ident = identity_operator(space)
-    x = a + a.dag()
-    assert x.is_hermitian()
-    assert not a.is_hermitian()
-    scaled = 2.5 * x
-    assert np.allclose(scaled.to_array(), 2.5 * x.to_array())
-    diff = (x @ ident - x).to_array()
-    assert np.abs(diff).max() == 0.0
+    for d in DIMS:
+        space = FockSpace(d)
+        a = annihilation(space)
+        ident = identity_operator(space)
+        x = a + a.dag()
+        assert x.is_hermitian()
+        assert not a.is_hermitian()
+        assert np.allclose(_dense(2.5 * x), 2.5 * _dense(x))
+        diff = _dense(x @ ident - x)
+        assert np.abs(diff).max() == 0.0
 
 
 def test_operator_space_mismatch_raises():

@@ -162,7 +162,7 @@ def test_qfi_spectral_mixed_family_matches_matrix_oracle():
 
 def _squeezed_thermal(xi, nbar, dim):
     space = FockSpace(dim)
-    a = annihilation(space).to_array()
+    a = annihilation(space).matrix
     squeeze = expm(0.5 * xi * (a @ a - a.conj().T @ a.conj().T))
     n = np.arange(dim)
     probs = (nbar / (1 + nbar)) ** n / (1 + nbar)
@@ -222,7 +222,7 @@ def test_qfi_gaussian_pure_squeezed_vacuum_is_2():
 
 def _squeezed_vacuum(xi, dim):
     space = FockSpace(dim)
-    a = annihilation(space).to_array()
+    a = annihilation(space).matrix
     squeeze = expm(0.5 * xi * (a @ a - a.conj().T @ a.conj().T))
     amps = squeeze[:, 0]
     return StateVector(amps / np.linalg.norm(amps), space)

@@ -12,6 +12,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from scipy.sparse.csgraph import connected_components
 
+from pdclab import dynamics
 from pdclab.dynamics import (
     SystemParams,
     _kernel_dimension,
@@ -21,7 +22,7 @@ from pdclab.dynamics import (
     liouvillian_matrix,
     steady_state,
 )
-from pdclab.errors import SteadyStateDegenerateError
+from pdclab.errors import ResidualError, SteadyStateDegenerateError
 
 _DENSE_COUNTS: dict[tuple, int] = {}
 
@@ -160,3 +161,34 @@ def test_kernel_dimension_by_blocks_equals_dense_count(model, blocks, kernel_dim
     lio = liouvillian_matrix(model)
     assert connected_components(abs(lio), connection="weak")[0] == blocks
     assert _kernel_dimension(lio) == _dense_kernel_count(lio) == kernel_dim
+
+
+UNIQUE = SystemParams(g=0.2, lambda_a=0.5, gamma_a=4.0, gamma_b=0.5, kappa_e=0.05)
+
+
+def test_singular_solve_raises_whatever_the_kernel_count(monkeypatch):
+    # a singular trace-row system has no fallback, even when the count finds
+    # a single zero mode
+    monkeypatch.setattr(dynamics, "_condition_number", lambda a, lu: np.inf)
+    monkeypatch.setattr(dynamics, "_kernel_dimension", lambda lio: 1)
+    with pytest.raises(SteadyStateDegenerateError) as err:
+        steady_state(build_reduced_model(UNIQUE, 8))
+    assert err.value.kernel_dim == 1
+
+
+def test_residual_above_tol_raises(monkeypatch):
+    clean = dynamics._clean_density
+
+    def perturbed(x, d):
+        rho = clean(x, d)
+        rho[0, 0] += 1e-6
+        rho[1, 1] -= 1e-6
+        return rho
+
+    monkeypatch.setattr(dynamics, "_clean_density", perturbed)
+    model = build_reduced_model(UNIQUE, 8)
+    with pytest.raises(ResidualError):
+        steady_state(model)
+    # tol is the acceptance bound of the solve: a loose one accepts the same state
+    result = steady_state(model, tol=1e-3)
+    assert 1e-10 < result.residual <= 1e-3 * spla.norm(liouvillian_matrix(model), np.inf)
