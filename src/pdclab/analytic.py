@@ -41,6 +41,8 @@ __all__ = [
 ]
 
 _SERIES_BUDGET = 100_000
+# moment_ss stops once 5 consecutive terms stay below _SERIES_TOL of the sum.
+_SERIES_TOL = 1e-14
 
 
 # --- closed-system QFI -----------------------------------------------------
@@ -162,7 +164,7 @@ def _series_f(z: float, upto: int) -> list[float]:
     return f[: upto + 1]
 
 
-def moment_ss(l: int, k: int, params: SystemParams, series_tol: float = 1e-14) -> complex:
+def moment_ss(l: int, k: int, params: SystemParams) -> complex:
     """Steady-state <b^dag^l b^k> of the reduced model from the moment series.
 
     Working convention (pinned by matching the Liouvillian null space to
@@ -174,7 +176,7 @@ def moment_ss(l: int, k: int, params: SystemParams, series_tol: float = 1e-14) -
     with u = -mu/sqrt(2), f_m the terminating hypergeometric values of
     _series_f, and N the l = k = 0 sum. Odd l + k moments vanish identically
     (weak b -> -b symmetry of the generator). The m-sum stops once the running
-    term stays below series_tol times the partial sum for 5 consecutive terms.
+    term stays below _SERIES_TOL times the partial sum for 5 consecutive terms.
     """
     if l < 0 or k < 0:
         raise ValueError("moment orders must be non-negative")
@@ -206,7 +208,7 @@ def moment_ss(l: int, k: int, params: SystemParams, series_tol: float = 1e-14) -
         if r == 0.0:
             break  # zero drive (u = 0): the sum is its m = 0 term
         if m >= min_m and s_sum != 0.0 and n_sum != 0.0:
-            if c_s <= series_tol * abs(s_sum) and c_n <= series_tol * n_sum:
+            if c_s <= _SERIES_TOL * abs(s_sum) and c_n <= _SERIES_TOL * n_sum:
                 consec += 1
                 if consec >= 5:
                     break

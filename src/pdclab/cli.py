@@ -46,10 +46,10 @@ class Scenario:
     name: str
     params: SystemParams
     tasks: list[str]
-    sweep: tuple[str, tuple[float, ...]] | None = None
-    signal_dim: int = 40
-    rel_tol: float = 1e-6
-    floor: float = 1e-12
+    sweep: tuple[str, tuple[float, ...]] | None
+    signal_dim: int
+    rel_tol: float
+    floor: float
 
 
 def _rel_dev(reference: float, value: float, floor: float) -> float:
@@ -83,7 +83,7 @@ def _parse_scalar(key: str, raw: str):
         raise ConfigError(f"cannot parse numeric value for {key}: {raw!r}") from None
 
 
-def parse_config(path: str | Path, strict: bool = True) -> Scenario:
+def parse_config(path: str | Path) -> Scenario:
     """Read one scenario from a dotted-key config file."""
     path = Path(path)
     if not path.exists():
@@ -103,7 +103,7 @@ def parse_config(path: str | Path, strict: bool = True) -> Scenario:
 
     allowed = known_scalar | {"name", "tasks", "sweep.parameter", "sweep.values"}
     unknown = sorted(set(raw) - allowed)
-    if unknown and strict:
+    if unknown:
         raise ConfigError(f"unknown config keys: {', '.join(unknown)}")
 
     params_kwargs = {}
@@ -146,9 +146,12 @@ def parse_config(path: str | Path, strict: bool = True) -> Scenario:
             raise ConfigError("sweep.values must be finite")
         sweep = (sweep_param, values)
 
+    def setting(key: str):
+        return _parse_scalar(key, raw[key]) if key in raw else _DEFAULTS[key]
+
     tolerances = {}
     for key in ("tolerances.rel", "tolerances.floor"):
-        value = _parse_scalar(key, raw[key]) if key in raw else _DEFAULTS[key]
+        value = setting(key)
         if not (math.isfinite(value) and value > 0):
             raise ConfigError(f"{key} must be finite and > 0, got {value!r}")
         tolerances[key] = value
@@ -162,7 +165,7 @@ def parse_config(path: str | Path, strict: bool = True) -> Scenario:
         params=params,
         tasks=tasks,
         sweep=sweep,
-        signal_dim=int(raw.get("truncation.signal_dim", _DEFAULTS["truncation.signal_dim"])),
+        signal_dim=setting("truncation.signal_dim"),
         rel_tol=tolerances["tolerances.rel"],
         floor=tolerances["tolerances.floor"],
     )
@@ -468,9 +471,9 @@ def report(rows: list[ComparisonRow]) -> str:
 
 # --- entry points -----------------------------------------------------------------
 
-def run(config_path: str, out_dir: str = ".", threads: int = 1, strict: bool = True) -> int:
+def run(config_path: str, out_dir: str = ".", threads: int = 1) -> int:
     try:
-        scenario = parse_config(config_path, strict=strict)
+        scenario = parse_config(config_path)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
@@ -528,18 +531,12 @@ def main(argv=None) -> int:
     runp.add_argument("config")
     runp.add_argument("--out-dir", default=".")
     runp.add_argument("--threads", type=int, default=1)
-    runp.add_argument(
-        "--strict",
-        action=argparse.BooleanOptionalAction,
-        default=True,
-        help="reject unknown config keys (default on)",
-    )
     sub.add_parser("list-tasks", help="list task tags")
     sub.add_parser("print-defaults", help="print a config template")
     args = parser.parse_args(argv)
 
     if args.command == "run":
-        return run(args.config, args.out_dir, args.threads, args.strict)
+        return run(args.config, args.out_dir, args.threads)
     if args.command == "list-tasks":
         return list_tasks()
     return print_defaults()

@@ -21,7 +21,7 @@ violations raise instead of propagating silently.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -41,7 +41,6 @@ from .hilbert import (
     FockSpace,
     Operator,
     StateVector,
-    TensorSpace,
     annihilation,
     embed,
     top_level_population,
@@ -71,6 +70,14 @@ _DENSE_EIG_MAX_SIDE = 2048
 
 # An eigenvalue z of L is a zero mode when |Re z| <= _ZERO_MODE_CUT * ||L||_inf.
 _ZERO_MODE_CUT = 1e-10
+
+# spectral_gap_converged: the gap may move by at most _GAP_REL_TOL when the
+# truncation grows by _GAP_DIM_STEP.
+_GAP_DIM_STEP = 4
+_GAP_REL_TOL = 0.01
+
+# auto_truncated_steady stops once the top two Fock levels hold < _TOP_POP_TOL.
+_TOP_POP_TOL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -408,23 +415,18 @@ def spectral_gap(model: LindbladModel) -> float:
     return float(-decaying.max())
 
 
-def spectral_gap_converged(
-    builder: Callable[[int], LindbladModel],
-    dim: int,
-    dim_step: int = 4,
-    rel_tol: float = 0.01,
-) -> float:
+def spectral_gap_converged(builder: Callable[[int], LindbladModel], dim: int) -> float:
     """Spectral gap with a truncation-convergence check.
 
-    Recomputes the gap at an enlarged truncation and raises TruncationError
-    when the two values differ by more than rel_tol.
+    Recomputes the gap at truncation dim + _GAP_DIM_STEP and raises
+    TruncationError when the two values differ by more than _GAP_REL_TOL.
     """
     g1 = spectral_gap(builder(dim))
-    g2 = spectral_gap(builder(dim + dim_step))
-    if abs(g1 - g2) > rel_tol * max(abs(g1), abs(g2)):
+    g2 = spectral_gap(builder(dim + _GAP_DIM_STEP))
+    if abs(g1 - g2) > _GAP_REL_TOL * max(abs(g1), abs(g2)):
         raise TruncationError(
             f"spectral gap moved from {g1:.6e} to {g2:.6e} when the truncation "
-            f"grew from {dim} to {dim + dim_step}"
+            f"grew from {dim} to {dim + _GAP_DIM_STEP}"
         )
     return g2
 
@@ -432,23 +434,21 @@ def spectral_gap_converged(
 def auto_truncated_steady(
     builder: Callable[[int], LindbladModel],
     start_dim: int,
-    pop_tol: float = 1e-8,
     max_dim: int = 160,
-    tol: float = 1e-10,
 ) -> tuple[SteadyStateResult, int]:
-    """Raise the truncation until the top two Fock levels hold < pop_tol.
+    """Raise the truncation until the top two Fock levels hold < _TOP_POP_TOL.
 
     Returns the converged steady state together with the dimension used.
     """
     d = start_dim
     while True:
-        result = steady_state(builder(d), tol=tol)
+        result = steady_state(builder(d))
         top = top_level_population(result.rho)
-        if top < pop_tol:
+        if top < _TOP_POP_TOL:
             return result, d
         if d >= max_dim:
             raise TruncationError(
-                f"top-level population {top:.3e} still above {pop_tol} at dim {d}"
+                f"top-level population {top:.3e} still above {_TOP_POP_TOL} at dim {d}"
             )
         d = min(max_dim, d + max(4, d // 2))
 
@@ -465,13 +465,7 @@ def _three_level_rates(params: SystemParams) -> tuple[float, float, float]:
     return lam_eff, kprime, params.gamma_b
 
 
-def three_level_evolve(
-    params: SystemParams,
-    rho0: DensityMatrix,
-    t: float,
-    rtol: float = 1e-10,
-    atol: float = 1e-12,
-) -> DensityMatrix:
+def three_level_evolve(params: SystemParams, rho0: DensityMatrix, t: float) -> DensityMatrix:
     """Integrate the five coupled equations of the lowest-three-level model.
 
     State variables are rho00, rho22, rho10, rho21, rho20 with
@@ -516,7 +510,7 @@ def three_level_evolve(
         m[2, 0].real,
         m[2, 0].imag,
     ]
-    sol = solve_ivp(rhs, (0.0, t), y0, method="DOP853", rtol=rtol, atol=atol)
+    sol = solve_ivp(rhs, (0.0, t), y0, method="DOP853", rtol=1e-10, atol=1e-12)
     if sol.status != 0:
         raise IntegratorError(f"three-level evolution failed: {sol.message}")
     y = sol.y[:, -1]

@@ -41,6 +41,12 @@ __all__ = [
     "top_level_population",
 ]
 
+# StateVector accepts amplitudes whose norm is within _NORM_TOL of 1.
+_NORM_TOL = 1e-10
+# coherent_state raises when its truncation drops more than _COHERENT_TAIL_TOL
+# of the Poisson weight.
+_COHERENT_TAIL_TOL = 1e-10
+
 
 @dataclass(frozen=True)
 class FockSpace:
@@ -126,7 +132,6 @@ class StateVector:
 
     amplitudes: np.ndarray
     space: Space
-    norm_tol: float = field(default=1e-10, repr=False)
 
     def __post_init__(self):
         self.amplitudes = np.asarray(self.amplitudes, dtype=complex)
@@ -135,8 +140,8 @@ class StateVector:
                 f"state of length {self.amplitudes.shape} on space dim {self.space.dim}"
             )
         nrm = np.linalg.norm(self.amplitudes)
-        if abs(nrm - 1.0) > self.norm_tol:
-            raise ValueError(f"state norm {nrm} deviates from 1 beyond {self.norm_tol}")
+        if abs(nrm - 1.0) > _NORM_TOL:
+            raise ValueError(f"state norm {nrm} deviates from 1 beyond {_NORM_TOL}")
 
     @property
     def dim(self) -> int:
@@ -171,13 +176,6 @@ class DensityMatrix:
 
     def min_eigenvalue(self) -> float:
         return float(np.linalg.eigvalsh(self.matrix)[0])
-
-    def validate_positivity(self, tol: float | None = None):
-        """Raise if the smallest eigenvalue is below -tol."""
-        t = self.tol if tol is None else tol
-        lo = self.min_eigenvalue()
-        if lo < -t:
-            raise ValueError(f"density matrix has eigenvalue {lo} below -{t}")
 
 
 def annihilation(space: FockSpace) -> Operator:
@@ -233,11 +231,12 @@ def fock_state(n: int, space: FockSpace) -> StateVector:
     return StateVector(amps, space)
 
 
-def coherent_state(alpha: complex, space: FockSpace, tail_tol: float = 1e-10) -> StateVector:
+def coherent_state(alpha: complex, space: FockSpace) -> StateVector:
     """Coherent state with amplitudes ~ alpha^n/sqrt(n!), renormalized.
 
-    Raises TruncationError when the retained weight falls below 1 - tail_tol,
-    i.e. when the truncation visibly clips the Poisson tail.
+    Raises TruncationError when the retained weight falls below
+    1 - _COHERENT_TAIL_TOL, i.e. when the truncation visibly clips the Poisson
+    tail.
     """
     d = space.dim
     n = np.arange(d)
@@ -250,7 +249,7 @@ def coherent_state(alpha: complex, space: FockSpace, tail_tol: float = 1e-10) ->
     phase = np.exp(1j * n * np.angle(alpha))
     amps = np.exp(logmag - logmag.max()) * phase
     tail = 1.0 - _coherent_retained_weight(abs(alpha) ** 2, d)
-    if tail > tail_tol:
+    if tail > _COHERENT_TAIL_TOL:
         raise TruncationError(
             f"coherent state |alpha|^2={abs(alpha)**2:.3g} keeps only "
             f"{1 - tail:.12f} of its weight at dim {d}"
@@ -282,8 +281,8 @@ def expectation(op: Operator, state: StateVector | DensityMatrix) -> complex:
     return complex(np.trace(op.matrix @ state.matrix))
 
 
-def top_level_population(rho: DensityMatrix, mode: int = 0, levels: int = 2) -> float:
-    """Total population in the top ``levels`` Fock levels of one mode.
+def top_level_population(rho: DensityMatrix, mode: int = 0) -> float:
+    """Total population in the top two Fock levels of one mode.
 
     Used by truncation auto-raise: a converged steady state should leave the
     top of the ladder essentially empty.
@@ -298,5 +297,5 @@ def top_level_population(rho: DensityMatrix, mode: int = 0, levels: int = 2) -> 
     pops = np.real(np.diag(rho.matrix)).reshape(dims)
     d = dims[mode]
     idx = [slice(None)] * len(dims)
-    idx[mode] = slice(max(d - levels, 0), d)
+    idx[mode] = slice(max(d - 2, 0), d)
     return float(pops[tuple(idx)].sum())

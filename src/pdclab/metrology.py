@@ -44,6 +44,12 @@ __all__ = [
     "gaussian_moments",
 ]
 
+# qfi_spectral sums only over eigenvalues, and eigenvalue pairs, whose value
+# (pair sum) exceeds _EIGEN_FLOOR.
+_EIGEN_FLOOR = 1e-12
+# _aligned_eig treats reference eigenvalues within _CLUSTER_TOL as degenerate.
+_CLUSTER_TOL = 1e-9
+
 
 def default_step(g: float) -> float:
     return 1e-4 * max(abs(g), 1.0)
@@ -197,12 +203,7 @@ def qfi_gaussian_family(
     return QfiResult(res.value, "gaussian", h)
 
 
-def _aligned_eig(
-    ref_vals: np.ndarray,
-    ref_vecs: np.ndarray,
-    mat: np.ndarray,
-    cluster_tol: float = 1e-9,
-):
+def _aligned_eig(ref_vals: np.ndarray, ref_vecs: np.ndarray, mat: np.ndarray):
     """Eigendecomposition matched to a reference eigenframe.
 
     Columns are first permuted to the reference order by maximum overlap, then
@@ -226,7 +227,7 @@ def _aligned_eig(
     n = len(ref_vals)
     while start < n:
         stop = start + 1
-        while stop < n and ref_vals[stop] - ref_vals[stop - 1] <= cluster_tol:
+        while stop < n and ref_vals[stop] - ref_vals[stop - 1] <= _CLUSTER_TOL:
             stop += 1
         block = slice(start, stop)
         m = vecs[:, block].conj().T @ ref_vecs[:, block]
@@ -240,14 +241,13 @@ def qfi_spectral(
     rho_family: Callable[[float], DensityMatrix],
     g: float,
     step: float | None = None,
-    eigen_floor: float = 1e-12,
 ) -> QfiResult:
     """Mixed-state QFI from the eigendecomposition of the density matrix.
 
     F = sum_{E_k > eps} (dE_k)^2 / E_k
         + sum_{k != k', E_k + E_k' > eps} 2 (E_k - E_k')^2/(E_k + E_k') |<k|dk'>|^2
-    with eigenvalue/eigenvector derivatives by central differences in the
-    gauge fixed by _aligned_eig.
+    with eps = _EIGEN_FLOOR and eigenvalue/eigenvector derivatives by central
+    differences in the gauge fixed by _aligned_eig.
     """
     h = default_step(g) if step is None else step
     if h <= 0:
@@ -261,7 +261,7 @@ def qfi_spectral(
 
     value = 0.0
     for k in range(len(e0)):
-        if e0[k] > eigen_floor:
+        if e0[k] > _EIGEN_FLOOR:
             value += de[k] ** 2 / e0[k]
     cross = v0.conj().T @ dv  # cross[k, l] = <k|dl>
     for k in range(len(e0)):
@@ -269,7 +269,7 @@ def qfi_spectral(
             if k == l:
                 continue
             s = e0[k] + e0[l]
-            if s > eigen_floor:
+            if s > _EIGEN_FLOOR:
                 value += 2.0 * (e0[k] - e0[l]) ** 2 / s * abs(cross[k, l]) ** 2
     return QfiResult(max(value, 0.0), "spectral", h)
 

@@ -11,7 +11,7 @@ import math
 
 import numpy as np
 
-from pdclab import analytic, dynamics, meanfield, metrology
+from pdclab import analytic, meanfield, metrology
 from pdclab.analytic import (
     FullyQuantum,
     Semiclassical,

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from pdclab.cli import ComparisonRow, Scenario, main, parse_config
+from pdclab.cli import ComparisonRow, main, parse_config
 from pdclab.errors import ConfigError
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
@@ -60,8 +60,6 @@ def test_parse_config_unknown_key_strict(tmp_path):
     path = write(tmp_path, GOOD + "params.typo = 1\n")
     with pytest.raises(ConfigError, match="unknown config keys"):
         parse_config(path)
-    sc = parse_config(path, strict=False)
-    assert sc.name == "demo"
 
 
 def test_parse_config_missing_required(tmp_path):
@@ -292,6 +290,17 @@ def test_run_exit_2_on_config_error(tmp_path, capsys):
     path = write(tmp_path, GOOD + "bogus.key = 1\n")
     assert main(["run", str(path), "--out-dir", str(tmp_path / "o")]) == 2
     assert "config error" in capsys.readouterr().err
+    # unknown keys are always rejected: there is no switch to let them through
+    with pytest.raises(SystemExit) as exc:
+        main(["run", str(path), "--out-dir", str(tmp_path / "o"), "--no-strict"])
+    assert exc.value.code == 2
+
+
+def test_run_exit_2_on_non_integer_truncation(tmp_path, capsys):
+    path = write(tmp_path, GOOD.replace("signal_dim = 20", "signal_dim = 20.5"))
+    assert main(["run", str(path), "--out-dir", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert "cannot parse numeric value for truncation.signal_dim: '20.5'" in err
 
 
 def test_run_exit_2_on_task_domain_error(tmp_path, capsys):

@@ -242,9 +242,7 @@ def _signal_number(d_a, d_b):
 
 def test_auto_truncated_steady_grows_until_tail_is_clean():
     p = SystemParams(g=0.3, lambda_a=4.0, gamma_a=6.0, gamma_b=0.5)
-    result, dim = auto_truncated_steady(
-        lambda d: build_reduced_model(p, d), start_dim=6, pop_tol=1e-8
-    )
+    result, dim = auto_truncated_steady(lambda d: build_reduced_model(p, d), start_dim=6)
     assert dim > 6
     assert top_level_population(result.rho) < 1e-8
 

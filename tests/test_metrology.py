@@ -17,7 +17,6 @@ from pdclab.hilbert import (
     coherent_state,
     density_from_state,
     fock_state,
-    number_operator,
     tensor_state,
 )
 from pdclab.metrology import (

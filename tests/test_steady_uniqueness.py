@@ -27,13 +27,40 @@ from pdclab.errors import ResidualError, SteadyStateDegenerateError
 _DENSE_COUNTS: dict[tuple, int] = {}
 
 
+def _zero_modes(block: np.ndarray, scale: float) -> int:
+    ev = np.linalg.eigvals(block)
+    return int(np.sum(np.abs(ev.real) <= 1e-10 * scale))
+
+
 def _dense_kernel_count(lio) -> int:
     """Eigenvalues of the whole dense L with |Re z| <= 1e-10 ||L||_inf."""
+    return _zero_modes(lio.toarray(), spla.norm(lio, np.inf))
+
+
+def _parity_kernel_count(lio, d: int) -> int:
+    """The dense count of a reduced-model L, one analytic parity sector at a time.
+
+    vec(rho)[m + n d] = rho[m, n]. The Hamiltonian b^2 + b^dag^2 and the
+    channels b, b^dag and b^2 all keep (m - n) mod 2 of |m><n|, so L is block
+    diagonal in that parity; the off-diagonal blocks are checked to be zero.
+    Their matrix elements are real, and the diagonal similarity
+    |m><n| -> i^floor((m - n) / 2) |m><n| makes each sector real: the
+    Hamiltonian moves m - n by 2 and so picks up the missing factor i, the
+    dissipators keep m - n. Each sector is then one real eigensolve of side d^2/2.
+    """
     key = (lio.shape, lio.indptr.tobytes(), lio.indices.tobytes(), lio.data.tobytes())
     if key not in _DENSE_COUNTS:
-        ev = np.linalg.eigvals(lio.toarray())
+        m, n = np.arange(d * d) % d, np.arange(d * d) // d
+        even, odd = np.flatnonzero((m - n) % 2 == 0), np.flatnonzero((m - n) % 2 == 1)
+        assert lio[even][:, odd].count_nonzero() == lio[odd][:, even].count_nonzero() == 0
         scale = spla.norm(lio, np.inf)
-        _DENSE_COUNTS[key] = int(np.sum(np.abs(ev.real) <= 1e-10 * scale))
+        count = 0
+        for idx in (even, odd):
+            phase = np.array([1, 1j, -1, -1j])[((m[idx] - n[idx]) // 2) % 4]
+            block = phase[:, None] * lio[idx][:, idx].toarray() / phase
+            assert not block.imag.any()
+            count += _zero_modes(block.real, scale)
+        _DENSE_COUNTS[key] = count
     return _DENSE_COUNTS[key]
 
 
@@ -59,15 +86,18 @@ def _row_replaced_solve(lio, row: np.ndarray) -> np.ndarray:
     a = sp.csc_matrix((data, (rows, cols)), shape=lio.shape)
     b = np.zeros(lio.shape[0], dtype=complex)
     b[0] = 1.0
-    lu = spla.splu(a)
+    # minimum degree on A^T + A puts the dense row last; COLAMD orders by
+    # A^T A, which that row makes full
+    lu = spla.splu(a, permc_spec="MMD_AT_PLUS_A")
     x = lu.solve(b)
     x += lu.solve(b - a @ x)
     return x
 
 
-def _probe_verdict(model, tol: float = 1e-10) -> tuple[str, int]:
+def _probe_verdict(model, tol: float = 1e-10) -> tuple[tuple[str, int], np.ndarray]:
     """The random-row uniqueness probe: a second normalization row must select
-    the same state as the trace row, else the kernel is degenerate."""
+    the same state as the trace row, else the kernel is degenerate. Returns the
+    verdict with the kernel dimension, and the trace-row state."""
     d = model.dim
     lio = liouvillian_matrix(model)
     rho = _trace_row_rho(lio, d)
@@ -77,16 +107,36 @@ def _probe_verdict(model, tol: float = 1e-10) -> tuple[str, int]:
     try:
         x2 = _row_replaced_solve(lio, w)
     except RuntimeError:
-        return "degenerate", _dense_kernel_count(lio)
+        return ("degenerate", _parity_kernel_count(lio, d)), rho
     rho2 = x2.reshape((d, d), order="F")
     tr2 = np.trace(rho2)
     if abs(tr2) < 1e-12 * np.abs(x2).max() * d:
-        return "degenerate", _dense_kernel_count(lio)
+        return ("degenerate", _parity_kernel_count(lio, d)), rho
     rho2 = 0.5 * (rho2 + rho2.conj().T)
     rho2 = rho2 / np.trace(rho2).real
     if np.abs(rho2 - rho).max() > max(1e-6, 1e3 * tol):
-        return "degenerate", _dense_kernel_count(lio)
-    return "unique", 1
+        return ("degenerate", _parity_kernel_count(lio, d)), rho
+    return ("unique", 1), rho
+
+
+def _grid(d: int):
+    """(gamma_b, nbar, reduced model at truncation d) over the uniqueness grid."""
+    for gamma_b in (0.0, 1e-10, 1e-8, 1e-6, 1e-4, 1e-2, 1.0):
+        for nbar in (0.0, 0.5):
+            params = SystemParams(
+                g=0.2, lambda_a=0.5, gamma_a=4.0, gamma_b=gamma_b, kappa_e=0.05, nbar=nbar
+            )
+            yield gamma_b, nbar, build_reduced_model(params, d)
+
+
+@pytest.mark.parametrize("d", (8, 16))
+def test_parity_sector_count_equals_whole_matrix_count(d):
+    counts = []
+    for gamma_b, nbar, model in _grid(d):
+        lio = liouvillian_matrix(model)
+        counts.append(_dense_kernel_count(lio))
+        assert _parity_kernel_count(lio, d) == counts[-1], (gamma_b, nbar)
+    assert max(counts) > 1 and counts[-1] == 1  # degenerate and unique cases
 
 
 @pytest.mark.parametrize("d", (8, 16, 40))
@@ -95,7 +145,7 @@ def test_one_lu_agrees_with_the_random_row_probe(d, monkeypatch):
 
     gamma_b runs from the degenerate manifold (0) through 1e-10 to 1. The grid
     leaves out gamma_b ~ 1e-14: there the probe's verdict is rounding noise, as
-    its mismatch (5e-6 to 1e-5) straddles its own 1e-6 cut.
+    its mismatch (9e-6 to 2e-5) sits within a factor 20 of its own 1e-6 cut.
     """
     splu_calls = []
 
@@ -104,27 +154,21 @@ def test_one_lu_agrees_with_the_random_row_probe(d, monkeypatch):
         return real_splu(*args, **kwargs)
 
     real_splu = spla.splu
-    for gamma_b in (0.0, 1e-10, 1e-8, 1e-6, 1e-4, 1e-2, 1.0):
-        for nbar in (0.0, 0.5):
-            params = SystemParams(
-                g=0.2, lambda_a=0.5, gamma_a=4.0, gamma_b=gamma_b, kappa_e=0.05, nbar=nbar
-            )
-            model = build_reduced_model(params, d)
-            expected = _probe_verdict(model)
-            splu_calls.clear()
-            with monkeypatch.context() as patch:
-                patch.setattr(spla, "splu", counting_splu)
-                try:
-                    result = steady_state(model)
-                except SteadyStateDegenerateError as exc:
-                    verdict = ("degenerate", exc.kernel_dim)
-                else:
-                    verdict = ("unique", result.kernel_dim)
-            assert verdict == expected, (gamma_b, nbar)
-            if verdict[0] == "unique":
-                assert len(splu_calls) == 1, (gamma_b, nbar)
-                rho = _trace_row_rho(liouvillian_matrix(model), d)
-                assert np.array_equal(result.rho.matrix, rho), (gamma_b, nbar)
+    for gamma_b, nbar, model in _grid(d):
+        expected, rho = _probe_verdict(model)
+        splu_calls.clear()
+        with monkeypatch.context() as patch:
+            patch.setattr(spla, "splu", counting_splu)
+            try:
+                result = steady_state(model)
+            except SteadyStateDegenerateError as exc:
+                verdict = ("degenerate", exc.kernel_dim)
+            else:
+                verdict = ("unique", result.kernel_dim)
+        assert verdict == expected, (gamma_b, nbar)
+        if verdict[0] == "unique":
+            assert len(splu_calls) == 1, (gamma_b, nbar)
+            assert np.array_equal(result.rho.matrix, rho), (gamma_b, nbar)
     assert expected == ("unique", 1)  # the grid ends on a unique model
 
 
