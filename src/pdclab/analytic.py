@@ -287,18 +287,18 @@ def delta2_g(
     regime: str,
     observable: str,
     params: SystemParams,
-    nbar: float = 0.0,
     variant: str = "printed",
 ) -> UncertaintyReport:
     """Measurement uncertainty delta^2 g, by regime and observable.
 
-    Regimes: gb0 (gamma_b = 0, kappa_e = 0), gb0_kappa (gamma_b = 0,
-    kappa_e > 0), three_level (g -> 0 limit of the weak-drive model),
-    normal_phase / thermal / critical (mean-field). Forms are evaluated as
-    printed; the critical regime additionally offers variant="derived", the
-    limit of the thermal form, which differs from the printed value by a
-    factor 2 gamma_a gamma_b (recorded inconsistency). Every form diverges at
-    lambda_a = 0, which raises DivergenceError.
+    Regimes: gb0 (gamma_b = 0, kappa_e = 0), gb0_kappa (gamma_b = 0), three_level
+    (g -> 0 limit of the weak-drive model, nbar = 0), normal_phase / critical
+    (mean-field); parameters outside a regime raise ValueError. normal_phase
+    is the thermal form at params.nbar (at nbar = 0, the zero-temperature form
+    bit for bit). Forms are evaluated as printed; the critical regime also
+    offers variant="derived", the limit of the normal-phase form, which
+    differs from the printed value by a factor 2 gamma_a gamma_b (recorded
+    inconsistency). Every form diverges at lambda_a = 0: DivergenceError.
     """
     g, lam = params.g, params.lambda_a
     ga, gb = params.gamma_a, params.gamma_b
@@ -306,6 +306,8 @@ def delta2_g(
         raise DivergenceError("uncertainty divergent at lambda_a = 0: no drive, no signal")
 
     if regime == "gb0":
+        if gb != 0 or params.kappa_e != 0:
+            raise ValueError("the gb0 regime holds only at gamma_b = kappa_e = 0")
         if observable == "photon":
             val = g**3 / lam
         elif observable == "homodyne":
@@ -317,6 +319,8 @@ def delta2_g(
         return UncertaintyReport(val, regime, observable)
 
     if regime == "gb0_kappa":
+        if gb != 0:
+            raise ValueError("the gb0_kappa regime holds only at gamma_b = 0")
         ke_ga = params.kappa_e * ga
         if observable in ("photon", "qcrb"):
             denom = 2.0 * lam * (ke_ga - 2 * g * g) ** 2
@@ -330,6 +334,8 @@ def delta2_g(
         return UncertaintyReport(val, regime, observable)
 
     if regime == "three_level":
+        if params.nbar != 0:
+            raise ValueError("three-level forms assume a zero-temperature signal bath")
         scale = ga * (params.kappa_e + gb) ** 2 / lam**2
         if observable == "photon":
             val = 3.0 / 16.0 * scale
@@ -341,31 +347,27 @@ def delta2_g(
             raise ValueError(f"unknown observable {observable!r}")
         return UncertaintyReport(val, regime, observable)
 
-    if regime in ("normal_phase", "thermal", "critical"):
+    if regime in ("normal_phase", "critical"):
         if observable != "photon":
             raise ValueError("mean-field forms are for photon detection")
         if 2 * g * lam > ga * gb:
             raise ValueError("supercritical parameters: not in the normal phase")
-        delta = ga * ga * gb * gb - 4 * g * g * lam * lam
         if regime == "normal_phase":
-            val = delta**2 * (3 * ga * ga * gb * gb - 4 * g * g * lam * lam) / (
-                16 * lam * lam * ga**4 * gb**4
-            )
-        elif regime == "thermal":
+            nbar = params.nbar
+            delta = ga * ga * gb * gb - 4 * g * g * lam * lam
             bracket = (3 + 2 * nbar) * ga * ga * gb * gb + 4 * g * g * lam * lam * (
                 2 * nbar - 1
             )
             val = delta**2 * bracket / (
                 16 * (1 + 2 * nbar) * lam * lam * ga**4 * gb**4
             )
-        else:  # critical
-            if variant == "printed":
-                val = (ga * gb - 2 * g * lam) ** 2 / (4 * lam * lam * ga * gb)
-            elif variant == "derived":
-                # exact critical limit of the thermal form, nbar-independent
-                val = (ga * gb - 2 * g * lam) ** 2 / (2 * lam * lam)
-            else:
-                raise ValueError(f"unknown variant {variant!r}")
+        elif variant == "printed":
+            val = (ga * gb - 2 * g * lam) ** 2 / (4 * lam * lam * ga * gb)
+        elif variant == "derived":
+            # exact critical limit of the normal-phase form, nbar-independent
+            val = (ga * gb - 2 * g * lam) ** 2 / (2 * lam * lam)
+        else:
+            raise ValueError(f"unknown variant {variant!r}")
         return UncertaintyReport(val, regime, observable)
 
     raise ValueError(f"unknown regime {regime!r}")

@@ -28,7 +28,7 @@ from .dynamics import SystemParams
 from .errors import ConfigError, PdclabError
 from .hilbert import expectation, number_operator
 
-SCHEMA_VERSION = 2
+SCHEMA_VERSION = 3
 
 _PARAM_FIELDS = tuple(f.name for f in fields(SystemParams))
 
@@ -179,13 +179,18 @@ def _sweep_points(scenario: Scenario) -> list[tuple[float, SystemParams]]:
 
 
 def _g_points(default_grid):
-    """Points over g: the swept values if g is swept, else default_grid(params)."""
+    """Points over g: the swept values if g is swept, else default_grid(params).
+
+    A sweep over any other parameter is a ConfigError: the table's one axis is g.
+    """
 
     def points(scenario: Scenario) -> list[tuple[float, SystemParams]]:
-        if scenario.sweep and scenario.sweep[0] == "g":
+        if scenario.sweep is None:
+            grid = default_grid(scenario.params)
+        elif scenario.sweep[0] == "g":
             grid = sorted(scenario.sweep[1])
         else:
-            grid = default_grid(scenario.params)
+            raise ConfigError(f"this task sweeps only g, not {scenario.sweep[0]}")
         return [(g, replace(scenario.params, g=g)) for g in grid]
 
     return points
@@ -244,9 +249,9 @@ def _qfi(scenario: Scenario, value: float, p: SystemParams):
 
 
 def _uncertainty(scenario: Scenario, value: float, p: SystemParams):
-    if scenario.params.gamma_b > 0:
-        closed = meanfield.delta2_g_normal(p, 0.0, "printed").delta2
-        other = meanfield.delta2_g_normal(p, 0.0, "moments").delta2
+    if p.gamma_b > 0:
+        closed = meanfield.delta2_g_normal(p, "printed").delta2
+        other = meanfield.delta2_g_normal(p, "moments").delta2
         quantity, tol = "delta2_g_printed_vs_moments", max(scenario.rel_tol, 1e-5)
     elif p.kappa_e > 0:
         closed = analytic.delta2_g("gb0_kappa", "photon", p).delta2
@@ -402,10 +407,11 @@ TASKS = {
 
 
 def _run_task(task: Task, scenario: Scenario, threads: int):
-    """Check the precondition, make the sorted table, build the comparisons."""
-    if task.requires is not None and not task.requires[0](scenario.params):
-        raise ConfigError(task.requires[1])
+    """Check the precondition at every point, make the sorted table, build the
+    comparisons."""
     points = task.points(scenario)
+    if task.requires is not None and not all(task.requires[0](p) for _, p in points):
+        raise ConfigError(task.requires[1])
     table = _parallel(points, lambda pt: task.worker(scenario, *pt), threads)
     table.sort(key=lambda row: row[task.columns[0]])
     comparisons = task.rule(scenario, table)

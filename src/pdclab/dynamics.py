@@ -85,8 +85,8 @@ class SystemParams:
     """Physical rates and amplitudes of the model.
 
     All quantities are dimensionless rates in the sense of the rotating-frame
-    master equation; resonance omega1 = 2 omega2 is assumed by the frame choice
-    and enforced where the frequencies enter.
+    master equation, whose frame assumes the resonance omega1 = 2 omega2. nbar,
+    the signal bath's thermal occupation, enters every formula only from here.
     """
 
     g: float
@@ -94,8 +94,6 @@ class SystemParams:
     gamma_a: float
     gamma_b: float
     kappa_e: float = 0.0
-    omega1: float = 2.0
-    omega2: float = 1.0
     nbar: float = 0.0
 
     def __post_init__(self):
@@ -143,7 +141,6 @@ class LindbladModel:
 class SteadyStateResult:
     rho: DensityMatrix
     residual: float
-    kernel_dim: int = 1
 
 
 def _signal_channels(params: SystemParams, b: Operator) -> list[tuple[float, Operator]]:
@@ -158,8 +155,6 @@ def _signal_channels(params: SystemParams, b: Operator) -> list[tuple[float, Ope
 
 def build_full_model(params: SystemParams, d_a: int, d_b: int) -> LindbladModel:
     """Two-mode model: H = g(a b^dag^2 + a^dag b^2) + i lambda_a (a^dag - a)."""
-    if params.omega1 != 2 * params.omega2:
-        raise ValueError("rotating frame assumes resonance omega1 = 2 omega2")
     spaces = (FockSpace(d_a), FockSpace(d_b))
     a = embed(annihilation(spaces[0]), 0, spaces)
     b = embed(annihilation(spaces[1]), 1, spaces)
@@ -542,8 +537,7 @@ def three_level_steady(
     Liouvillian oracle confirms); coherence_variant="printed" selects the
     variant without the sqrt(2) for documentation purposes.
     """
-    if params.gamma_a <= 0:
-        raise ValueError("three-level reduction undefined at gamma_a = 0")
+    _three_level_rates(params)  # gamma_a > 0 and a zero-temperature bath
     g, lam = params.g, params.lambda_a
     a_const = 2 * g * g + params.gamma_a * (params.kappa_e + params.gamma_b)
     d_const = 2 * a_const * a_const + 4 * g * g * lam * lam
@@ -564,6 +558,7 @@ def three_level_steady(
 
 def three_level_occupation(params: SystemParams) -> float:
     """Signal occupation N_b = rho11 + 2 rho22 of the three-level steady state."""
+    _three_level_rates(params)  # gamma_a > 0 and a zero-temperature bath
     g, lam = params.g, params.lambda_a
     a_const = 2 * g * g + params.gamma_a * (params.kappa_e + params.gamma_b)
     return 2 * g * g * lam * lam / (a_const * a_const + 2 * g * g * lam * lam)

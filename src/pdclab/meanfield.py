@@ -145,11 +145,10 @@ def _require_normal_phase(params: SystemParams):
         )
 
 
-def fluct_moments_analytic(
-    params: SystemParams, nbar: float = 0.0, verbatim: bool = False
-) -> FluctuationMoments:
+def fluct_moments_analytic(params: SystemParams, verbatim: bool = False) -> FluctuationMoments:
     """Closed-form stationary fluctuation moments in the normal phase.
 
+    With nbar = params.nbar, the signal-bath occupation,
     n = (2 g^2 lambda_a^2 + gamma_a^2 gamma_b^2 nbar) / Delta,
     <(db)^2> = -i g lambda_a gamma_a gamma_b (1 + 2 nbar) / Delta,
     Delta = gamma_a^2 gamma_b^2 - 4 g^2 lambda_a^2, and the fourth moment by
@@ -162,9 +161,7 @@ def fluct_moments_analytic(
     with the quoted quartic form; kept only for comparison.
     """
     _require_normal_phase(params)
-    if nbar < 0:
-        raise ValueError("thermal occupation must be non-negative")
-    g, lam = params.g, params.lambda_a
+    g, lam, nbar = params.g, params.lambda_a, params.nbar
     ga, gb = params.gamma_a, params.gamma_b
     if verbatim:
         if nbar != 0:
@@ -185,24 +182,23 @@ def fluct_moments_analytic(
 
 
 def fluct_moments_lyapunov(
-    report: StabilityReport, params: SystemParams, nbar: float = 0.0
+    report: StabilityReport, params: SystemParams
 ) -> FluctuationMoments:
     """Stationary fluctuation moments from the Lyapunov equation.
 
     Solves W M + M W^T + D = 0 for M_ij = <h_i h_j> with the diffusion matrix
     assembled from the input correlators: vacuum pump <a_in a_in^dag> = delta,
     thermal signal <b_in^dag b_in> = nbar delta, <b_in b_in^dag> = (nbar + 1)
-    delta. This normalization reproduces n_fluct = nbar for a decoupled
-    decaying mode, which fixes every factor-of-2 choice.
+    delta, with nbar = params.nbar. This normalization reproduces
+    n_fluct = nbar for a decoupled decaying mode, which fixes every
+    factor-of-2 choice.
     """
     if not report.stable:
         raise StabilityError("unstable W: no stationary covariance exists")
-    if nbar < 0:
-        raise ValueError("thermal occupation must be non-negative")
     d = np.zeros((4, 4), dtype=complex)
     d[0, 1] = 2.0 * params.gamma_a
-    d[2, 3] = 2.0 * params.gamma_b * (nbar + 1.0)
-    d[3, 2] = 2.0 * params.gamma_b * nbar
+    d[2, 3] = 2.0 * params.gamma_b * (params.nbar + 1.0)
+    d[3, 2] = 2.0 * params.gamma_b * params.nbar
     m = solve_sylvester(report.W, report.W.T, -d)
     n = float(m[3, 2].real)
     anom = complex(m[2, 2])
@@ -212,24 +208,22 @@ def fluct_moments_lyapunov(
     return FluctuationMoments(n, anom, fourth)
 
 
-def delta2_g_normal(
-    params: SystemParams, nbar: float = 0.0, method: str = "printed"
-) -> UncertaintyReport:
+def delta2_g_normal(params: SystemParams, method: str = "printed") -> UncertaintyReport:
     """Photon-detection uncertainty of g in the normal phase.
 
-    method="printed" evaluates the quoted closed form (thermal bracket when
-    nbar > 0). method="moments" assembles variance and sensitivity from the
-    fluctuation moments: Var = fourth - n^2 with a central-difference
-    d n / d g, then error propagation. The two agree exactly at nbar = 0 and
-    converge onto each other at the critical point for nbar > 0.
+    method="printed" evaluates the quoted closed form, delta2_g("normal_phase"),
+    the thermal bracket at params.nbar. method="moments" assembles variance
+    and sensitivity from the fluctuation moments: Var = fourth - n^2 with a
+    central-difference d n / d g, then error propagation. The two agree
+    exactly at nbar = 0 and converge onto each other at the critical point
+    for nbar > 0.
     """
     _require_normal_phase(params)
     if method == "printed":
-        regime = "thermal" if nbar > 0 else "normal_phase"
-        return delta2_g(regime, "photon", params, nbar=nbar)
+        return delta2_g("normal_phase", "photon", params)
     if method != "moments":
         raise ValueError(f"unknown method {method!r}")
-    mom = fluct_moments_analytic(params, nbar)
+    mom = fluct_moments_analytic(params)
     h = default_step(params.g)
     # keep the stencil inside the normal phase: both in g > 0 and below the
     # critical coupling gamma_a gamma_b / (2 lambda_a)
@@ -242,12 +236,11 @@ def delta2_g_normal(
         # n diverges at the critical coupling; stay well clear of the pole or
         # the quadratic finite-difference error swamps the derivative
         h = min(h, 0.02 * headroom)
-    up = fluct_moments_analytic(replace(params, g=params.g + h), nbar)
-    dn = fluct_moments_analytic(replace(params, g=params.g - h), nbar)
+    up = fluct_moments_analytic(replace(params, g=params.g + h))
+    dn = fluct_moments_analytic(replace(params, g=params.g - h))
     rec = MeasurementRecord(
         mean=mom.n_fluct,
         variance=mom.fourth - mom.n_fluct**2,
         dmean_dg=(up.n_fluct - dn.n_fluct) / (2.0 * h),
     )
-    regime = "thermal" if nbar > 0 else "normal_phase"
-    return UncertaintyReport(error_propagation(rec), regime, "photon")
+    return UncertaintyReport(error_propagation(rec), "normal_phase", "photon")

@@ -8,6 +8,7 @@ differences), so none of them can pass by construction.
 """
 
 import math
+from dataclasses import replace
 
 import numpy as np
 
@@ -348,8 +349,9 @@ def test_criterion_08_lyapunov_vs_closed_fluctuations():
             )
             report = meanfield.build_W(p, normal)
             for nbar in (0.0, 0.5, 2.0):
-                a = meanfield.fluct_moments_analytic(p, nbar)
-                l = meanfield.fluct_moments_lyapunov(report, p, nbar)
+                warm = replace(p, nbar=nbar)
+                a = meanfield.fluct_moments_analytic(warm)
+                l = meanfield.fluct_moments_lyapunov(report, warm)
                 for x, y in [
                     (a.n_fluct, l.n_fluct),
                     (a.anom, l.anom),
@@ -378,7 +380,7 @@ def test_criterion_09_normal_phase_uncertainty_toward_criticality():
 
         p_edge = SystemParams(lambda_a=0.999 * lam_c, **base)
         thermal = [
-            meanfield.delta2_g_normal(p_edge, nbar=nb, method="moments").delta2
+            meanfield.delta2_g_normal(replace(p_edge, nbar=nb), method="moments").delta2
             for nb in (0.0, 1.0, 2.0, 5.0, 10.0)
         ]
         spread = (max(thermal) - min(thermal)) / min(thermal)

@@ -1,6 +1,7 @@
 """Closed forms: moments, QFI, uncertainties, sensor figures of merit."""
 
 import math
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -293,11 +294,22 @@ def test_delta2_g_normal_phase_frozen_value():
     )
 
 
-def test_delta2_g_thermal_reduces_to_normal_at_zero_temperature():
-    p = SystemParams(g=0.7, lambda_a=0.3, gamma_a=1.2, gamma_b=0.9)
-    cold = delta2_g("thermal", "photon", p, nbar=0.0).delta2
-    plain = delta2_g("normal_phase", "photon", p).delta2
-    assert cold == pytest.approx(plain, rel=1e-13)
+def test_delta2_g_normal_phase_reads_the_thermal_bracket_from_params():
+    p = SystemParams(g=0.4, lambda_a=0.5, gamma_a=2.0, gamma_b=1.5)
+    big_g = (p.gamma_a * p.gamma_b) ** 2
+    g2l2 = (p.g * p.lambda_a) ** 2
+    for nb in (0.0, 0.3, 2.0, 7.5):
+        bracket = (3 + 2 * nb) * big_g + 4 * g2l2 * (2 * nb - 1)
+        expected = (big_g - 4 * g2l2) ** 2 * bracket / (
+            16 * (1 + 2 * nb) * p.lambda_a**2 * big_g**2
+        )
+        rep = delta2_g("normal_phase", "photon", replace(p, nbar=nb))
+        assert rep.delta2 == pytest.approx(expected, rel=1e-13), nb
+        assert rep.regime == "normal_phase"
+    # a warm bath lowers the cold value 6.4735 to 3.0621 at nbar = 2
+    assert delta2_g("normal_phase", "photon", replace(p, nbar=2.0)).delta2 == pytest.approx(
+        3.0621498074074074, rel=1e-13
+    )
 
 
 def test_delta2_g_thermal_monotone_decreasing_in_nbar_subcritical():
@@ -305,7 +317,9 @@ def test_delta2_g_thermal_monotone_decreasing_in_nbar_subcritical():
     # negative below threshold: a hotter bath lowers the photon-counting
     # uncertainty, saturating at Delta^2 (G + 4g^2 lam^2)/(16 lam^2 ga^4 gb^4)
     p = SystemParams(g=0.7, lambda_a=0.3, gamma_a=1.2, gamma_b=0.9)
-    values = [delta2_g("thermal", "photon", p, nbar=nb).delta2 for nb in (0, 1, 2, 5)]
+    values = [
+        delta2_g("normal_phase", "photon", replace(p, nbar=nb)).delta2 for nb in (0, 1, 2, 5)
+    ]
     assert all(a > b for a, b in zip(values, values[1:]))
     g2l2 = (p.g * p.lambda_a) ** 2
     big_g = (p.gamma_a * p.gamma_b) ** 2
@@ -313,7 +327,7 @@ def test_delta2_g_thermal_monotone_decreasing_in_nbar_subcritical():
     asym = delta**2 * (big_g + 4 * g2l2) / (
         16 * p.lambda_a**2 * p.gamma_a**4 * p.gamma_b**4
     )
-    hot = delta2_g("thermal", "photon", p, nbar=1e6).delta2
+    hot = delta2_g("normal_phase", "photon", replace(p, nbar=1e6)).delta2
     assert hot == pytest.approx(asym, rel=1e-5)
 
 
@@ -341,6 +355,25 @@ def test_delta2_g_diverges_at_zero_drive(regime, observable):
 def test_delta2_g_unknown_regime_raises():
     with pytest.raises(ValueError):
         delta2_g("anti_normal", "photon", WORK)
+    # the thermal form is normal_phase at params.nbar, not a regime of its own
+    with pytest.raises(ValueError, match="unknown regime 'thermal'"):
+        delta2_g("thermal", "photon", WORK)
+
+
+@pytest.mark.parametrize(
+    "regime, observable, params, reason",
+    [
+        ("gb0", "photon", dict(gamma_b=1.5), "gamma_b = kappa_e = 0"),
+        ("gb0", "homodyne", dict(kappa_e=0.1), "gamma_b = kappa_e = 0"),
+        ("gb0_kappa", "photon", dict(gamma_b=1.5, kappa_e=0.1), "gamma_b = 0"),
+        ("three_level", "qcrb", dict(gamma_b=0.5, nbar=0.4), "zero-temperature"),
+    ],
+    ids=["gb0-gamma_b", "gb0-kappa_e", "gb0_kappa-gamma_b", "three_level-nbar"],
+)
+def test_delta2_g_rejects_params_outside_its_regime(regime, observable, params, reason):
+    p = replace(SystemParams(g=0.2, lambda_a=0.8, gamma_a=4.0, gamma_b=0.0), **params)
+    with pytest.raises(ValueError, match=reason):
+        delta2_g(regime, observable, p)
 
 
 # --- characteristic scales ------------------------------------------------------

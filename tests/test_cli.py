@@ -56,6 +56,14 @@ def test_parse_config_rejects_removed_pump_dim(tmp_path):
         parse_config(path)
 
 
+@pytest.mark.parametrize("key", ("params.omega1", "params.omega2"))
+def test_parse_config_rejects_removed_frequencies(tmp_path, key):
+    # the rotating frame assumes resonance; no formula reads the frequencies
+    path = write(tmp_path, GOOD + f"{key} = 2.0\n")
+    with pytest.raises(ConfigError, match=f"unknown config keys: {key}"):
+        parse_config(path)
+
+
 def test_parse_config_unknown_key_strict(tmp_path):
     path = write(tmp_path, GOOD + "params.typo = 1\n")
     with pytest.raises(ConfigError, match="unknown config keys"):
@@ -186,10 +194,12 @@ def test_run_end_to_end_and_outputs(tmp_path, capsys):
     assert lines[2].startswith("0.050000000000000003,")
 
     payload = json.loads(json_path.read_text())
-    assert payload["schema_version"] == 2
+    assert payload["schema_version"] == 3
     assert payload["task"] == "occupation"
     assert payload["scenario"] == "demo"
-    assert payload["params"]["gamma_a"] == 10.0
+    assert payload["params"] == {
+        "g": 0.1, "lambda_a": 0.01, "gamma_a": 10.0, "gamma_b": 1.0, "kappa_e": 0.0, "nbar": 0.0
+    }
     assert payload["truncation"] == {"signal_dim": 20}
     assert payload["sweep"] == {"parameter": "g", "values": [0.02, 0.05, 0.1]}
     assert payload["columns"][0] == "g"
@@ -326,6 +336,53 @@ def test_run_exit_3_on_solver_failure(tmp_path, capsys):
     assert "solver failure" in capsys.readouterr().err
 
 
+SWEPT = (
+    "name = swept\nparams.g = 0.1\nparams.lambda_a = 1.0\nparams.gamma_a = 10.0\n"
+)
+
+
+def test_run_uncertainty_branches_on_the_swept_point(tmp_path, capsys):
+    # a gamma_b = 0 base swept into gamma_b > 0 takes the normal-phase routes there
+    text = SWEPT + (
+        "params.gamma_b = 0.0\ntasks = uncertainty\n"
+        "sweep.parameter = gamma_b\nsweep.values = 0.5, 1.0\n"
+    )
+    assert main(["run", str(write(tmp_path, text)), "--out-dir", str(tmp_path / "o")]) == 0
+    payload = json.loads((tmp_path / "o" / "swept_uncertainty.json").read_text())
+    assert [c["quantity"] for c in payload["comparisons"]] == [
+        "delta2_g_printed_vs_moments@0.5", "delta2_g_printed_vs_moments@1"
+    ]
+    assert "photon_vs_scaling" not in capsys.readouterr().out
+
+
+@pytest.mark.parametrize(
+    "rates, sweep, task, message",
+    [
+        ("params.gamma_b = 1.0\n", "nbar\nsweep.values = 0, 2", "uncertainty",
+         "uncertainty task compares routes at nbar = 0"),
+        ("params.gamma_b = 0.0\nparams.kappa_e = 0.1\n", "kappa_e\nsweep.values = 0.1, 0",
+         "qfi", "qfi task needs gamma_b = 0 and kappa_e > 0"),
+    ],
+    ids=["uncertainty-nbar", "qfi-kappa_e"],
+)
+def test_run_checks_task_preconditions_at_every_point(tmp_path, capsys, rates, sweep, task,
+                                                      message):
+    text = SWEPT + rates + f"tasks = {task}\nsweep.parameter = {sweep}\n"
+    assert main(["run", str(write(tmp_path, text)), "--out-dir", str(tmp_path / "o")]) == 2
+    assert f"config error: {message}" in capsys.readouterr().err
+    assert not (tmp_path / "o" / f"swept_{task}.csv").exists()
+
+
+@pytest.mark.parametrize("task", ("occupation", "sensor"))
+def test_run_g_grid_tasks_reject_other_sweeps(tmp_path, capsys, task):
+    text = SWEPT + (
+        "params.gamma_b = 0.0\nparams.kappa_e = 0.1\n"
+        f"tasks = {task}\nsweep.parameter = lambda_a\nsweep.values = 0.01, 0.05\n"
+    )
+    assert main(["run", str(write(tmp_path, text)), "--out-dir", str(tmp_path / "o")]) == 2
+    assert "config error: this task sweeps only g, not lambda_a" in capsys.readouterr().err
+
+
 ZERO_DRIVE = "name = zero\nparams.g = 0.1\nparams.lambda_a = 0.0\nparams.gamma_a = 10.0\n"
 
 
@@ -370,7 +427,7 @@ def test_list_tasks_and_defaults(capsys):
     assert main(["print-defaults"]) == 0
     out = capsys.readouterr().out
     assert "params.g" in out and "truncation.signal_dim" in out
-    assert "pump_dim" not in out
+    assert "pump_dim" not in out and "omega" not in out
 
 
 def test_module_entry_point_runs():

@@ -168,9 +168,8 @@ def test_pure_decay_spectral_gap_is_gamma():
 def test_steady_state_reduced_model_properties():
     model = build_reduced_model(WORK, 24)
     result = steady_state(model)
-    assert [f.name for f in fields(SteadyStateResult)] == ["rho", "residual", "kernel_dim"]
+    assert [f.name for f in fields(SteadyStateResult)] == ["rho", "residual"]
     assert result.residual < 1e-10
-    assert result.kernel_dim == 1
     rho = result.rho
     assert np.trace(rho.matrix).real == pytest.approx(1.0, abs=1e-12)
     assert rho.min_eigenvalue() > -1e-12
@@ -197,17 +196,6 @@ def test_two_photon_only_loss_is_degenerate():
     with pytest.raises(SteadyStateDegenerateError) as err:
         steady_state(model)
     assert err.value.kernel_dim == 4
-
-
-def test_full_model_requires_two_photon_resonance():
-    with pytest.raises(ValueError):
-        build_full_model(
-            SystemParams(
-                g=0.1, lambda_a=0.5, gamma_a=2.0, gamma_b=0.5, omega1=1.7, omega2=1.0
-            ),
-            4,
-            8,
-        )
 
 
 def test_full_model_approaches_reduced_as_pump_decay_grows():
@@ -311,6 +299,17 @@ def test_three_level_occupation_consistent_with_steady_state():
     rho = three_level_steady(p).matrix
     direct = rho[1, 1].real + 2 * rho[2, 2].real
     assert three_level_occupation(p) == pytest.approx(direct, rel=1e-13)
+
+
+@pytest.mark.parametrize(
+    "closed_form", (three_level_steady, three_level_occupation), ids=("steady", "occupation")
+)
+def test_three_level_closed_forms_reject_a_thermal_bath(closed_form):
+    p = SystemParams(g=0.3, lambda_a=0.7, gamma_a=5.0, gamma_b=0.4, kappa_e=0.2, nbar=0.5)
+    with pytest.raises(ValueError, match="zero-temperature"):
+        closed_form(p)
+    with pytest.raises(ValueError, match="gamma_a = 0"):
+        closed_form(SystemParams(g=0.3, lambda_a=0.7, gamma_a=0.0, gamma_b=0.4))
 
 
 def test_three_level_relaxes_to_steady_state():

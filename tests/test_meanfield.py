@@ -1,6 +1,7 @@
 """Factorized steady states, stability, fluctuation moments."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -140,7 +141,7 @@ def test_verbatim_variant_reproduces_printed_forms():
     denom = p.gamma_a * p.gamma_b - 4 * g2l2
     assert fm.n_fluct == pytest.approx(2 * g2l2 / denom, rel=1e-14)
     with pytest.raises(ValueError):
-        fluct_moments_analytic(p, nbar=0.5, verbatim=True)
+        fluct_moments_analytic(replace(p, nbar=0.5), verbatim=True)
 
 
 @settings(max_examples=25, deadline=None)
@@ -152,10 +153,10 @@ def test_verbatim_variant_reproduces_printed_forms():
     nbar=st.sampled_from([0.0, 0.5, 2.0]),
 )
 def test_lyapunov_route_matches_analytic(g, gamma_a, gamma_b, frac, nbar):
-    p = subcritical_params(g, gamma_a, gamma_b, frac)
+    p = replace(subcritical_params(g, gamma_a, gamma_b, frac), nbar=nbar)
     report = build_W(p, steady_solutions(p)[0])
-    analytic_fm = fluct_moments_analytic(p, nbar=nbar)
-    lyap_fm = fluct_moments_lyapunov(report, p, nbar=nbar)
+    analytic_fm = fluct_moments_analytic(p)
+    lyap_fm = fluct_moments_lyapunov(report, p)
     scale = max(1.0, analytic_fm.n_fluct)
     assert abs(lyap_fm.n_fluct - analytic_fm.n_fluct) < 1e-10 * scale
     assert abs(lyap_fm.anom - analytic_fm.anom) < 1e-10 * max(1.0, abs(analytic_fm.anom))
@@ -165,9 +166,21 @@ def test_lyapunov_route_matches_analytic(g, gamma_a, gamma_b, frac, nbar):
 def test_lyapunov_thermal_fixed_point_without_coupling():
     p = SystemParams(g=0.0, lambda_a=0.0, gamma_a=2.0, gamma_b=1.0)
     report = build_W(p, steady_solutions(p)[0])
-    fm = fluct_moments_lyapunov(report, p, nbar=1.7)
+    fm = fluct_moments_lyapunov(report, replace(p, nbar=1.7))
     assert fm.n_fluct == pytest.approx(1.7, rel=1e-12)
     assert abs(fm.anom) < 1e-14
+
+
+def test_fluctuation_moments_read_the_bath_from_params():
+    p = SystemParams(g=0.4, lambda_a=0.5, gamma_a=2.0, gamma_b=1.5, nbar=2.0)
+    g2l2 = (p.g * p.lambda_a) ** 2
+    big_g = (p.gamma_a * p.gamma_b) ** 2
+    delta = big_g - 4 * g2l2
+    n_hand = (2 * g2l2 + big_g * p.nbar) / delta  # 2.045; 0.00905 in vacuum
+    report = build_W(p, steady_solutions(p)[0])
+    for fm in (fluct_moments_analytic(p), fluct_moments_lyapunov(report, p)):
+        assert fm.n_fluct == pytest.approx(n_hand, rel=1e-12)
+        assert fm.n_fluct == pytest.approx(2.0452488687782804, rel=1e-12)
 
 
 def test_lyapunov_requires_stability():
@@ -180,8 +193,8 @@ def test_lyapunov_requires_stability():
 
 def test_delta2_routes_agree_at_zero_temperature():
     p = SystemParams(g=1.0, lambda_a=0.2, gamma_a=1.0, gamma_b=1.0)
-    printed = delta2_g_normal(p, 0.0, "printed").delta2
-    moments = delta2_g_normal(p, 0.0, "moments").delta2
+    printed = delta2_g_normal(p, "printed").delta2
+    moments = delta2_g_normal(p, "moments").delta2
     assert printed == pytest.approx(moments, rel=1e-6)
     assert printed == pytest.approx(
         delta2_g("normal_phase", "photon", p).delta2, rel=1e-14
@@ -191,14 +204,15 @@ def test_delta2_routes_agree_at_zero_temperature():
 def test_delta2_printed_path_is_thermal_form():
     p = SystemParams(g=0.6, lambda_a=0.3, gamma_a=1.5, gamma_b=1.1)
     for nbar in (0.0, 1.2, 4.0):
-        via_normal = delta2_g_normal(p, nbar, "printed").delta2
-        via_thermal = delta2_g("thermal", "photon", p, nbar=nbar).delta2
+        warm = replace(p, nbar=nbar)
+        via_normal = delta2_g_normal(warm, "printed").delta2
+        via_thermal = delta2_g("normal_phase", "photon", warm).delta2
         assert via_normal == pytest.approx(via_thermal, rel=1e-13)
 
 
 def test_delta2_supercritical_raises():
     with pytest.raises(StabilityError):
-        delta2_g_normal(SUPER, 0.0, "printed")
+        delta2_g_normal(SUPER, "printed")
 
 
 def test_delta2_routes_converge_at_criticality():
@@ -206,10 +220,10 @@ def test_delta2_routes_converge_at_criticality():
     lam_c = critical_lambda(SystemParams(g=g, lambda_a=1.0, gamma_a=gamma_a, gamma_b=gamma_b))
     p = SystemParams(g=g, lambda_a=0.9999 * lam_c, gamma_a=gamma_a, gamma_b=gamma_b)
     limit = (gamma_a * gamma_b - 2 * g * p.lambda_a) ** 2 / (2 * p.lambda_a**2)
-    printed = delta2_g_normal(p, 0.0, "printed").delta2
-    moments = delta2_g_normal(p, 0.0, "moments").delta2
+    printed = delta2_g_normal(p, "printed").delta2
+    moments = delta2_g_normal(p, "moments").delta2
     assert printed == pytest.approx(limit, rel=2e-3)
     assert moments == pytest.approx(limit, rel=2e-3)
     # thermal occupation drops out in the critical limit
-    warm = delta2_g_normal(p, 5.0, "printed").delta2
+    warm = delta2_g_normal(replace(p, nbar=5.0), "printed").delta2
     assert warm == pytest.approx(printed, rel=5e-3)
