@@ -273,13 +273,15 @@ def qfi_gb0_closed(params: SystemParams) -> float:
 
 def delta2_g_homodyne_phase(params: SystemParams, phi: float) -> float:
     """Quadrature-detection uncertainty at angle phi, gamma_b = kappa_e = 0:
-    2 g^3 / (lambda_a (cos phi - sin phi)^2)."""
+    2 g^3 / (lambda_a (cos phi - sin phi)^2). Other rates raise ValueError."""
     g, lam = params.g, params.lambda_a
     factor = math.cos(phi) - math.sin(phi)
     # the projection vanishes analytically at phi = pi/4 + n pi; rounding
     # leaves a ~1e-16 residue there, so test against a scale, not zero
     if abs(factor) < 1e-12 or lam == 0:
         raise DivergenceError("quadrature carries no signal at this phase")
+    if params.gamma_b != 0 or params.kappa_e != 0:
+        raise ValueError("the homodyne phase form holds only at gamma_b = kappa_e = 0")
     return 2.0 * g**3 / (lam * factor * factor)
 
 

@@ -406,12 +406,16 @@ TASKS = {
 }
 
 
-def _run_task(task: Task, scenario: Scenario, threads: int):
-    """Check the precondition at every point, make the sorted table, build the
-    comparisons."""
+def _checked_points(task: Task, scenario: Scenario) -> list[tuple[float, SystemParams]]:
+    """The task's points, with its precondition checked at every one."""
     points = task.points(scenario)
     if task.requires is not None and not all(task.requires[0](p) for _, p in points):
         raise ConfigError(task.requires[1])
+    return points
+
+
+def _run_task(task: Task, scenario: Scenario, points, threads: int):
+    """Make the sorted table over the points, build the comparisons."""
     table = _parallel(points, lambda pt: task.worker(scenario, *pt), threads)
     table.sort(key=lambda row: row[task.columns[0]])
     comparisons = task.rule(scenario, table)
@@ -485,12 +489,15 @@ def run(config_path: str, out_dir: str = ".", threads: int = 1) -> int:
         return 2
 
     out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     all_rows: list[ComparisonRow] = []
     try:
-        for name in scenario.tasks:
+        # every task's points and preconditions before any task computes, so
+        # a config error writes no file
+        plan = [(name, _checked_points(TASKS[name], scenario)) for name in scenario.tasks]
+        out.mkdir(parents=True, exist_ok=True)
+        for name, points in plan:
             task = TASKS[name]
-            rows, table = _run_task(task, scenario, threads)
+            rows, table = _run_task(task, scenario, points, threads)
             stem = f"{scenario.name}_{name}"
             write_csv(out / f"{stem}.csv", task.columns, table)
             write_json(out / f"{stem}.json", scenario, name, task.columns, table, rows)

@@ -64,8 +64,8 @@ __all__ = [
     "three_level_occupation",
 ]
 
-# Dense eigendecomposition of a Liouvillian is O(side^3); beyond this side
-# length the cost is unreasonable for a gap query.
+# Dense eigendecomposition of a Liouvillian block is O(side^3); beyond this
+# side length the cost is unreasonable for a gap query.
 _DENSE_EIG_MAX_SIDE = 2048
 
 # An eigenvalue z of L is a zero mode when |Re z| <= _ZERO_MODE_CUT * ||L||_inf.
@@ -317,25 +317,62 @@ def _condition_number(a: sp.csc_matrix, lu) -> float:
     return spla.norm(a, 1) * spla.onenormest(inv, t=1)
 
 
-def _kernel_dimension(lio: sp.csr_matrix) -> int | None:
-    """Count the zero modes of L (see _ZERO_MODE_CUT), one block at a time.
+def _hermitian_basis(d: int) -> sp.csc_matrix:
+    """Unitary T from real Hermitian-basis coordinates to column-major vec(rho).
 
-    Each weakly connected component of L's sparsity pattern is an invariant
-    block, so the spectrum of L is the union of the blocks' spectra.
+    The coordinates are rho[k, k], then sqrt(2) Re rho[m, n] and
+    sqrt(2) Im rho[m, n] for each m < n; column j of T is vec of the Hermitian
+    basis matrix E_kk, (E_mn + E_nm)/sqrt(2) or i(E_mn - E_nm)/sqrt(2).
+    """
+    m, n = np.triu_indices(d, 1)
+    upper, lower = m + n * d, n + m * d
+    re = d + 2 * np.arange(m.size)
+    h = math.sqrt(0.5)
+    rows = np.concatenate([np.arange(d) * (d + 1), upper, lower, upper, lower])
+    cols = np.concatenate([np.arange(d), re, re, re + 1, re + 1])
+    data = np.concatenate([np.ones(d), np.full(2 * m.size, h),
+                           np.full(m.size, 1j * h), np.full(m.size, -1j * h)])
+    return sp.csc_matrix((data, (rows, cols)), shape=(d * d, d * d))
+
+
+def _block_spectra(lio: sp.csr_matrix) -> np.ndarray | None:
+    """Eigenvalues of L, one real invariant block at a time.
+
+    A Lindbladian preserves Hermiticity, so T^H L T (T from _hermitian_basis)
+    is real; its imaginary part must be rounding, at most 1e-12 ||L||_inf.
+    Each weakly connected component of the real matrix's sparsity pattern is
+    an invariant block, so the spectrum of L is the union of the blocks'
+    spectra, each from one real dense eigensolve. Returns None when the
+    largest block is longer than _DENSE_EIG_MAX_SIDE.
     """
     from scipy.sparse.csgraph import connected_components
 
-    side = lio.shape[0]
-    if side > _DENSE_EIG_MAX_SIDE:
+    t = _hermitian_basis(math.isqrt(lio.shape[0]))
+    m = (t.conj().T @ lio @ t).tocsr()
+    bound = 1e-12 * spla.norm(lio, np.inf)
+    imag = abs(m.imag).max()
+    if imag > bound:
+        raise ResidualError(
+            f"Liouvillian is not real in the Hermitian basis: imaginary part "
+            f"{imag:.3e} exceeds {bound:.3e}"
+        )
+    m = m.real
+    m.eliminate_zeros()
+    _, labels = connected_components(m, connection="weak")
+    sizes = np.bincount(labels)
+    if sizes.max() > _DENSE_EIG_MAX_SIDE:
         return None
-    scale = spla.norm(lio, np.inf)
-    n_blocks, labels = connected_components(abs(lio), connection="weak")
-    count = 0
-    for k in range(n_blocks):
-        idx = np.flatnonzero(labels == k)
-        ev = np.linalg.eigvals(lio[idx][:, idx].toarray())
-        count += int(np.sum(np.abs(ev.real) <= _ZERO_MODE_CUT * scale))
-    return count
+    blocks = np.split(np.argsort(labels, kind="stable"), np.cumsum(sizes)[:-1])
+    return np.concatenate([np.linalg.eigvals(m[idx][:, idx].toarray()) for idx in blocks])
+
+
+def _kernel_dimension(lio: sp.csr_matrix) -> int | None:
+    """Count the zero modes of L (see _ZERO_MODE_CUT) from its block spectra,
+    or None when a block is too large to eigensolve."""
+    ev = _block_spectra(lio)
+    if ev is None:
+        return None
+    return int(np.sum(np.abs(ev.real) <= _ZERO_MODE_CUT * spla.norm(lio, np.inf)))
 
 
 def _clean_density(x: np.ndarray, d: int) -> np.ndarray:
@@ -393,16 +430,16 @@ def steady_state(model: LindbladModel, tol: float = 1e-10) -> SteadyStateResult:
 def spectral_gap(model: LindbladModel) -> float:
     """Smallest nonzero decay rate: -max{Re z : z in spec(L), Re z < -eps}.
 
-    eps = _ZERO_MODE_CUT * ||L||_inf, the zero-mode cut of _kernel_dimension.
+    eps = _ZERO_MODE_CUT * ||L||_inf, the zero-mode cut of _kernel_dimension;
+    the spectrum comes from _block_spectra.
     """
     lio = liouvillian_matrix(model)
-    side = lio.shape[0]
-    if side > _DENSE_EIG_MAX_SIDE:
+    ev = _block_spectra(lio)
+    if ev is None:
         raise ValueError(
-            f"Liouvillian side {side} too large for dense spectral analysis; "
-            "reduce the truncation"
+            f"Liouvillian has an invariant block longer than {_DENSE_EIG_MAX_SIDE}, "
+            "too large for dense spectral analysis; reduce the truncation"
         )
-    ev = np.linalg.eigvals(lio.toarray())
     eps = _ZERO_MODE_CUT * spla.norm(lio, np.inf)
     decaying = ev.real[ev.real < -eps]
     if decaying.size == 0:

@@ -376,6 +376,16 @@ def test_delta2_g_rejects_params_outside_its_regime(regime, observable, params, 
         delta2_g(regime, observable, p)
 
 
+@pytest.mark.parametrize(
+    "params", [dict(gamma_b=1.5), dict(kappa_e=0.3), dict(gamma_b=1.5, kappa_e=0.3)],
+    ids=["gamma_b", "kappa_e", "both"],
+)
+def test_delta2_g_homodyne_phase_rejects_params_outside_its_regime(params):
+    p = replace(SystemParams(g=0.2, lambda_a=0.8, gamma_a=4.0, gamma_b=0.0), **params)
+    with pytest.raises(ValueError, match="gamma_b = kappa_e = 0"):
+        delta2_g_homodyne_phase(p, 0.0)
+
+
 # --- characteristic scales ------------------------------------------------------
 
 def test_characteristic_times():

@@ -383,6 +383,18 @@ def test_run_g_grid_tasks_reject_other_sweeps(tmp_path, capsys, task):
     assert "config error: this task sweeps only g, not lambda_a" in capsys.readouterr().err
 
 
+def test_run_validates_every_task_before_any_computes(tmp_path, capsys):
+    # occupation sweeps only g; steady_moments, listed first, must not run
+    text = SWEPT + (
+        "params.gamma_b = 0.5\ntruncation.signal_dim = 12\n"
+        "tasks = steady_moments, occupation\nsweep.parameter = lambda_a\nsweep.values = 0.5\n"
+    )
+    out = tmp_path / "o"
+    assert main(["run", str(write(tmp_path, text)), "--out-dir", str(out)]) == 2
+    assert "config error: this task sweeps only g, not lambda_a" in capsys.readouterr().err
+    assert not out.exists() or not any(out.iterdir())
+
+
 ZERO_DRIVE = "name = zero\nparams.g = 0.1\nparams.lambda_a = 0.0\nparams.gamma_a = 10.0\n"
 
 

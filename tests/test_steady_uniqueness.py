@@ -3,7 +3,9 @@
 `steady_state` decides uniqueness from the condition estimate of the one
 trace-row LU it builds. The slow path it replaced solved a second system whose
 row 0 is a random normalization functional and compared the two states; that
-probe is kept here as a test-local reference.
+probe is kept here as a test-local reference. Kernel counts and spectral gaps
+come from real block spectra; the whole-matrix complex eigensolve they
+replaced is the test-local reference for both.
 """
 
 import numpy as np
@@ -15,11 +17,13 @@ from scipy.sparse.csgraph import connected_components
 from pdclab import dynamics
 from pdclab.dynamics import (
     SystemParams,
+    _hermitian_basis,
     _kernel_dimension,
     _trace_row_system,
     build_full_model,
     build_reduced_model,
     liouvillian_matrix,
+    spectral_gap,
     steady_state,
 )
 from pdclab.errors import ResidualError, SteadyStateDegenerateError
@@ -172,10 +176,13 @@ def test_one_lu_agrees_with_the_random_row_probe(d, monkeypatch):
     assert expected == ("unique", 1)  # the grid ends on a unique model
 
 
-@pytest.mark.parametrize("d_a, d_b", ((3, 8), (4, 10)))
-@pytest.mark.parametrize("nbar", (0.0, 0.5))
-def test_full_model_lossless_signal_is_degenerate(d_a, d_b, nbar):
-    # b-parity is a strong symmetry at gamma_b = 0: one steady state per sector
+@pytest.mark.parametrize(
+    "nbar, d_a, d_b",
+    [(0.0, 3, 8), (0.0, 4, 10), (0.5, 3, 8), (0.5, 4, 10), (0.0, 4, 12)],
+)
+def test_full_model_lossless_signal_is_degenerate(nbar, d_a, d_b):
+    # b-parity is a strong symmetry at gamma_b = 0: one steady state per sector.
+    # At 4x12 L has side 2304, above the dense cap; its largest real block is 576.
     params = SystemParams(g=0.3, lambda_a=0.4, gamma_a=1.0, gamma_b=0.0, nbar=nbar)
     with pytest.raises(SteadyStateDegenerateError) as err:
         steady_state(build_full_model(params, d_a, d_b))
@@ -195,16 +202,99 @@ def test_zero_liouvillian_is_degenerate():
 @pytest.mark.parametrize(
     "model, blocks, kernel_dim",
     [
-        (build_reduced_model(SystemParams(g=0.2, lambda_a=0.5, gamma_a=4.0, gamma_b=0.0, kappa_e=0.05), 12), 4, 4),
-        (build_reduced_model(SystemParams(g=0.2, lambda_a=0.5, gamma_a=4.0, gamma_b=0.5, kappa_e=0.05), 12), 2, 1),
-        (build_full_model(SystemParams(g=0.3, lambda_a=0.4, gamma_a=1.0, gamma_b=0.0), 3, 8), 4, 2),
+        (build_reduced_model(SystemParams(g=0.2, lambda_a=0.5, gamma_a=4.0, gamma_b=0.0, kappa_e=0.05), 12), (4, 6), 4),
+        (build_reduced_model(SystemParams(g=0.2, lambda_a=0.5, gamma_a=4.0, gamma_b=0.5, kappa_e=0.05), 12), (2, 3), 1),
+        (build_full_model(SystemParams(g=0.3, lambda_a=0.4, gamma_a=1.0, gamma_b=0.0), 3, 8), (4, 6), 2),
     ],
     ids=["reduced-gb0", "reduced-gb0.5", "full-3x8-gb0"],
 )
 def test_kernel_dimension_by_blocks_equals_dense_count(model, blocks, kernel_dim):
+    # blocks: (components of L, components of the real T^H L T), which splits finer
     lio = liouvillian_matrix(model)
-    assert connected_components(abs(lio), connection="weak")[0] == blocks
+    t = _hermitian_basis(model.dim)
+    real = (t.conj().T @ lio @ t).real
+    real.eliminate_zeros()
+    assert connected_components(abs(lio), connection="weak")[0] == blocks[0]
+    assert connected_components(real, connection="weak")[0] == blocks[1]
     assert _kernel_dimension(lio) == _dense_kernel_count(lio) == kernel_dim
+
+
+def _dense_spectrum(lio) -> tuple[float, int]:
+    """(gap, zero-mode count) from one complex eigensolve of the whole dense L."""
+    ev = np.linalg.eigvals(lio.toarray())
+    eps = 1e-10 * spla.norm(lio, np.inf)
+    return float(-ev.real[ev.real < -eps].max()), int(np.sum(np.abs(ev.real) <= eps))
+
+
+def _spectral_grid():
+    for d in (6, 12, 20):
+        for gamma_b in (0.0, 1e-6, 0.5):
+            for nbar in (0.0, 0.5):
+                for kappa_e in (0.0, 0.05):
+                    params = SystemParams(g=0.2, lambda_a=0.5, gamma_a=4.0,
+                                          gamma_b=gamma_b, kappa_e=kappa_e, nbar=nbar)
+                    yield f"reduced-{d}-{gamma_b}-{nbar}-{kappa_e}", build_reduced_model(params, d)
+    for gamma_b in (0.0, 0.5):
+        params = SystemParams(g=0.3, lambda_a=0.4, gamma_a=1.0, gamma_b=gamma_b)
+        yield f"full-3x8-{gamma_b}", build_full_model(params, 3, 8)
+
+
+def test_block_spectra_match_the_whole_matrix_eigensolve():
+    """spectral_gap to rel 1e-10 and _kernel_dimension exactly, against the
+    dense route, over the degenerate gamma_b = 0 manifold and its neighbours.
+
+    Both routes are backward stable, so on gaps of 1e-8 to 1e-6 (gamma_b = 1e-6,
+    or gamma_b = kappa_e = 0) they agree only to a few eps ||L||_inf (measured
+    at most 4); the absolute floor 100 eps ||L||_inf sits six decades below the
+    zero-mode cut.
+    """
+    counts = set()
+    for label, model in _spectral_grid():
+        lio = liouvillian_matrix(model)
+        gap, kernel_dim = _dense_spectrum(lio)
+        floor = 100 * np.finfo(float).eps * spla.norm(lio, np.inf)
+        assert spectral_gap(model) == pytest.approx(gap, rel=1e-10, abs=floor), label
+        assert _kernel_dimension(lio) == kernel_dim, label
+        counts.add(kernel_dim)
+    assert counts == {1, 2, 4}  # unique and degenerate kernels are both met
+
+
+@pytest.mark.parametrize(
+    "model",
+    [
+        build_reduced_model(SystemParams(g=0.2, lambda_a=0.5, gamma_a=4.0, gamma_b=0.5, kappa_e=0.05, nbar=0.5), 12),
+        build_reduced_model(SystemParams(g=0.2, lambda_a=0.5, gamma_a=4.0, gamma_b=0.0), 9),
+        build_full_model(SystemParams(g=0.3, lambda_a=0.4, gamma_a=1.0, gamma_b=0.5, nbar=0.5), 3, 6),
+    ],
+    ids=["reduced-thermal", "reduced-gb0", "full-3x6-thermal"],
+)
+def test_hermitian_basis_is_unitary_and_makes_the_liouvillian_real(model):
+    lio = liouvillian_matrix(model)
+    t = _hermitian_basis(model.dim)
+    assert np.diff(t.indptr).max() == 2  # two entries per off-diagonal column
+    assert np.abs((t.conj().T @ t).toarray() - np.eye(lio.shape[0])).max() < 1e-15
+    m = (t.conj().T @ lio @ t).toarray()
+    scale = spla.norm(lio, np.inf)
+    assert np.abs(m.imag).max() <= 1e-12 * scale
+    # the real part alone carries L
+    back = (t @ sp.csr_matrix(m.real) @ t.conj().T).toarray()
+    assert np.abs(back - lio.toarray()).max() <= 1e-14 * scale
+
+
+def test_block_spectra_reject_a_generator_that_breaks_hermiticity():
+    # rho -> i rho is no Lindbladian: T^H L T = i I is purely imaginary
+    lio = sp.identity(16, dtype=complex, format="csr") * 1j
+    with pytest.raises(ResidualError, match="not real in the Hermitian basis"):
+        _kernel_dimension(lio)
+
+
+def test_dense_cap_bounds_the_largest_real_block():
+    # reduced d = 64 has real blocks up to 2048, the cap; d = 65 has one of 2112
+    params = SystemParams(g=0.2, lambda_a=0.5, gamma_a=4.0, gamma_b=0.5)
+    model = build_reduced_model(params, 65)
+    assert _kernel_dimension(liouvillian_matrix(model)) is None
+    with pytest.raises(ValueError, match="block longer than 2048"):
+        spectral_gap(model)
 
 
 UNIQUE = SystemParams(g=0.2, lambda_a=0.5, gamma_a=4.0, gamma_b=0.5, kappa_e=0.05)
