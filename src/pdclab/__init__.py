@@ -34,14 +34,12 @@ from .analytic import (
     critical_lambda,
     delta2_g,
     delta2_g_homodyne_phase,
-    hyp2f1_terminating,
     lambda_sensor,
     moment_gb0,
     moment_ss,
     optimal_allocation,
     qfi_closed_form,
     qfi_gb0_closed,
-    thermal_occupation,
 )
 from .dynamics import (
     LindbladModel,

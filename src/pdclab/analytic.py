@@ -28,7 +28,6 @@ __all__ = [
     "SensorOptimum",
     "qfi_closed_form",
     "optimal_allocation",
-    "hyp2f1_terminating",
     "moment_ss",
     "moment_gb0",
     "qfi_gb0_closed",
@@ -37,7 +36,6 @@ __all__ = [
     "characteristic_time",
     "critical_lambda",
     "lambda_sensor",
-    "thermal_occupation",
 ]
 
 _SERIES_BUDGET = 100_000
@@ -109,25 +107,6 @@ def optimal_allocation(n_total: float, t: float) -> tuple[float, float]:
 
 
 # --- hypergeometric moments --------------------------------------------------
-
-def hyp2f1_terminating(m: int, y: float, z: float) -> float:
-    """Terminating Gauss series 2F1(-m, y; z; 2) = sum_n (-m)_n (y)_n 2^n / ((z)_n n!).
-
-    Pochhammer symbols are accumulated multiplicatively; a vanishing (z)_n
-    factor inside the needed range is a pole.
-    """
-    if m < 0 or m != int(m):
-        raise ValueError("order m must be a non-negative integer")
-    total = 1.0
-    term = 1.0
-    for n in range(int(m)):
-        denom = (z + n) * (n + 1)
-        if denom == 0.0:
-            raise ValueError(f"pole in Pochhammer (z)_n at n={n + 1}")
-        term *= (-m + n) * (y + n) * 2.0 / denom
-        total += term
-    return total
-
 
 @dataclass(frozen=True)
 class MomentParams:
@@ -463,10 +442,3 @@ def lambda_sensor(params: SystemParams) -> tuple[float, float, SensorOptimum]:
             value_at_stated_g=formula(stated_g),
         )
     return delta2, delta2_vs_nb, opt
-
-
-def thermal_occupation(x: float) -> float:
-    """Bose occupation 1/(e^x - 1) of a dimensionless exponent x > 0."""
-    if x <= 0:
-        raise ValueError("exponent must be positive")
-    return 1.0 / math.expm1(x)

@@ -401,7 +401,9 @@ TASKS = {
         _sensor,
         _sensor_rule,
         points=_g_points(_sensor_grid),
-        requires=(lambda p: p.gamma_b == 0, "sensor task needs gamma_b = 0"),
+        # lambda_a^2 / N_b is 0/0 without drive, and the moment route needs g > 0
+        requires=(lambda p: p.gamma_b == 0 and p.lambda_a != 0 and p.g > 0,
+                  "requires lambda_a != 0, g > 0 and gamma_b = 0 (sensor task)"),
     ),
 }
 

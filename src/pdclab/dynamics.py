@@ -13,9 +13,11 @@ The dissipator convention is fixed throughout as
     rho_dot = -i[H, rho] + sum_c gamma_c (2 c rho c^dag - c^dag c rho - rho c^dag c)
 
 so a decaying amplitude obeys d<c>/dt = -gamma_c <c> and a one-photon Fock
-population decays as exp(-2 gamma t). Every solver in this module checks the
-trace, Hermiticity, and (on small dimensions) positivity of what it returns;
-violations raise instead of propagating silently.
+population decays as exp(-2 gamma t). Every Liouvillian solver here (steady
+state, spectra, open evolution) works on the real generator T^H L T in a
+Hermitian-operator basis (_real_generator), so the states it returns are
+Hermitian by construction; trace and (on small dimensions) positivity are
+checked, and violations raise instead of propagating silently.
 """
 
 from __future__ import annotations
@@ -255,7 +257,9 @@ def evolve_open(
 ) -> DensityMatrix:
     """Integrate the master equation from rho0 for time t.
 
-    Trace and Hermiticity are verified on the result; positivity is verified
+    The integration runs on the real coordinates x of _real_generator,
+    dx/dt = M x, so rtol and atol apply to them and the result is Hermitian by
+    construction. The trace is verified on the result; positivity is verified
     when the dimension is small enough for an eigendecomposition to be cheap.
     """
     if model.space != rho0.space:
@@ -263,26 +267,21 @@ def evolve_open(
     if t == 0:
         return rho0
     d = model.dim
-    lio = liouvillian_matrix(model)
+    basis, m = _real_generator(liouvillian_matrix(model))
 
-    def rhs(_t, y):
-        return lio @ y
+    def rhs(_t, x):
+        return m @ x
 
-    sol = solve_ivp(
-        rhs, (0.0, t), _vec(rho0.matrix), method="DOP853", rtol=rtol, atol=atol
-    )
+    x0 = (basis.conj().T @ _vec(rho0.matrix)).real
+    sol = solve_ivp(rhs, (0.0, t), x0, method="DOP853", rtol=rtol, atol=atol)
     if sol.status != 0:
         raise IntegratorError(f"open evolution failed: {sol.message}")
-    rho = _unvec(sol.y[:, -1], d)
+    rho = _unvec(basis @ sol.y[:, -1], d)
 
     tol_eff = max(rtol, atol)
-    tr_dev = abs(np.trace(rho).real - 1.0) + abs(np.trace(rho).imag)
+    tr_dev = abs(np.trace(rho).real - 1.0)
     if tr_dev > 10 * max(tol_eff, 1e-9):
         raise IntegratorError(f"trace drift {tr_dev:.2e} beyond 10x tolerance")
-    herm_dev = np.abs(rho - rho.conj().T).max()
-    if herm_dev > 10 * max(tol_eff, 1e-9):
-        raise IntegratorError(f"Hermiticity drift {herm_dev:.2e} beyond 10x tolerance")
-    rho = 0.5 * (rho + rho.conj().T)
     rho = rho / np.trace(rho).real
     if d <= 128:
         lo = float(np.linalg.eigvalsh(rho)[0])
@@ -291,15 +290,16 @@ def evolve_open(
     return DensityMatrix(rho, rho0.space, tol=1e-7)
 
 
-def _trace_row_system(lio: sp.csr_matrix, d: int):
-    """Replace row 0 of L with the trace functional; rhs selects trace = 1."""
-    coo = lio.tocoo()
+def _trace_row_system(m: sp.csr_matrix, d: int):
+    """Replace row 0 of the real generator M with the trace functional, ones
+    on the d diagonal coordinates; the rhs selects trace = 1."""
+    coo = m.tocoo()
     keep = coo.row != 0
     rows = np.concatenate([coo.row[keep], np.zeros(d, dtype=coo.row.dtype)])
-    cols = np.concatenate([coo.col[keep], np.arange(d) * d + np.arange(d)])
-    data = np.concatenate([coo.data[keep], np.ones(d, dtype=complex)])
-    a = sp.csc_matrix((data, (rows, cols)), shape=lio.shape)
-    b = np.zeros(lio.shape[0], dtype=complex)
+    cols = np.concatenate([coo.col[keep], np.arange(d)])
+    data = np.concatenate([coo.data[keep], np.ones(d)])
+    a = sp.csc_matrix((data, (rows, cols)), shape=m.shape)
+    b = np.zeros(m.shape[0])
     b[0] = 1.0
     return a, b
 
@@ -308,11 +308,11 @@ def _condition_number(a: sp.csc_matrix, lu) -> float:
     """1-norm condition number ||A||_1 ||A^-1||_1 from the factorization of A.
 
     ||A^-1||_1 is the single-column Hager-Higham estimate (the one LAPACK gecon
-    uses), applied through lu.solve and its conjugate transpose; with one
+    uses), applied through lu.solve and its transpose (A is real); with one
     column the estimator draws no random vectors.
     """
     inv = spla.LinearOperator(
-        a.shape, matvec=lu.solve, rmatvec=lambda v: lu.solve(v, trans="H"), dtype=a.dtype
+        a.shape, matvec=lu.solve, rmatvec=lambda v: lu.solve(v, trans="T"), dtype=a.dtype
     )
     return spla.norm(a, 1) * spla.onenormest(inv, t=1)
 
@@ -335,18 +335,13 @@ def _hermitian_basis(d: int) -> sp.csc_matrix:
     return sp.csc_matrix((data, (rows, cols)), shape=(d * d, d * d))
 
 
-def _block_spectra(lio: sp.csr_matrix) -> np.ndarray | None:
-    """Eigenvalues of L, one real invariant block at a time.
+def _real_generator(lio: sp.csr_matrix) -> tuple[sp.csc_matrix, sp.csr_matrix]:
+    """T from _hermitian_basis and the real generator M = T^H L T.
 
-    A Lindbladian preserves Hermiticity, so T^H L T (T from _hermitian_basis)
-    is real; its imaginary part must be rounding, at most 1e-12 ||L||_inf.
-    Each weakly connected component of the real matrix's sparsity pattern is
-    an invariant block, so the spectrum of L is the union of the blocks'
-    spectra, each from one real dense eigensolve. Returns None when the
-    largest block is longer than _DENSE_EIG_MAX_SIDE.
+    A Lindbladian preserves Hermiticity, so M is real; its imaginary part must
+    be rounding, at most 1e-12 ||L||_inf, else ResidualError. With
+    vec(rho) = T x, the master equation reads dx/dt = M x.
     """
-    from scipy.sparse.csgraph import connected_components
-
     t = _hermitian_basis(math.isqrt(lio.shape[0]))
     m = (t.conj().T @ lio @ t).tocsr()
     bound = 1e-12 * spla.norm(lio, np.inf)
@@ -358,6 +353,20 @@ def _block_spectra(lio: sp.csr_matrix) -> np.ndarray | None:
         )
     m = m.real
     m.eliminate_zeros()
+    return t, m
+
+
+def _block_spectra(lio: sp.csr_matrix) -> np.ndarray | None:
+    """Eigenvalues of L, one real invariant block of _real_generator at a time.
+
+    Each weakly connected component of the real matrix's sparsity pattern is
+    an invariant block, so the spectrum of L is the union of the blocks'
+    spectra, each from one real dense eigensolve. Returns None when the
+    largest block is longer than _DENSE_EIG_MAX_SIDE.
+    """
+    from scipy.sparse.csgraph import connected_components
+
+    _, m = _real_generator(lio)
     _, labels = connected_components(m, connection="weak")
     sizes = np.bincount(labels)
     if sizes.max() > _DENSE_EIG_MAX_SIDE:
@@ -375,17 +384,18 @@ def _kernel_dimension(lio: sp.csr_matrix) -> int | None:
     return int(np.sum(np.abs(ev.real) <= _ZERO_MODE_CUT * spla.norm(lio, np.inf)))
 
 
-def _clean_density(x: np.ndarray, d: int) -> np.ndarray:
-    rho = _unvec(x, d)
-    rho = 0.5 * (rho + rho.conj().T)
+def _clean_density(v: np.ndarray, d: int) -> np.ndarray:
+    rho = _unvec(v, d)
     return rho / np.trace(rho).real
 
 
 def steady_state(model: LindbladModel, tol: float = 1e-10) -> SteadyStateResult:
     """Steady state from the Liouvillian null space with trace normalization.
 
-    Row 0 of L is replaced by the trace functional and the resulting matrix A
-    is factorized once. A is nonsingular exactly when the kernel of L is
+    Row 0 of the real generator M = T^H L T (_real_generator) is replaced by
+    the trace functional, ones on the d diagonal coordinates, and the
+    resulting real matrix A is factorized once; rho = unvec(T x) is then
+    Hermitian by construction. A is nonsingular exactly when the kernel of L is
     one-dimensional, so the kernel counts as degenerate when the LU meets an
     exactly zero pivot or A is numerically singular: cond1(A) * eps >= 1,
     i.e. rcond <= machine epsilon, the singularity test of LAPACK xGESVX and
@@ -398,7 +408,8 @@ def steady_state(model: LindbladModel, tol: float = 1e-10) -> SteadyStateResult:
         raise ValueError("steady_state needs at least one dissipative channel")
     d = model.dim
     lio = liouvillian_matrix(model)
-    a, b = _trace_row_system(lio, d)
+    basis, m = _real_generator(lio)
+    a, b = _trace_row_system(m, d)
 
     try:
         lu = spla.splu(a)
@@ -419,7 +430,7 @@ def steady_state(model: LindbladModel, tol: float = 1e-10) -> SteadyStateResult:
             kernel_dim=kdim,
         )
 
-    rho = _clean_density(x, d)
+    rho = _clean_density(basis @ x, d)
     residual = float(np.abs(lio @ _vec(rho)).max())
     bound = max(tol, 1e-12) * max(1.0, spla.norm(lio, np.inf))
     if residual > bound:

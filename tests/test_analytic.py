@@ -18,14 +18,13 @@ from pdclab.analytic import (
     critical_lambda,
     delta2_g,
     delta2_g_homodyne_phase,
-    hyp2f1_terminating,
     lambda_sensor,
     moment_gb0,
     moment_ss,
     optimal_allocation,
     qfi_closed_form,
+    _series_f,
     qfi_gb0_closed,
-    thermal_occupation,
 )
 from pdclab.dynamics import SystemParams, build_reduced_model, steady_state
 from pdclab.errors import DivergenceError, SeriesConvergenceError
@@ -34,22 +33,16 @@ from pdclab.hilbert import FockSpace, annihilation, expectation, number_operator
 WORK = SystemParams(g=0.4, lambda_a=0.9, gamma_a=6.0, gamma_b=0.5, kappa_e=0.1)
 
 
-# --- terminating hypergeometric sum -------------------------------------------
+# --- terminating hypergeometric values f_m = 2F1(-m, z/2; z; 2) ---------------
 
 def test_hyp2f1_hand_value():
     # m=2, y=1, z=2: 1 - 2 + 4/3
-    assert hyp2f1_terminating(2, 1.0, 2.0) == pytest.approx(1.0 / 3.0, rel=1e-15)
+    assert _series_f(2.0, 2)[2] == pytest.approx(1.0 / 3.0, rel=1e-15)
 
 
 def test_hyp2f1_trivial_cases():
-    assert hyp2f1_terminating(0, 0.7, 1.3) == 1.0
-    # m=1: 1 - 2 y / z
-    assert hyp2f1_terminating(1, 0.7, 1.3) == pytest.approx(1 - 2 * 0.7 / 1.3)
-
-
-def test_hyp2f1_pole_raises():
-    with pytest.raises(ValueError, match="pole"):
-        hyp2f1_terminating(3, 1.0, 0.0)
+    # m=0: 1; m=1: 1 - 2 y / z, which vanishes at z = 2y
+    assert _series_f(1.3, 1) == [1.0, 0.0]
 
 
 def _hyp2f1_fraction_oracle(m: int, y: Fraction, z: Fraction) -> Fraction:
@@ -65,34 +58,24 @@ def _hyp2f1_fraction_oracle(m: int, y: Fraction, z: Fraction) -> Fraction:
 
 
 @settings(max_examples=60, deadline=None)
-@given(
-    m=st.integers(0, 14),
-    y_num=st.integers(1, 32),
-    y_den=st.integers(1, 8),
-    z_factor=st.sampled_from([1, 2, 3]),
-)
-def test_hyp2f1_matches_exact_rational_sum(m, y_num, y_den, z_factor):
-    # z of the same scale as y keeps the alternating sum well conditioned,
-    # which is the regime the package evaluates (z = 2y)
+@given(m=st.integers(0, 14), y_num=st.integers(1, 32), y_den=st.integers(1, 8))
+def test_hyp2f1_matches_exact_rational_sum(m, y_num, y_den):
+    # the recurrence of _series_f against the direct sum at z = 2y, the only
+    # z the moment series uses
     y = Fraction(y_num, y_den)
-    z = z_factor * y
-    exact = _hyp2f1_fraction_oracle(m, y, z)
-    approx = hyp2f1_terminating(m, float(y), float(z))
-    assert approx == pytest.approx(float(exact), rel=1e-9, abs=1e-11)
+    exact = _hyp2f1_fraction_oracle(m, y, 2 * y)
+    assert _series_f(float(2 * y), m)[m] == pytest.approx(float(exact), rel=1e-9, abs=1e-11)
 
 
 @settings(max_examples=40, deadline=None)
 @given(y=st.floats(0.05, 20.0, allow_nan=False))
 def test_hyp2f1_recurrence_structure_at_z_2y(y):
     """With z = 2y the odd-index values vanish and f2 = 1/(z+1)."""
-    z = 2.0 * y
-    assert abs(hyp2f1_terminating(1, y, z)) < 1e-13
-    assert abs(hyp2f1_terminating(3, y, z)) < 1e-12
-    f2 = hyp2f1_terminating(2, y, z)
-    assert f2 == pytest.approx(1.0 / (z + 1.0), rel=1e-12)
+    f = _series_f(2.0 * y, 4)
+    assert f[1] == f[3] == 0.0
+    assert f[2] == pytest.approx(1.0 / (2.0 * y + 1.0), rel=1e-12)
     # even values stay in (0, 1]: damped products of positive ratios
-    f4 = hyp2f1_terminating(4, y, z)
-    assert 0.0 < f4 <= f2 <= 1.0
+    assert 0.0 < f[4] <= f[2] <= 1.0
 
 
 # --- steady-state moment series -----------------------------------------------
@@ -431,10 +414,3 @@ def test_lambda_sensor_undefined_at_zero_drive():
     p = SystemParams(g=0.1, lambda_a=0.0, gamma_a=10.0, gamma_b=0.0, kappa_e=0.1)
     with pytest.raises(ValueError, match="lambda_a != 0"):
         lambda_sensor(p)
-
-
-def test_thermal_occupation():
-    assert thermal_occupation(math.log(2.0)) == pytest.approx(1.0, rel=1e-14)
-    assert thermal_occupation(20.0) == pytest.approx(math.exp(-20.0), rel=1e-6)
-    with pytest.raises(ValueError):
-        thermal_occupation(0.0)

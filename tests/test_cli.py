@@ -418,6 +418,15 @@ def test_run_zero_drive_sensor_exits_2(tmp_path, capsys):
     assert "config error: requires lambda_a != 0" in capsys.readouterr().err
 
 
+def test_run_zero_drive_sensor_writes_no_earlier_task(tmp_path, capsys):
+    # the sensor's precondition fails before qfi, listed first, computes
+    text = ZERO_DRIVE + "params.gamma_b = 0.0\nparams.kappa_e = 0.1\ntasks = qfi, sensor\n"
+    out = tmp_path / "o"
+    assert main(["run", str(write(tmp_path, text)), "--out-dir", str(out)]) == 2
+    assert "config error: requires lambda_a != 0" in capsys.readouterr().err
+    assert not out.exists() or not any(out.iterdir())
+
+
 def test_run_steady_moments_sweep_through_zero_drive(tmp_path):
     text = (
         ZERO_DRIVE + "params.gamma_b = 1.0\ntasks = steady_moments\n"

@@ -7,7 +7,9 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from scipy.integrate import solve_ivp
 
+from pdclab.analytic import moment_gb0
 from pdclab.dynamics import (
     SteadyStateResult,
     SystemParams,
@@ -37,6 +39,7 @@ from pdclab.hilbert import (
     expectation,
     fock_state,
     number_operator,
+    tensor_state,
     top_level_population,
 )
 
@@ -177,6 +180,36 @@ def test_steady_state_reduced_model_properties():
     lio = liouvillian_matrix(model)
     drift = np.abs(lio @ rho.matrix.flatten(order="F")).max()
     assert drift < 1e-10
+
+
+def _vec_rho_evolution(model, rho0, t, rtol, atol) -> np.ndarray:
+    """DOP853 on the complex vec(rho) form, the route evolve_open replaced."""
+    lio = liouvillian_matrix(model)
+    y0 = rho0.matrix.reshape(-1, order="F")
+    sol = solve_ivp(lambda _t, y: lio @ y, (0.0, t), y0, method="DOP853", rtol=rtol, atol=atol)
+    rho = sol.y[:, -1].reshape(rho0.matrix.shape, order="F")
+    return rho / np.trace(rho).real
+
+
+def _evolution_cases():
+    # criterion 4: g - h, g, g + h from 0.8 of the steady amplitude, d = 34, t = 250
+    for g in (0.1 - 1e-3, 0.1, 0.1 + 1e-3):
+        p = SystemParams(g=g, lambda_a=12.0, gamma_a=10.0, gamma_b=0.0, kappa_e=0.018)
+        seed = coherent_state(0.8 * moment_gb0(0, 1, p), FockSpace(34))
+        yield f"criterion-4-g={g}", build_reduced_model(p, 34), density_from_state(seed), 250.0
+    p = SystemParams(g=0.3, lambda_a=0.4, gamma_a=1.0, gamma_b=0.5, nbar=0.5)
+    psi = tensor_state(fock_state(0, FockSpace(3)), fock_state(1, FockSpace(8)))
+    yield "full-3x8-thermal", build_full_model(p, 3, 8), density_from_state(psi), 5.0
+
+
+def test_evolve_open_matches_the_vec_rho_integration():
+    # the bound is the one evolve_open's trace check applies
+    rtol, atol = 1e-8, 1e-10
+    for label, model, rho0, t in _evolution_cases():
+        ref = _vec_rho_evolution(model, rho0, t, rtol, atol)
+        rho = evolve_open(model, rho0, t, rtol=rtol, atol=atol).matrix
+        assert np.array_equal(rho, rho.conj().T), label
+        assert np.abs(rho - ref).max() <= 10 * max(rtol, atol), label
 
 
 def test_steady_state_agrees_with_long_time_evolution():
