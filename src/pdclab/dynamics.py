@@ -267,7 +267,7 @@ def evolve_open(
     if t == 0:
         return rho0
     d = model.dim
-    basis, m = _real_generator(liouvillian_matrix(model))
+    basis, m, _ = _real_generator(liouvillian_matrix(model))
 
     def rhs(_t, x):
         return m @ x
@@ -335,8 +335,8 @@ def _hermitian_basis(d: int) -> sp.csc_matrix:
     return sp.csc_matrix((data, (rows, cols)), shape=(d * d, d * d))
 
 
-def _real_generator(lio: sp.csr_matrix) -> tuple[sp.csc_matrix, sp.csr_matrix]:
-    """T from _hermitian_basis and the real generator M = T^H L T.
+def _real_generator(lio: sp.csr_matrix) -> tuple[sp.csc_matrix, sp.csr_matrix, float]:
+    """T from _hermitian_basis, the real generator M = T^H L T and ||L||_inf.
 
     A Lindbladian preserves Hermiticity, so M is real; its imaginary part must
     be rounding, at most 1e-12 ||L||_inf, else ResidualError. With
@@ -344,7 +344,8 @@ def _real_generator(lio: sp.csr_matrix) -> tuple[sp.csc_matrix, sp.csr_matrix]:
     """
     t = _hermitian_basis(math.isqrt(lio.shape[0]))
     m = (t.conj().T @ lio @ t).tocsr()
-    bound = 1e-12 * spla.norm(lio, np.inf)
+    norm = spla.norm(lio, np.inf)
+    bound = 1e-12 * norm
     imag = abs(m.imag).max()
     if imag > bound:
         raise ResidualError(
@@ -353,20 +354,20 @@ def _real_generator(lio: sp.csr_matrix) -> tuple[sp.csc_matrix, sp.csr_matrix]:
         )
     m = m.real
     m.eliminate_zeros()
-    return t, m
+    return t, m, norm
 
 
-def _block_spectra(lio: sp.csr_matrix) -> np.ndarray | None:
-    """Eigenvalues of L, one real invariant block of _real_generator at a time.
+def _block_spectra(m: sp.csr_matrix) -> np.ndarray | None:
+    """Eigenvalues of L from its real generator M (_real_generator), one real
+    invariant block at a time.
 
-    Each weakly connected component of the real matrix's sparsity pattern is
-    an invariant block, so the spectrum of L is the union of the blocks'
-    spectra, each from one real dense eigensolve. Returns None when the
-    largest block is longer than _DENSE_EIG_MAX_SIDE.
+    Each weakly connected component of M's sparsity pattern is an invariant
+    block, so the spectrum of L is the union of the blocks' spectra, each from
+    one real dense eigensolve. Returns None when the largest block is longer
+    than _DENSE_EIG_MAX_SIDE.
     """
     from scipy.sparse.csgraph import connected_components
 
-    _, m = _real_generator(lio)
     _, labels = connected_components(m, connection="weak")
     sizes = np.bincount(labels)
     if sizes.max() > _DENSE_EIG_MAX_SIDE:
@@ -375,13 +376,14 @@ def _block_spectra(lio: sp.csr_matrix) -> np.ndarray | None:
     return np.concatenate([np.linalg.eigvals(m[idx][:, idx].toarray()) for idx in blocks])
 
 
-def _kernel_dimension(lio: sp.csr_matrix) -> int | None:
-    """Count the zero modes of L (see _ZERO_MODE_CUT) from its block spectra,
-    or None when a block is too large to eigensolve."""
-    ev = _block_spectra(lio)
+def _kernel_dimension(m: sp.csr_matrix, norm: float) -> int | None:
+    """Count the zero modes of L (see _ZERO_MODE_CUT) from the block spectra of
+    its real generator M, given norm = ||L||_inf, or None when a block is too
+    large to eigensolve."""
+    ev = _block_spectra(m)
     if ev is None:
         return None
-    return int(np.sum(np.abs(ev.real) <= _ZERO_MODE_CUT * spla.norm(lio, np.inf)))
+    return int(np.sum(np.abs(ev.real) <= _ZERO_MODE_CUT * norm))
 
 
 def _clean_density(v: np.ndarray, d: int) -> np.ndarray:
@@ -408,7 +410,7 @@ def steady_state(model: LindbladModel, tol: float = 1e-10) -> SteadyStateResult:
         raise ValueError("steady_state needs at least one dissipative channel")
     d = model.dim
     lio = liouvillian_matrix(model)
-    basis, m = _real_generator(lio)
+    basis, m, norm = _real_generator(lio)
     a, b = _trace_row_system(m, d)
 
     try:
@@ -422,7 +424,7 @@ def steady_state(model: LindbladModel, tol: float = 1e-10) -> SteadyStateResult:
     except RuntimeError:  # exactly singular pivot
         singular = True
     if singular:
-        kdim = _kernel_dimension(lio)
+        kdim = _kernel_dimension(m, norm)
         counted = "too large to count" if kdim is None else kdim
         raise SteadyStateDegenerateError(
             f"no unique steady state: the trace-row system is singular "
@@ -432,7 +434,7 @@ def steady_state(model: LindbladModel, tol: float = 1e-10) -> SteadyStateResult:
 
     rho = _clean_density(basis @ x, d)
     residual = float(np.abs(lio @ _vec(rho)).max())
-    bound = max(tol, 1e-12) * max(1.0, spla.norm(lio, np.inf))
+    bound = max(tol, 1e-12) * max(1.0, norm)
     if residual > bound:
         raise ResidualError(f"steady-state residual {residual:.3e} exceeds {bound:.3e}")
     return SteadyStateResult(DensityMatrix(rho, model.space, tol=1e-7), residual)
@@ -444,14 +446,14 @@ def spectral_gap(model: LindbladModel) -> float:
     eps = _ZERO_MODE_CUT * ||L||_inf, the zero-mode cut of _kernel_dimension;
     the spectrum comes from _block_spectra.
     """
-    lio = liouvillian_matrix(model)
-    ev = _block_spectra(lio)
+    _, m, norm = _real_generator(liouvillian_matrix(model))
+    ev = _block_spectra(m)
     if ev is None:
         raise ValueError(
             f"Liouvillian has an invariant block longer than {_DENSE_EIG_MAX_SIDE}, "
             "too large for dense spectral analysis; reduce the truncation"
         )
-    eps = _ZERO_MODE_CUT * spla.norm(lio, np.inf)
+    eps = _ZERO_MODE_CUT * norm
     decaying = ev.real[ev.real < -eps]
     if decaying.size == 0:
         raise ValueError("no decaying modes below the zero-mode threshold")

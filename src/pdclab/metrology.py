@@ -1,11 +1,13 @@
 """Fisher-information estimators and measurement statistics.
 
 Three QFI routes: pure-state finite differences, the Gaussian-state formula,
-and the spectral decomposition of mixed states. Parameter derivatives are
-always central differences with step 1e-4 * max(|g|, 1) unless overridden;
-qfi_pure additionally applies one Richardson level. The measurement side is
-the error-propagation uncertainty for photon counting and quadrature
-detection on a state family.
+and, for mixed states, the Braunstein-Caves sum over the derivative of rho in
+the eigenbasis of rho, which needs no eigenvector derivative and no special
+case for degenerate spectra. Parameter derivatives are always central
+differences with step 1e-4 * max(|g|, 1) unless overridden by a finite,
+positive step; qfi_pure additionally applies one Richardson level. The
+measurement side is the error-propagation uncertainty for photon counting and
+quadrature detection on a state family.
 """
 
 from __future__ import annotations
@@ -15,7 +17,6 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from .errors import DivergenceError
 from .hilbert import (
@@ -44,15 +45,21 @@ __all__ = [
     "gaussian_moments",
 ]
 
-# qfi_spectral sums only over eigenvalues, and eigenvalue pairs, whose value
-# (pair sum) exceeds _EIGEN_FLOOR.
+# qfi_spectral sums only over eigenvalue pairs whose sum exceeds _EIGEN_FLOOR.
 _EIGEN_FLOOR = 1e-12
-# _aligned_eig treats reference eigenvalues within _CLUSTER_TOL as degenerate.
-_CLUSTER_TOL = 1e-9
 
 
 def default_step(g: float) -> float:
     return 1e-4 * max(abs(g), 1.0)
+
+
+def _fd_step(g: float, step: float | None) -> float:
+    """The central-difference step: default_step(g), or step if finite and > 0."""
+    if step is None:
+        return default_step(g)
+    if not (math.isfinite(step) and step > 0):
+        raise ValueError(f"step must be finite and positive, got {step}")
+    return step
 
 
 def _phase_factor(phase: float) -> complex:
@@ -130,9 +137,7 @@ def qfi_pure(
     Two step sizes feed one Richardson extrapolation level, so the leading
     O(step^2) derivative bias cancels.
     """
-    h = default_step(g) if step is None else step
-    if h <= 0:
-        raise ValueError("step must be positive")
+    h = _fd_step(g, step)
     psi0 = family(g)
     _check_normalized(psi0)
     y0 = psi0.amplitudes
@@ -191,7 +196,7 @@ def qfi_gaussian_family(
     family: Callable[[float], GaussianMoments], g: float, step: float | None = None
 ) -> QfiResult:
     """Gaussian QFI with the derivatives taken over a moment family."""
-    h = default_step(g) if step is None else step
+    h = _fd_step(g, step)
     m0 = family(g)
     mp, mm = family(g + h), family(g - h)
     dm = GaussianDerivatives(
@@ -203,75 +208,26 @@ def qfi_gaussian_family(
     return QfiResult(res.value, "gaussian", h)
 
 
-def _aligned_eig(ref_vals: np.ndarray, ref_vecs: np.ndarray, mat: np.ndarray):
-    """Eigendecomposition matched to a reference eigenframe.
-
-    Columns are first permuted to the reference order by maximum overlap, then
-    each (near-)degenerate reference cluster is rotated onto the reference
-    basis by the closest unitary (orthogonal Procrustes). For a singleton
-    cluster that is exactly the usual phase alignment; inside a degenerate
-    subspace it removes the arbitrary intra-cluster basis choice that would
-    otherwise corrupt finite-difference eigenvector derivatives. Eigenvalue
-    derivatives remain finite-difference estimates and assume no level
-    crossing inside the step.
-    """
-    vals, vecs = np.linalg.eigh(mat)
-    overlap = np.abs(ref_vecs.conj().T @ vecs)
-    row, col = linear_sum_assignment(-overlap)
-    order = np.empty_like(col)
-    order[row] = col
-    vals = vals[order].copy()
-    vecs = vecs[:, order].copy()
-
-    start = 0
-    n = len(ref_vals)
-    while start < n:
-        stop = start + 1
-        while stop < n and ref_vals[stop] - ref_vals[stop - 1] <= _CLUSTER_TOL:
-            stop += 1
-        block = slice(start, stop)
-        m = vecs[:, block].conj().T @ ref_vecs[:, block]
-        u, _, vh = np.linalg.svd(m)
-        vecs[:, block] = vecs[:, block] @ (u @ vh)
-        start = stop
-    return vals, vecs
-
-
 def qfi_spectral(
     rho_family: Callable[[float], DensityMatrix],
     g: float,
     step: float | None = None,
 ) -> QfiResult:
-    """Mixed-state QFI from the eigendecomposition of the density matrix.
+    """Mixed-state QFI from the derivative of rho in the eigenbasis of rho(g).
 
-    F = sum_{E_k > eps} (dE_k)^2 / E_k
-        + sum_{k != k', E_k + E_k' > eps} 2 (E_k - E_k')^2/(E_k + E_k') |<k|dk'>|^2
-    with eps = _EIGEN_FLOOR and eigenvalue/eigenvector derivatives by central
-    differences in the gauge fixed by _aligned_eig.
+    F = sum_{k, l: E_k + E_l > eps} 2 |<k| drho |l>|^2 / (E_k + E_l)
+    (Braunstein-Caves) with eps = _EIGEN_FLOOR and drho the central difference
+    of the density matrix. Every term is non-negative and depends on the
+    eigenbasis only through its eigenspaces, so degenerate spectra need no
+    special case.
     """
-    h = default_step(g) if step is None else step
-    if h <= 0:
-        raise ValueError("step must be positive")
-    rho0 = rho_family(g)
-    e0, v0 = np.linalg.eigh(rho0.matrix)
-    ep, vp = _aligned_eig(e0, v0, rho_family(g + h).matrix)
-    em, vm = _aligned_eig(e0, v0, rho_family(g - h).matrix)
-    de = (ep - em) / (2.0 * h)
-    dv = (vp - vm) / (2.0 * h)
-
-    value = 0.0
-    for k in range(len(e0)):
-        if e0[k] > _EIGEN_FLOOR:
-            value += de[k] ** 2 / e0[k]
-    cross = v0.conj().T @ dv  # cross[k, l] = <k|dl>
-    for k in range(len(e0)):
-        for l in range(len(e0)):
-            if k == l:
-                continue
-            s = e0[k] + e0[l]
-            if s > _EIGEN_FLOOR:
-                value += 2.0 * (e0[k] - e0[l]) ** 2 / s * abs(cross[k, l]) ** 2
-    return QfiResult(max(value, 0.0), "spectral", h)
+    h = _fd_step(g, step)
+    evals, vecs = np.linalg.eigh(rho_family(g).matrix)
+    drho = (rho_family(g + h).matrix - rho_family(g - h).matrix) / (2.0 * h)
+    weights = np.abs(vecs.conj().T @ drho @ vecs) ** 2
+    pair_sum = evals[:, None] + evals[None, :]
+    kept = pair_sum > _EIGEN_FLOOR
+    return QfiResult(float(np.sum(2.0 * weights[kept] / pair_sum[kept])), "spectral", h)
 
 
 # --- measurement statistics -----------------------------------------------------
@@ -296,7 +252,7 @@ def _mode_annihilation(space, mode: int | None) -> Operator:
 def _observable_record(
     family, g: float, obs: Operator, step: float | None
 ) -> MeasurementRecord:
-    h = default_step(g) if step is None else step
+    h = _fd_step(g, step)
     state0 = family(g)
     mean = expectation(obs, state0).real
     second = expectation(obs @ obs, state0).real

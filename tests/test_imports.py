@@ -1,4 +1,5 @@
-"""No module imports a name it never uses (no linter ships with the package)."""
+"""No module imports a name it never uses, and no private module-level name of
+the package goes unreferenced (no linter ships with the package)."""
 
 import ast
 from pathlib import Path
@@ -44,3 +45,54 @@ def test_no_unused_imports():
         for line, name in unused_imports(path.read_text())
     ]
     assert not found, "unused imports:\n" + "\n".join(found)
+
+
+def private_definitions(source: str) -> list[tuple[int, str]]:
+    """(line, name) of each module-level private (_x, not dunder) function,
+    class or assigned name."""
+    found = []
+    for node in ast.parse(source).body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names = [node.name]
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names = [t.id for t in targets if isinstance(t, ast.Name)]
+        else:
+            continue
+        found += [(node.lineno, n) for n in names if n.startswith("_") and not n.startswith("__")]
+    return found
+
+
+def references(source: str) -> set[str]:
+    """Names read as a Name or accessed as an attribute anywhere in source."""
+    refs = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+            refs.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            refs.add(node.attr)
+    return refs
+
+
+def test_scanner_finds_private_definitions_and_references():
+    source = (
+        "import m\n_A = 1\n__all__ = []\n_b: int = 2\n"
+        "def _f():\n    _local = _A\n    return m._g\nclass _C: pass\n"
+    )
+    assert private_definitions(source) == [(2, "_A"), (4, "_b"), (5, "_f"), (8, "_C")]
+    assert {"_A", "_g"} <= references(source)
+    assert not {"_b", "_f", "_C", "_local"} & references(source)
+
+
+def test_no_unreferenced_private_names():
+    package = sorted((ROOT / "src" / "pdclab").glob("*.py"))
+    assert len(package) > 5
+    sources = {path: path.read_text() for path in package}
+    used = set().union(*(references(source) for source in sources.values()))
+    found = [
+        f"{path.relative_to(ROOT)}:{line}: {name}"
+        for path, source in sources.items()
+        for line, name in private_definitions(source)
+        if name not in used
+    ]
+    assert not found, "unreferenced private names:\n" + "\n".join(found)

@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from scipy.linalg import expm
+from scipy.linalg import expm, solve_sylvester
 
 from pdclab.analytic import FullyQuantum, Semiclassical, qfi_closed_form
 from pdclab.dynamics import SystemParams, build_full_model, evolve_closed, three_level_steady
@@ -35,23 +35,17 @@ from pdclab.metrology import (
 )
 
 
-def spectral_qfi_matrix_oracle(rho_family, g, h, floor=1e-12):
-    """Gauge-free reference: F = sum 2 |<k| drho |l>|^2 / (E_k + E_l).
+def sld_qfi_oracle(rho_family, g, h):
+    """F = Tr(drho L) with the symmetric logarithmic derivative L solved from
+    rho L + L rho = 2 drho (Sylvester), for full-rank rho.
 
-    Works directly with the matrix derivative, so no eigenvector-derivative
-    gauge choice enters; this is the cross-check for qfi_spectral.
+    No eigendecomposition enters, so this is an independent route to the sum
+    qfi_spectral evaluates in the eigenbasis of rho.
     """
     r0 = rho_family(g).matrix
-    evals, vecs = np.linalg.eigh(r0)
     drho = (rho_family(g + h).matrix - rho_family(g - h).matrix) / (2.0 * h)
-    m = vecs.conj().T @ drho @ vecs
-    total = 0.0
-    for k in range(len(evals)):
-        for l in range(len(evals)):
-            s = evals[k] + evals[l]
-            if s > floor:
-                total += 2.0 * abs(m[k, l]) ** 2 / s
-    return total
+    sld = solve_sylvester(r0, r0, 2.0 * drho)
+    return float(np.trace(drho @ sld).real)
 
 
 # --- pure-state estimator -------------------------------------------------------
@@ -152,9 +146,55 @@ def test_qfi_spectral_mixed_family_matches_matrix_oracle():
     g0 = 0.3
     h = default_step(g0)
     route_a = qfi_spectral(rho_family, g0).value
-    route_b = spectral_qfi_matrix_oracle(rho_family, g0, h)
+    route_b = sld_qfi_oracle(rho_family, g0, h)
     assert route_a == pytest.approx(route_b, rel=1e-6)
     assert route_a > 0
+
+
+@pytest.mark.parametrize(
+    "diagonal, generator, expected",
+    [
+        # 1/2 I + g sigma_x: Bloch vector (2g, 0, 0), F = |dr/dg|^2 = 4
+        ((0.5, 0.5), [[0, 1], [1, 0]], 4.0),
+        # diag(0.4, 0.4, 0.2) + g (E01 + E10): F = 2 * 2 * 1 / (0.4 + 0.4) = 5
+        ((0.4, 0.4, 0.2), [[0, 1, 0], [1, 0, 0], [0, 0, 0]], 5.0),
+    ],
+    ids=["qubit", "qutrit"],
+)
+def test_qfi_spectral_on_a_degenerate_spectrum(diagonal, generator, expected):
+    # at g = 0 the perturbation splits a degenerate eigenvalue; the splitting
+    # carries the whole signal
+    space = FockSpace(len(diagonal))
+
+    def rho_family(g):
+        return DensityMatrix(np.diag(diagonal) + g * np.array(generator, dtype=complex), space)
+
+    assert qfi_spectral(rho_family, 0.0).value == pytest.approx(expected, abs=1e-8)
+
+
+@pytest.mark.parametrize("step", [0.0, -1e-4, math.nan])
+@pytest.mark.parametrize(
+    "estimator", ["qfi_pure", "qfi_gaussian_family", "qfi_spectral", "photon_stats"]
+)
+def test_finite_difference_step_must_be_finite_and_positive(estimator, step):
+    space = FockSpace(10)
+
+    def pure_family(g):
+        return coherent_state(g, space)
+
+    def rho_family(g):
+        return density_from_state(pure_family(g))
+
+    call = {
+        "qfi_pure": lambda: qfi_pure(pure_family, 0.5, step=step),
+        "qfi_gaussian_family": lambda: qfi_gaussian_family(
+            lambda g: gaussian_moments(rho_family(g)), 0.5, step=step
+        ),
+        "qfi_spectral": lambda: qfi_spectral(rho_family, 0.5, step=step),
+        "photon_stats": lambda: photon_stats(rho_family, 0.5, step=step),
+    }[estimator]
+    with pytest.raises(ValueError, match="step must be finite and positive"):
+        call()
 
 
 # --- Gaussian estimator -----------------------------------------------------------

@@ -23,6 +23,7 @@ from pdclab.dynamics import (
     SystemParams,
     _hermitian_basis,
     _kernel_dimension,
+    _real_generator,
     build_full_model,
     build_reduced_model,
     liouvillian_matrix,
@@ -37,6 +38,12 @@ _DENSE_COUNTS: dict[tuple, int] = {}
 def _zero_modes(block: np.ndarray, scale: float) -> int:
     ev = np.linalg.eigvals(block)
     return int(np.sum(np.abs(ev.real) <= 1e-10 * scale))
+
+
+def _block_kernel_count(lio) -> int | None:
+    """_kernel_dimension on the real generator and norm that steady_state builds."""
+    _, m, norm = _real_generator(lio)
+    return _kernel_dimension(m, norm)
 
 
 def _dense_kernel_count(lio) -> int:
@@ -246,7 +253,7 @@ def test_kernel_dimension_by_blocks_equals_dense_count(model, blocks, kernel_dim
     real.eliminate_zeros()
     assert connected_components(abs(lio), connection="weak")[0] == blocks[0]
     assert connected_components(real, connection="weak")[0] == blocks[1]
-    assert _kernel_dimension(lio) == _dense_kernel_count(lio) == kernel_dim
+    assert _block_kernel_count(lio) == _dense_kernel_count(lio) == kernel_dim
 
 
 def _dense_spectrum(lio) -> tuple[float, int]:
@@ -284,7 +291,7 @@ def test_block_spectra_match_the_whole_matrix_eigensolve():
         gap, kernel_dim = _dense_spectrum(lio)
         floor = 100 * np.finfo(float).eps * spla.norm(lio, np.inf)
         assert spectral_gap(model) == pytest.approx(gap, rel=1e-10, abs=floor), label
-        assert _kernel_dimension(lio) == kernel_dim, label
+        assert _block_kernel_count(lio) == kernel_dim, label
         counts.add(kernel_dim)
     assert counts == {1, 2, 4}  # unique and degenerate kernels are both met
 
@@ -315,14 +322,14 @@ def test_block_spectra_reject_a_generator_that_breaks_hermiticity():
     # rho -> i rho is no Lindbladian: T^H L T = i I is purely imaginary
     lio = sp.identity(16, dtype=complex, format="csr") * 1j
     with pytest.raises(ResidualError, match="not real in the Hermitian basis"):
-        _kernel_dimension(lio)
+        _real_generator(lio)
 
 
 def test_dense_cap_bounds_the_largest_real_block():
     # reduced d = 64 has real blocks up to 2048, the cap; d = 65 has one of 2112
     params = SystemParams(g=0.2, lambda_a=0.5, gamma_a=4.0, gamma_b=0.5)
     model = build_reduced_model(params, 65)
-    assert _kernel_dimension(liouvillian_matrix(model)) is None
+    assert _block_kernel_count(liouvillian_matrix(model)) is None
     with pytest.raises(ValueError, match="block longer than 2048"):
         spectral_gap(model)
 
@@ -334,10 +341,38 @@ def test_singular_solve_raises_whatever_the_kernel_count(monkeypatch):
     # a singular trace-row system has no fallback, even when the count finds
     # a single zero mode
     monkeypatch.setattr(dynamics, "_condition_number", lambda a, lu: np.inf)
-    monkeypatch.setattr(dynamics, "_kernel_dimension", lambda lio: 1)
+    monkeypatch.setattr(dynamics, "_kernel_dimension", lambda m, norm: 1)
     with pytest.raises(SteadyStateDegenerateError) as err:
         steady_state(build_reduced_model(UNIQUE, 8))
     assert err.value.kernel_dim == 1
+
+
+def test_one_real_generator_and_one_norm_per_solver_call(monkeypatch):
+    # the degenerate branch counts zero modes on the generator and ||L||_inf
+    # the solve already built; spectral_gap builds each once as well
+    params = SystemParams(g=0.2, lambda_a=0.5, gamma_a=4.0, gamma_b=0.0, kappa_e=0.05)
+    degenerate = build_reduced_model(params, 8)
+    kernel_dim = _dense_kernel_count(liouvillian_matrix(degenerate))
+    calls = {"generator": 0, "inf_norm": 0}
+    real_generator, real_norm = dynamics._real_generator, spla.norm
+
+    def counting_generator(lio):
+        calls["generator"] += 1
+        return real_generator(lio)
+
+    def counting_norm(x, ord=None, **kwargs):
+        calls["inf_norm"] += ord == np.inf
+        return real_norm(x, ord, **kwargs)
+
+    monkeypatch.setattr(dynamics, "_real_generator", counting_generator)
+    monkeypatch.setattr(spla, "norm", counting_norm)
+    with pytest.raises(SteadyStateDegenerateError) as err:
+        steady_state(degenerate)
+    assert err.value.kernel_dim == kernel_dim == 2
+    assert calls == {"generator": 1, "inf_norm": 1}
+    calls.update(generator=0, inf_norm=0)
+    spectral_gap(build_reduced_model(UNIQUE, 8))
+    assert calls == {"generator": 1, "inf_norm": 1}
 
 
 @pytest.mark.filterwarnings("error")
