@@ -13,13 +13,7 @@ import sys
 
 from pdclab import analytic, metrology
 from pdclab.dynamics import SystemParams, build_reduced_model, evolve_open
-from pdclab.hilbert import (
-    FockSpace,
-    coherent_state,
-    density_from_state,
-    expectation,
-    number_operator,
-)
+from pdclab.hilbert import FockSpace, coherent_state, density_from_state
 
 
 def main(argv=None) -> int:
@@ -45,25 +39,23 @@ def main(argv=None) -> int:
 
     h = args.step
     states = {dg: simulate(args.g + dg) for dg in (-h, 0.0, h)}
-    n_op = number_operator(states[0.0].space)
-    mean = expectation(n_op, states[0.0]).real
-    var = expectation(n_op @ n_op, states[0.0]).real - mean**2
-    dmean = (expectation(n_op, states[h]).real
-             - expectation(n_op, states[-h]).real) / (2 * h)
-    d2 = metrology.error_propagation(
-        metrology.MeasurementRecord(mean=mean, variance=var, dmean_dg=dmean))
 
+    def evolved(g: float):
+        return states[round(g - args.g, 12)]
+
+    rec = metrology.photon_stats(evolved, args.g, step=h)
+    d2 = metrology.error_propagation(rec)
     qfi = metrology.qfi_gaussian_family(
-        lambda g: metrology.gaussian_moments(states[round(g - args.g, 12)]),
-        args.g, step=h).value
+        lambda g: metrology.gaussian_moments(evolved(g)), args.g, step=h).value
 
     p0 = params_at(args.g)
-    print(f"simulated <n> = {mean:.6f}   Var(n) = {var:.6f}   d<n>/dg = {dmean:.4f}")
+    print(f"simulated <n> = {rec.mean:.6f}   Var(n) = {rec.variance:.6f}   "
+          f"d<n>/dg = {rec.dmean_dg:.4f}")
     print(f"photon-counting delta^2 g   = {d2:.8e}")
     print(f"Gaussian-moment QFI         = {qfi:.8e}")
     print(f"product delta^2 g x QFI     = {d2 * qfi:.8f}")
     print(f"closed-form algebra product = "
-          f"{analytic.delta2_g('gb0_kappa', 'photon', p0).delta2 * analytic.qfi_gb0_closed(p0):.8f}")
+          f"{analytic.delta2_g('gb0', 'photon', p0) * analytic.qfi_gb0_closed(p0):.8f}")
     return 0
 
 

@@ -26,11 +26,8 @@ routes that are kept deliberately independent so each can check the other:
 from .analytic import (
     Classical,
     FullyQuantum,
-    MomentParams,
     Semiclassical,
     SensorOptimum,
-    UncertaintyReport,
-    characteristic_time,
     critical_lambda,
     delta2_g,
     delta2_g_homodyne_phase,

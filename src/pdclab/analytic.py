@@ -1,11 +1,11 @@
 """Closed-form results for the down-conversion system.
 
 Steady-state moment series of the reduced model, closed-system QFI formulas,
-measurement-uncertainty formulas for every dissipative regime, characteristic
-times, the mean-field critical drive, and the driving-strength sensor. Each
-function is a direct transcription of a closed form so that the numerical
-modules can be validated against it (and vice versa: the series conventions
-here were themselves pinned against the Liouvillian solver, see moment_ss).
+measurement-uncertainty formulas for every dissipative regime, the mean-field
+critical drive, and the driving-strength sensor. Each closed form is
+transcribed once, so that the numerical modules can be validated against it
+(and vice versa: the series conventions here were themselves pinned against
+the Liouvillian solver, see moment_ss).
 """
 
 from __future__ import annotations
@@ -23,8 +23,6 @@ __all__ = [
     "Semiclassical",
     "FullyQuantum",
     "Classical",
-    "MomentParams",
-    "UncertaintyReport",
     "SensorOptimum",
     "qfi_closed_form",
     "optimal_allocation",
@@ -33,7 +31,6 @@ __all__ = [
     "qfi_gb0_closed",
     "delta2_g",
     "delta2_g_homodyne_phase",
-    "characteristic_time",
     "critical_lambda",
     "lambda_sensor",
 ]
@@ -108,34 +105,14 @@ def optimal_allocation(n_total: float, t: float) -> tuple[float, float]:
 
 # --- hypergeometric moments --------------------------------------------------
 
-@dataclass(frozen=True)
-class MomentParams:
-    """Series parameters of the steady-moment formula: z = 2y exactly."""
-
-    mu: complex
-    y: float
-    z: float
-
-    @classmethod
-    def from_system(cls, params: SystemParams) -> "MomentParams":
-        if params.g <= 0:
-            raise ValueError("moment series requires g > 0")
-        kp = params.kappa + params.kappa_e
-        if kp <= 0:
-            raise ValueError("moment series requires a positive two-photon rate")
-        eps = params.g * params.lambda_a / params.gamma_a
-        mu = 1j * cmath.sqrt(4j * eps / kp)
-        y = params.gamma_b / (2.0 * kp)
-        return cls(mu=mu, y=y, z=2.0 * y)
-
-
 def _series_f(z: float, upto: int) -> list[float]:
     """f_m = 2F1(-m, z/2; z; 2) for m = 0..upto via (z+m) f_{m+1} = m f_{m-1}.
 
-    At z = 2y the terminating series obeys this two-step recurrence, which
-    makes every odd f vanish and keeps the even ones in (0, 1]. The z = 0
+    The terminating series obeys this two-step recurrence, which makes every
+    odd f vanish and keeps the even ones in (0, 1] for z >= 0. The z = 0
     limit (gamma_b = 0) is regular here even though the direct Pochhammer sum
-    has a pole.
+    has a pole. This is the one home of the recurrence: moment_ss asks for a
+    longer list whenever its sum runs past the one it holds.
     """
     f = [1.0, 0.0]
     for m in range(1, upto):
@@ -152,23 +129,32 @@ def moment_ss(l: int, k: int, params: SystemParams) -> complex:
         <b^dag^l b^k> = (u*)^l u^k / (N 2^{(l+k)/2})
                         * sum_m |u|^{2m} f_{m+l} f_{m+k} / m!
 
-    with u = -mu/sqrt(2), f_m the terminating hypergeometric values of
-    _series_f, and N the l = k = 0 sum. Odd l + k moments vanish identically
-    (weak b -> -b symmetry of the generator). The m-sum stops once the running
-    term stays below _SERIES_TOL times the partial sum for 5 consecutive terms.
+    with u = -mu/sqrt(2), mu = i sqrt(4i eps / kp), eps = g lambda_a / gamma_a,
+    kp = kappa + kappa_e, f_m the terminating hypergeometric values of
+    _series_f at z = gamma_b / kp, and N the l = k = 0 sum. Odd l + k moments
+    vanish identically (weak b -> -b symmetry of the generator). The m-sum
+    stops once the running term stays below _SERIES_TOL times the partial sum
+    for 5 consecutive terms.
     """
     if l < 0 or k < 0:
         raise ValueError("moment orders must be non-negative")
     if params.nbar != 0:
         raise ValueError("moment series assumes a zero-temperature signal bath")
-    mp = MomentParams.from_system(params)
+    if params.g <= 0:
+        raise ValueError("moment series requires g > 0")
+    kp = params.kappa + params.kappa_e
+    if kp <= 0:
+        raise ValueError("moment series requires a positive two-photon rate")
     if (l + k) % 2 == 1:
         return 0.0 + 0.0j
 
-    u = -mp.mu / math.sqrt(2.0)
+    eps = params.g * params.lambda_a / params.gamma_a
+    mu = 1j * cmath.sqrt(4j * eps / kp)
+    u = -mu / math.sqrt(2.0)
+    z = params.gamma_b / kp
     r = abs(u) ** 2
     off = max(l, k)
-    f = _series_f(mp.z, off + 16)
+    f = _series_f(z, off + 16)
 
     s_sum = 0.0
     n_sum = 0.0
@@ -177,9 +163,8 @@ def moment_ss(l: int, k: int, params: SystemParams) -> complex:
     min_m = max(8, l + k + 4)
     m = 0
     while m < _SERIES_BUDGET:
-        while len(f) <= m + off:
-            nxt = len(f)
-            f.append((nxt - 1) * f[nxt - 2] / (mp.z + nxt - 1))
+        if len(f) <= m + off:
+            f = _series_f(z, 2 * (m + off))
         c_s = w * f[m + l] * f[m + k]
         c_n = w * f[m] * f[m]
         s_sum += c_s
@@ -227,19 +212,8 @@ def moment_gb0(l: int, k: int, params: SystemParams) -> complex:
 
 # --- measurement uncertainties ----------------------------------------------
 
-@dataclass(frozen=True)
-class UncertaintyReport:
-    delta2: float
-    regime: str
-    observable: str
-
-    def __post_init__(self):
-        if self.delta2 < 0:
-            raise ValueError(f"negative uncertainty {self.delta2}")
-
-
 def qfi_gb0_closed(params: SystemParams) -> float:
-    """Gaussian-QFI closed form for the gamma_b = 0, kappa_e > 0 steady family.
+    """Gaussian-QFI closed form for the gamma_b = 0 steady family, kappa_e >= 0.
 
     F = 2 lambda_a (kappa_e gamma_a - 2g^2)^2 / (g (kappa_e gamma_a + 2g^2)^3).
     """
@@ -269,17 +243,21 @@ def delta2_g(
     observable: str,
     params: SystemParams,
     variant: str = "printed",
-) -> UncertaintyReport:
+) -> float:
     """Measurement uncertainty delta^2 g, by regime and observable.
 
-    Regimes: gb0 (gamma_b = 0, kappa_e = 0), gb0_kappa (gamma_b = 0), three_level
-    (g -> 0 limit of the weak-drive model, nbar = 0), normal_phase / critical
-    (mean-field); parameters outside a regime raise ValueError. normal_phase
-    is the thermal form at params.nbar (at nbar = 0, the zero-temperature form
-    bit for bit). Forms are evaluated as printed; the critical regime also
-    offers variant="derived", the limit of the normal-phase form, which
-    differs from the printed value by a factor 2 gamma_a gamma_b (recorded
-    inconsistency). Every form diverges at lambda_a = 0: DivergenceError.
+    Regimes: gb0 (gamma_b = 0, any kappa_e >= 0), three_level (g -> 0 limit of
+    the weak-drive model, nbar = 0), normal_phase / critical (mean-field);
+    parameters outside a regime raise ValueError. In gb0, photon detection
+    saturates the bound: photon and qcrb are both
+    g (kappa_e gamma_a + 2g^2)^3 / (2 lambda_a (kappa_e gamma_a - 2g^2)^2),
+    which is g^3 / lambda_a at kappa_e = 0; homodyne, 2 g^3 / lambda_a, has a
+    closed form only at kappa_e = 0. normal_phase is the thermal form at
+    params.nbar (at nbar = 0, the zero-temperature form bit for bit). Forms
+    are evaluated as printed; the critical regime also offers
+    variant="derived", the limit of the normal-phase form, which differs from
+    the printed value by a factor 2 gamma_a gamma_b (recorded inconsistency).
+    Every form diverges at lambda_a = 0: DivergenceError.
     """
     g, lam = params.g, params.lambda_a
     ga, gb = params.gamma_a, params.gamma_b
@@ -287,34 +265,26 @@ def delta2_g(
         raise DivergenceError("uncertainty divergent at lambda_a = 0: no drive, no signal")
 
     if regime == "gb0":
-        if gb != 0 or params.kappa_e != 0:
-            raise ValueError("the gb0 regime holds only at gamma_b = kappa_e = 0")
-        if observable == "photon":
-            val = g**3 / lam
-        elif observable == "homodyne":
-            val = 2.0 * g**3 / lam
-        elif observable == "qcrb":
-            val = g**3 / lam  # photon detection saturates the bound here
-        else:
-            raise ValueError(f"unknown observable {observable!r}")
-        return UncertaintyReport(val, regime, observable)
-
-    if regime == "gb0_kappa":
         if gb != 0:
-            raise ValueError("the gb0_kappa regime holds only at gamma_b = 0")
-        ke_ga = params.kappa_e * ga
+            raise ValueError("the gb0 regime holds only at gamma_b = 0")
         if observable in ("photon", "qcrb"):
+            ke_ga = params.kappa_e * ga
             denom = 2.0 * lam * (ke_ga - 2 * g * g) ** 2
             if denom == 0:
                 raise DivergenceError(
                     "uncertainty divergent at kappa_e gamma_a = 2 g^2"
                 )
             val = g * (ke_ga + 2 * g * g) ** 3 / denom
+        elif observable == "homodyne":
+            if params.kappa_e != 0:
+                raise ValueError(
+                    "the gb0 homodyne form holds only at gamma_b = kappa_e = 0"
+                )
+            val = 2.0 * g**3 / lam
         else:
-            raise ValueError("no closed quadrature form in the gb0_kappa regime")
-        return UncertaintyReport(val, regime, observable)
+            raise ValueError(f"unknown observable {observable!r}")
 
-    if regime == "three_level":
+    elif regime == "three_level":
         if params.nbar != 0:
             raise ValueError("three-level forms assume a zero-temperature signal bath")
         scale = ga * (params.kappa_e + gb) ** 2 / lam**2
@@ -326,9 +296,8 @@ def delta2_g(
             val = scale / 6.0
         else:
             raise ValueError(f"unknown observable {observable!r}")
-        return UncertaintyReport(val, regime, observable)
 
-    if regime in ("normal_phase", "critical"):
+    elif regime in ("normal_phase", "critical"):
         if observable != "photon":
             raise ValueError("mean-field forms are for photon detection")
         if 2 * g * lam > ga * gb:
@@ -349,35 +318,13 @@ def delta2_g(
             val = (ga * gb - 2 * g * lam) ** 2 / (2 * lam * lam)
         else:
             raise ValueError(f"unknown variant {variant!r}")
-        return UncertaintyReport(val, regime, observable)
 
-    raise ValueError(f"unknown regime {regime!r}")
+    else:
+        raise ValueError(f"unknown regime {regime!r}")
 
-
-# --- characteristic scales ----------------------------------------------------
-
-def characteristic_time(params: SystemParams, regime: str) -> float:
-    """Relaxation-time formula by regime.
-
-    two_photon: tau = gamma_a (kappa + kappa_e) / (8 g lambda_a), as quoted
-    (treated as a trend quantity; it is the inverse of the linearized mean
-    amplitude decay rate only up to normalization). single_photon: 1/gamma_b.
-    """
-    if regime == "two_photon":
-        if params.g == 0:
-            raise DivergenceError("characteristic time is divergent at g=0")
-        if params.lambda_a == 0:
-            raise DivergenceError("characteristic time is divergent at lambda_a=0")
-        return (
-            params.gamma_a
-            * (params.kappa + params.kappa_e)
-            / (8.0 * params.g * params.lambda_a)
-        )
-    if regime == "single_photon":
-        if params.gamma_b == 0:
-            raise DivergenceError("characteristic time is divergent at gamma_b=0")
-        return 1.0 / params.gamma_b
-    raise ValueError(f"unknown regime {regime!r}")
+    if val < 0:
+        raise ValueError(f"negative uncertainty {val}")
+    return val
 
 
 def critical_lambda(params: SystemParams) -> float:

@@ -250,17 +250,15 @@ def _qfi(scenario: Scenario, value: float, p: SystemParams):
 
 def _uncertainty(scenario: Scenario, value: float, p: SystemParams):
     if p.gamma_b > 0:
-        closed = meanfield.delta2_g_normal(p, "printed").delta2
-        other = meanfield.delta2_g_normal(p, "moments").delta2
+        # the moment route first: at and above threshold it raises StabilityError
+        other = meanfield.delta2_g_normal(p)
+        closed = analytic.delta2_g("normal_phase", "photon", p)
         quantity, tol = "delta2_g_printed_vs_moments", max(scenario.rel_tol, 1e-5)
-    elif p.kappa_e > 0:
-        closed = analytic.delta2_g("gb0_kappa", "photon", p).delta2
+    else:
+        # photon detection saturates the quantum Cramer-Rao bound at any kappa_e
+        closed = analytic.delta2_g("gb0", "photon", p)
         other = 1.0 / analytic.qfi_gb0_closed(p)
         quantity, tol = "delta2_g_photon_vs_qcrb", 1e-10
-    else:
-        closed = analytic.delta2_g("gb0", "photon", p).delta2
-        other = p.g**3 / p.lambda_a
-        quantity, tol = "delta2_g_photon_vs_scaling", 1e-12
     rel = _rel_dev(closed, other, scenario.floor)
     return {"value": value, "delta2_closed": closed, "delta2_other": other,
             "rel_dev": rel, "comparison": (f"{quantity}@{value:g}", closed, other, tol)}

@@ -19,13 +19,13 @@ from dataclasses import dataclass, field
 from functools import reduce
 
 import numpy as np
+from scipy.special import gammainc
 
 from .errors import DimensionMismatchError, TruncationError
 
 __all__ = [
     "FockSpace",
     "TensorSpace",
-    "Space",
     "Operator",
     "StateVector",
     "DensityMatrix",
@@ -248,23 +248,15 @@ def coherent_state(alpha: complex, space: FockSpace) -> StateVector:
     logmag = n * np.log(abs(alpha)) - 0.5 * np.array([math.lgamma(k + 1) for k in n])
     phase = np.exp(1j * n * np.angle(alpha))
     amps = np.exp(logmag - logmag.max()) * phase
-    tail = 1.0 - _coherent_retained_weight(abs(alpha) ** 2, d)
+    # Poisson P(N >= d), the regularized lower incomplete gamma: no underflow
+    # of exp(-|alpha|^2) at large |alpha|
+    tail = float(gammainc(d, abs(alpha) ** 2))
     if tail > _COHERENT_TAIL_TOL:
         raise TruncationError(
             f"coherent state |alpha|^2={abs(alpha)**2:.3g} keeps only "
             f"{1 - tail:.12f} of its weight at dim {d}"
         )
     return StateVector(amps / np.linalg.norm(amps), space)
-
-
-def _coherent_retained_weight(mean_n: float, dim: int) -> float:
-    """Poisson CDF: probability that a coherent state occupies levels < dim."""
-    term = math.exp(-mean_n)
-    total = term
-    for k in range(1, dim):
-        term *= mean_n / k
-        total += term
-    return min(total, 1.0)
 
 
 def density_from_state(psi: StateVector) -> DensityMatrix:

@@ -23,7 +23,6 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 from scipy.linalg import solve_sylvester
 
-from .analytic import UncertaintyReport, delta2_g
 from .dynamics import SystemParams
 from .errors import ResidualError, StabilityError
 from .metrology import MeasurementRecord, default_step, error_propagation
@@ -208,21 +207,16 @@ def fluct_moments_lyapunov(
     return FluctuationMoments(n, anom, fourth)
 
 
-def delta2_g_normal(params: SystemParams, method: str = "printed") -> UncertaintyReport:
-    """Photon-detection uncertainty of g in the normal phase.
+def delta2_g_normal(params: SystemParams) -> float:
+    """Photon-detection uncertainty of g in the normal phase, from the moments.
 
-    method="printed" evaluates the quoted closed form, delta2_g("normal_phase"),
-    the thermal bracket at params.nbar. method="moments" assembles variance
-    and sensitivity from the fluctuation moments: Var = fourth - n^2 with a
-    central-difference d n / d g, then error propagation. The two agree
-    exactly at nbar = 0 and converge onto each other at the critical point
-    for nbar > 0.
+    Variance and sensitivity are assembled from the fluctuation moments:
+    Var = fourth - n^2 with a central-difference d n / d g, then error
+    propagation. This is the route independent of the quoted closed form
+    analytic.delta2_g("normal_phase"): the two agree exactly at nbar = 0 and
+    converge onto each other at the critical point for nbar > 0.
     """
     _require_normal_phase(params)
-    if method == "printed":
-        return delta2_g("normal_phase", "photon", params)
-    if method != "moments":
-        raise ValueError(f"unknown method {method!r}")
     mom = fluct_moments_analytic(params)
     h = default_step(params.g)
     # keep the stencil inside the normal phase: both in g > 0 and below the
@@ -243,4 +237,4 @@ def delta2_g_normal(params: SystemParams, method: str = "printed") -> Uncertaint
         variance=mom.fourth - mom.n_fluct**2,
         dmean_dg=(up.n_fluct - dn.n_fluct) / (2.0 * h),
     )
-    return UncertaintyReport(error_propagation(rec), "normal_phase", "photon")
+    return error_propagation(rec)

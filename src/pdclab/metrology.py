@@ -250,10 +250,19 @@ def _mode_annihilation(space, mode: int | None) -> Operator:
 
 
 def _observable_record(
-    family, g: float, obs: Operator, step: float | None
+    family,
+    g: float,
+    observable: Callable[[FockSpace | TensorSpace], Operator],
+    step: float | None,
 ) -> MeasurementRecord:
+    """Statistics of observable(space) over the family at g - h, g, g + h.
+
+    The observable is built on the space of the state at g, so each of the
+    three family points is evaluated once.
+    """
     h = _fd_step(g, step)
     state0 = family(g)
+    obs = observable(state0.space)
     mean = expectation(obs, state0).real
     second = expectation(obs @ obs, state0).real
     var = second - mean * mean
@@ -270,8 +279,12 @@ def photon_stats(
     family, g: float, mode: int | None = None, step: float | None = None
 ) -> MeasurementRecord:
     """Mean, variance, and g-derivative of the mode occupation b^dag b."""
-    b = _mode_annihilation(family(g).space, mode)
-    return _observable_record(family, g, b.dag() @ b, step)
+
+    def occupation(space) -> Operator:
+        b = _mode_annihilation(space, mode)
+        return b.dag() @ b
+
+    return _observable_record(family, g, occupation, step)
 
 
 def homodyne_stats(
@@ -282,9 +295,12 @@ def homodyne_stats(
     step: float | None = None,
 ) -> MeasurementRecord:
     """Statistics of the quadrature b e^{-i phase} + b^dag e^{i phase}."""
-    b = _mode_annihilation(family(g).space, mode)
-    quad = _phase_factor(-phase) * b + _phase_factor(phase) * b.dag()
-    return _observable_record(family, g, quad, step)
+
+    def quadrature(space) -> Operator:
+        b = _mode_annihilation(space, mode)
+        return _phase_factor(-phase) * b + _phase_factor(phase) * b.dag()
+
+    return _observable_record(family, g, quadrature, step)
 
 
 def gaussian_moments(state, mode: int | None = None) -> GaussianMoments:

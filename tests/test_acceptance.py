@@ -212,7 +212,7 @@ def test_criterion_04_uncertainty_times_qfi_is_one():
             (1.2, 0.7, 9.0, 0.05),
         ]:
             p = SystemParams(g=g, lambda_a=lam, gamma_a=ga, gamma_b=0.0, kappa_e=ke)
-            prod = analytic.delta2_g("gb0_kappa", "photon", p).delta2 * qfi_gb0_closed(p)
+            prod = analytic.delta2_g("gb0", "photon", p) * qfi_gb0_closed(p)
             alg_worst = max(alg_worst, abs(prod - 1.0))
 
         # simulated side: three evolved steady states bracketing g
@@ -249,9 +249,9 @@ def test_criterion_04_uncertainty_times_qfi_is_one():
 def test_criterion_05_uncertainty_chain_and_weak_coupling_qfi():
     def body():
         p = SystemParams(g=0.05, lambda_a=0.3, gamma_a=1.0, gamma_b=0.5, kappa_e=0.1)
-        qcrb = analytic.delta2_g("three_level", "qcrb", p).delta2
-        photon = analytic.delta2_g("three_level", "photon", p).delta2
-        homodyne = analytic.delta2_g("three_level", "homodyne", p).delta2
+        qcrb = analytic.delta2_g("three_level", "qcrb", p)
+        photon = analytic.delta2_g("three_level", "photon", p)
+        homodyne = analytic.delta2_g("three_level", "homodyne", p)
         chain = (
             qcrb <= photon <= homodyne
             and math.isclose(photon / qcrb, 6 * 3 / 16, rel_tol=1e-12)
@@ -375,19 +375,19 @@ def test_criterion_09_normal_phase_uncertainty_toward_criticality():
         values = []
         for frac in (0.3, 0.5, 0.7, 0.9, 0.99, 0.999):
             p = SystemParams(lambda_a=frac * lam_c, **base)
-            values.append(meanfield.delta2_g_normal(p, method="moments").delta2)
+            values.append(meanfield.delta2_g_normal(p))
         monotone = all(values[i] > values[i + 1] for i in range(len(values) - 1))
 
         p_edge = SystemParams(lambda_a=0.999 * lam_c, **base)
         thermal = [
-            meanfield.delta2_g_normal(replace(p_edge, nbar=nb), method="moments").delta2
+            meanfield.delta2_g_normal(replace(p_edge, nbar=nb))
             for nb in (0.0, 1.0, 2.0, 5.0, 10.0)
         ]
         spread = (max(thermal) - min(thermal)) / min(thermal)
 
         # the quoted critical-point form sits a factor 2 gamma_a gamma_b below
         # the limit the moments route approaches; report, do not assert
-        quoted = analytic.delta2_g("critical", "photon", p_edge).delta2
+        quoted = analytic.delta2_g("critical", "photon", p_edge)
         limit = (
             base["gamma_a"] * base["gamma_b"] - 2 * base["g"] * p_edge.lambda_a
         ) ** 2 / (2 * p_edge.lambda_a**2)

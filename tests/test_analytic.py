@@ -12,9 +12,7 @@ from hypothesis import strategies as st
 from pdclab.analytic import (
     Classical,
     FullyQuantum,
-    MomentParams,
     Semiclassical,
-    characteristic_time,
     critical_lambda,
     delta2_g,
     delta2_g_homodyne_phase,
@@ -79,19 +77,6 @@ def test_hyp2f1_recurrence_structure_at_z_2y(y):
 
 
 # --- steady-state moment series -----------------------------------------------
-
-def test_moment_params_from_system():
-    mp = MomentParams.from_system(WORK)
-    eps = WORK.g * WORK.lambda_a / WORK.gamma_a
-    kprime = WORK.kappa + WORK.kappa_e
-    assert abs(mp.mu) ** 2 == pytest.approx(4.0 * eps / kprime, rel=1e-14)
-    assert mp.y == pytest.approx(WORK.gamma_b / (2.0 * kprime))
-    assert mp.z == pytest.approx(2.0 * mp.y)
-    with pytest.raises(ValueError):
-        MomentParams.from_system(
-            SystemParams(g=0.0, lambda_a=1.0, gamma_a=1.0, gamma_b=1.0)
-        )
-
 
 def test_moment_ss_frozen_values():
     assert moment_ss(1, 1, WORK) == pytest.approx(0.01697801432998975, rel=1e-13)
@@ -158,6 +143,12 @@ def test_moment_ss_small_gamma_b_limit_is_tanh_branch():
 def test_moment_ss_diverging_series_raises():
     p = SystemParams(g=1e-4, lambda_a=20.0, gamma_a=1.0, gamma_b=0.0)
     with pytest.raises(SeriesConvergenceError):
+        moment_ss(1, 1, p)
+
+
+def test_moment_ss_rejects_zero_coupling():
+    p = SystemParams(g=0.0, lambda_a=1.0, gamma_a=1.0, gamma_b=1.0)
+    with pytest.raises(ValueError, match="g > 0"):
         moment_ss(1, 1, p)
 
 
@@ -230,11 +221,12 @@ def test_optimal_allocation_super_heisenberg():
 
 def test_delta2_g_gb0_scalings():
     p = SystemParams(g=0.2, lambda_a=0.8, gamma_a=4.0, gamma_b=0.0)
-    rep = delta2_g("gb0", "photon", p)
-    assert rep.delta2 == pytest.approx(0.2**3 / 0.8, rel=1e-14)
+    # the kappa_e form reduces to g^3 / lambda_a at kappa_e = 0
+    assert delta2_g("gb0", "photon", p) == pytest.approx(0.2**3 / 0.8, rel=1e-14)
+    assert delta2_g("gb0", "qcrb", p) == delta2_g("gb0", "photon", p)
     hom = delta2_g("gb0", "homodyne", p)
-    assert hom.delta2 == pytest.approx(2 * 0.2**3 / 0.8, rel=1e-14)
-    assert delta2_g_homodyne_phase(p, 0.0) == pytest.approx(hom.delta2, rel=1e-14)
+    assert hom == pytest.approx(2 * 0.2**3 / 0.8, rel=1e-14)
+    assert delta2_g_homodyne_phase(p, 0.0) == pytest.approx(hom, rel=1e-14)
     # the pi/4 quadrature carries no information about g
     with pytest.raises(DivergenceError):
         delta2_g_homodyne_phase(p, math.pi / 4.0)
@@ -242,27 +234,26 @@ def test_delta2_g_gb0_scalings():
 
 def test_delta2_g_gb0_kappa_saturates_qcrb():
     p = SystemParams(g=0.1, lambda_a=1.0, gamma_a=10.0, gamma_b=0.0, kappa_e=0.1)
-    rep = delta2_g("gb0_kappa", "photon", p)
-    assert rep.delta2 == pytest.approx(0.055248229904206594, rel=1e-14)
+    photon = delta2_g("gb0", "photon", p)
+    assert photon == pytest.approx(0.055248229904206594, rel=1e-14)
     assert qfi_gb0_closed(p) == pytest.approx(18.100127401979627, rel=1e-14)
-    assert rep.delta2 * qfi_gb0_closed(p) == pytest.approx(1.0, rel=1e-12)
-    qcrb = delta2_g("gb0_kappa", "qcrb", p)
-    assert qcrb.delta2 == pytest.approx(rep.delta2, rel=1e-14)
+    assert photon * qfi_gb0_closed(p) == pytest.approx(1.0, rel=1e-12)
+    assert delta2_g("gb0", "qcrb", p) == pytest.approx(photon, rel=1e-14)
 
 
 def test_delta2_g_gb0_kappa_divergence_at_impedance_match():
     # kappa_e gamma_a = 2 g^2 makes the closed form blow up
     p = SystemParams(g=1.0, lambda_a=1.0, gamma_a=2.0, gamma_b=0.0, kappa_e=1.0)
     with pytest.raises(DivergenceError):
-        delta2_g("gb0_kappa", "photon", p)
+        delta2_g("gb0", "photon", p)
 
 
 def test_delta2_g_three_level_prefactor_chain():
     p = SystemParams(g=1e-4, lambda_a=0.1, gamma_a=1.0, gamma_b=0.5, kappa_e=0.1)
     scale = p.gamma_a * (p.kappa_e + p.gamma_b) ** 2 / p.lambda_a**2
-    qcrb = delta2_g("three_level", "qcrb", p).delta2
-    photon = delta2_g("three_level", "photon", p).delta2
-    homodyne = delta2_g("three_level", "homodyne", p).delta2
+    qcrb = delta2_g("three_level", "qcrb", p)
+    photon = delta2_g("three_level", "photon", p)
+    homodyne = delta2_g("three_level", "homodyne", p)
     assert qcrb == pytest.approx(scale / 6.0, rel=1e-13)
     assert photon == pytest.approx(scale * 3.0 / 16.0, rel=1e-13)
     assert homodyne == pytest.approx(scale, rel=1e-13)
@@ -272,7 +263,7 @@ def test_delta2_g_three_level_prefactor_chain():
 
 def test_delta2_g_normal_phase_frozen_value():
     p = SystemParams(g=1.0, lambda_a=0.2, gamma_a=1.0, gamma_b=1.0)
-    assert delta2_g("normal_phase", "photon", p).delta2 == pytest.approx(
+    assert delta2_g("normal_phase", "photon", p) == pytest.approx(
         3.1310999999999987, rel=1e-13
     )
 
@@ -286,11 +277,10 @@ def test_delta2_g_normal_phase_reads_the_thermal_bracket_from_params():
         expected = (big_g - 4 * g2l2) ** 2 * bracket / (
             16 * (1 + 2 * nb) * p.lambda_a**2 * big_g**2
         )
-        rep = delta2_g("normal_phase", "photon", replace(p, nbar=nb))
-        assert rep.delta2 == pytest.approx(expected, rel=1e-13), nb
-        assert rep.regime == "normal_phase"
+        value = delta2_g("normal_phase", "photon", replace(p, nbar=nb))
+        assert value == pytest.approx(expected, rel=1e-13), nb
     # a warm bath lowers the cold value 6.4735 to 3.0621 at nbar = 2
-    assert delta2_g("normal_phase", "photon", replace(p, nbar=2.0)).delta2 == pytest.approx(
+    assert delta2_g("normal_phase", "photon", replace(p, nbar=2.0)) == pytest.approx(
         3.0621498074074074, rel=1e-13
     )
 
@@ -301,7 +291,7 @@ def test_delta2_g_thermal_monotone_decreasing_in_nbar_subcritical():
     # uncertainty, saturating at Delta^2 (G + 4g^2 lam^2)/(16 lam^2 ga^4 gb^4)
     p = SystemParams(g=0.7, lambda_a=0.3, gamma_a=1.2, gamma_b=0.9)
     values = [
-        delta2_g("normal_phase", "photon", replace(p, nbar=nb)).delta2 for nb in (0, 1, 2, 5)
+        delta2_g("normal_phase", "photon", replace(p, nbar=nb)) for nb in (0, 1, 2, 5)
     ]
     assert all(a > b for a, b in zip(values, values[1:]))
     g2l2 = (p.g * p.lambda_a) ** 2
@@ -310,14 +300,14 @@ def test_delta2_g_thermal_monotone_decreasing_in_nbar_subcritical():
     asym = delta**2 * (big_g + 4 * g2l2) / (
         16 * p.lambda_a**2 * p.gamma_a**4 * p.gamma_b**4
     )
-    hot = delta2_g("normal_phase", "photon", replace(p, nbar=1e6)).delta2
+    hot = delta2_g("normal_phase", "photon", replace(p, nbar=1e6))
     assert hot == pytest.approx(asym, rel=1e-5)
 
 
 def test_delta2_g_critical_variants_differ_by_2_gamma_gamma():
     p = SystemParams(g=1.0, lambda_a=0.2, gamma_a=1.0, gamma_b=1.0)
-    printed = delta2_g("critical", "photon", p).delta2
-    derived = delta2_g("critical", "photon", p, variant="derived").delta2
+    printed = delta2_g("critical", "photon", p)
+    derived = delta2_g("critical", "photon", p, variant="derived")
     assert printed == pytest.approx(2.2499999999999996, rel=1e-13)
     assert derived == pytest.approx(
         printed * 2.0 * p.gamma_a * p.gamma_b, rel=1e-13
@@ -326,7 +316,7 @@ def test_delta2_g_critical_variants_differ_by_2_gamma_gamma():
 
 @pytest.mark.parametrize(
     "regime, observable",
-    [("gb0", "photon"), ("gb0", "homodyne"), ("gb0_kappa", "photon"),
+    [("gb0", "photon"), ("gb0", "homodyne"), ("gb0", "qcrb"),
      ("three_level", "qcrb"), ("normal_phase", "photon"), ("critical", "photon")],
 )
 def test_delta2_g_diverges_at_zero_drive(regime, observable):
@@ -341,14 +331,17 @@ def test_delta2_g_unknown_regime_raises():
     # the thermal form is normal_phase at params.nbar, not a regime of its own
     with pytest.raises(ValueError, match="unknown regime 'thermal'"):
         delta2_g("thermal", "photon", WORK)
+    # gb0 covers every kappa_e >= 0: there is no separate kappa_e regime
+    with pytest.raises(ValueError, match="unknown regime 'gb0_kappa'"):
+        delta2_g("gb0_kappa", "photon", replace(WORK, gamma_b=0.0))
 
 
 @pytest.mark.parametrize(
     "regime, observable, params, reason",
     [
-        ("gb0", "photon", dict(gamma_b=1.5), "gamma_b = kappa_e = 0"),
+        ("gb0", "photon", dict(gamma_b=1.5), "gamma_b = 0"),
         ("gb0", "homodyne", dict(kappa_e=0.1), "gamma_b = kappa_e = 0"),
-        ("gb0_kappa", "photon", dict(gamma_b=1.5, kappa_e=0.1), "gamma_b = 0"),
+        ("gb0", "photon", dict(gamma_b=1.5, kappa_e=0.1), "gamma_b = 0"),
         ("three_level", "qcrb", dict(gamma_b=0.5, nbar=0.4), "zero-temperature"),
     ],
     ids=["gb0-gamma_b", "gb0-kappa_e", "gb0_kappa-gamma_b", "three_level-nbar"],
@@ -369,18 +362,7 @@ def test_delta2_g_homodyne_phase_rejects_params_outside_its_regime(params):
         delta2_g_homodyne_phase(p, 0.0)
 
 
-# --- characteristic scales ------------------------------------------------------
-
-def test_characteristic_times():
-    p = SystemParams(g=0.2, lambda_a=0.5, gamma_a=4.0, gamma_b=0.8, kappa_e=0.1)
-    tau2 = characteristic_time(p, "two_photon")
-    assert tau2 == pytest.approx(4.0 * (p.kappa + 0.1) / (8 * 0.2 * 0.5), rel=1e-14)
-    assert characteristic_time(p, "single_photon") == pytest.approx(1.25)
-    with pytest.raises(DivergenceError):
-        characteristic_time(
-            SystemParams(g=0.0, lambda_a=0.5, gamma_a=4.0, gamma_b=0.8), "two_photon"
-        )
-
+# --- mean-field critical drive ------------------------------------------------
 
 def test_critical_lambda():
     p = SystemParams(g=0.5, lambda_a=0.1, gamma_a=2.0, gamma_b=0.6)

@@ -352,7 +352,37 @@ def test_run_uncertainty_branches_on_the_swept_point(tmp_path, capsys):
     assert [c["quantity"] for c in payload["comparisons"]] == [
         "delta2_g_printed_vs_moments@0.5", "delta2_g_printed_vs_moments@1"
     ]
-    assert "photon_vs_scaling" not in capsys.readouterr().out
+    assert "photon_vs_qcrb" not in capsys.readouterr().out
+
+
+def test_run_uncertainty_at_gamma_b_kappa_e_zero_reads_the_qfi(tmp_path, monkeypatch):
+    # at gamma_b = kappa_e = 0 the photon form is checked against 1 / QFI, so a
+    # wrong QFI fails the verdict
+    from pdclab import analytic
+
+    text = SWEPT + (
+        "params.gamma_b = 0.0\ntasks = uncertainty\n"
+        "sweep.parameter = g\nsweep.values = 0.05, 0.1, 0.3\n"
+    )
+    path = write(tmp_path, text)
+    assert main(["run", str(path), "--out-dir", str(tmp_path / "o")]) == 0
+    closed = analytic.qfi_gb0_closed
+    monkeypatch.setattr(analytic, "qfi_gb0_closed", lambda p: 2.0 * closed(p))
+    assert main(["run", str(path), "--out-dir", str(tmp_path / "bad")]) == 1
+    payload = json.loads((tmp_path / "bad" / "swept_uncertainty.json").read_text())
+    assert [c["quantity"] for c in payload["comparisons"]] == [
+        "delta2_g_photon_vs_qcrb@0.05", "delta2_g_photon_vs_qcrb@0.1",
+        "delta2_g_photon_vs_qcrb@0.3",
+    ]
+
+
+def test_run_supercritical_uncertainty_exits_3(tmp_path, capsys):
+    # lambda_c = gamma_a gamma_b / (2 g) = 50: no normal-phase moments at or above it
+    text = SWEPT + "params.gamma_b = 1.0\ntasks = uncertainty\nsweep.parameter = lambda_a\n"
+    for values in ("60.0", "50.0"):
+        path = write(tmp_path, text + f"sweep.values = {values}\n")
+        assert main(["run", str(path), "--out-dir", str(tmp_path / "o")]) == 3
+        assert "solver failure: StabilityError" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(

@@ -123,6 +123,16 @@ def test_coherent_state_clipped_tail_raises():
         coherent_state(3.0, FockSpace(10))
 
 
+def test_coherent_state_tail_at_large_occupation():
+    # exp(-800) underflows, but the Poisson tail P(N >= 1200) is only ~8.8e-40
+    space = FockSpace(1200)
+    psi = coherent_state(math.sqrt(800.0), space)
+    mean_n = expectation(number_operator(space), psi).real
+    assert mean_n == pytest.approx(800.0, rel=1e-12)
+    with pytest.raises(TruncationError):
+        coherent_state(math.sqrt(800.0), FockSpace(820))
+
+
 def test_tensor_state_is_kron():
     sa, sb = FockSpace(3), FockSpace(4)
     psi_a = fock_state(1, sa)

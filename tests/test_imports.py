@@ -2,7 +2,11 @@
 the package goes unreferenced (no linter ships with the package)."""
 
 import ast
+import inspect
 from pathlib import Path
+
+import pdclab
+from pdclab import errors
 
 ROOT = Path(__file__).resolve().parent.parent
 # the package's __init__ imports names only to re-export them
@@ -96,3 +100,29 @@ def test_no_unreferenced_private_names():
         if name not in used
     ]
     assert not found, "unreferenced private names:\n" + "\n".join(found)
+
+
+def package_imports() -> dict[str, set[str]]:
+    """Names pdclab/__init__.py imports, by the module it imports them from."""
+    tree = ast.parse((ROOT / "src" / "pdclab" / "__init__.py").read_text())
+    found: dict[str, set[str]] = {}
+    for node in tree.body:
+        if isinstance(node, ast.ImportFrom) and node.level == 1:
+            found.setdefault(node.module, set()).update(a.name for a in node.names)
+    return found
+
+
+def test_package_exports_every_public_name():
+    exported = package_imports()
+    modules = {p.stem for p in (ROOT / "src" / "pdclab").glob("*.py")} - {"__init__", "cli"}
+    assert set(exported) == modules
+    for name, names in exported.items():
+        module = getattr(pdclab, name)
+        if name == "errors":
+            public = {
+                n for n, obj in vars(errors).items()
+                if inspect.isclass(obj) and issubclass(obj, errors.PdclabError)
+            }
+        else:
+            public = set(module.__all__)
+        assert names == public, f"pdclab.{name}: __all__ and the package exports differ"

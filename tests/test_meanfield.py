@@ -193,26 +193,14 @@ def test_lyapunov_requires_stability():
 
 def test_delta2_routes_agree_at_zero_temperature():
     p = SystemParams(g=1.0, lambda_a=0.2, gamma_a=1.0, gamma_b=1.0)
-    printed = delta2_g_normal(p, "printed").delta2
-    moments = delta2_g_normal(p, "moments").delta2
+    printed = delta2_g("normal_phase", "photon", p)
+    moments = delta2_g_normal(p)
     assert printed == pytest.approx(moments, rel=1e-6)
-    assert printed == pytest.approx(
-        delta2_g("normal_phase", "photon", p).delta2, rel=1e-14
-    )
-
-
-def test_delta2_printed_path_is_thermal_form():
-    p = SystemParams(g=0.6, lambda_a=0.3, gamma_a=1.5, gamma_b=1.1)
-    for nbar in (0.0, 1.2, 4.0):
-        warm = replace(p, nbar=nbar)
-        via_normal = delta2_g_normal(warm, "printed").delta2
-        via_thermal = delta2_g("normal_phase", "photon", warm).delta2
-        assert via_normal == pytest.approx(via_thermal, rel=1e-13)
 
 
 def test_delta2_supercritical_raises():
     with pytest.raises(StabilityError):
-        delta2_g_normal(SUPER, "printed")
+        delta2_g_normal(SUPER)
 
 
 def test_delta2_routes_converge_at_criticality():
@@ -220,10 +208,10 @@ def test_delta2_routes_converge_at_criticality():
     lam_c = critical_lambda(SystemParams(g=g, lambda_a=1.0, gamma_a=gamma_a, gamma_b=gamma_b))
     p = SystemParams(g=g, lambda_a=0.9999 * lam_c, gamma_a=gamma_a, gamma_b=gamma_b)
     limit = (gamma_a * gamma_b - 2 * g * p.lambda_a) ** 2 / (2 * p.lambda_a**2)
-    printed = delta2_g_normal(p, "printed").delta2
-    moments = delta2_g_normal(p, "moments").delta2
+    printed = delta2_g("normal_phase", "photon", p)
+    moments = delta2_g_normal(p)
     assert printed == pytest.approx(limit, rel=2e-3)
     assert moments == pytest.approx(limit, rel=2e-3)
     # thermal occupation drops out in the critical limit
-    warm = delta2_g_normal(replace(p, nbar=5.0), "printed").delta2
+    warm = delta2_g("normal_phase", "photon", replace(p, nbar=5.0))
     assert warm == pytest.approx(printed, rel=5e-3)

@@ -297,6 +297,20 @@ def test_photon_stats_on_coherent_family():
     assert error_propagation(rec) == pytest.approx(0.25, rel=1e-7)
 
 
+@pytest.mark.parametrize("stats", (photon_stats, homodyne_stats))
+def test_stats_evaluate_each_family_point_once(stats):
+    space = FockSpace(20)
+    calls = []
+
+    def family(g):
+        calls.append(g)
+        return density_from_state(coherent_state(g, space))
+
+    stats(family, 0.8)
+    assert len(calls) == 3
+    assert calls[0] == 0.8
+
+
 def test_homodyne_stats_vacuum_noise():
     space = FockSpace(30)
 
