@@ -18,7 +18,7 @@ import math
 import sys
 from collections.abc import Callable
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import InitVar, asdict, dataclass, field, fields, replace
+from dataclasses import MISSING, InitVar, asdict, dataclass, field, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -31,6 +31,7 @@ from .hilbert import expectation, number_operator
 SCHEMA_VERSION = 3
 
 _PARAM_FIELDS = tuple(f.name for f in fields(SystemParams))
+_REQUIRED_PARAMS = tuple(f.name for f in fields(SystemParams) if f.default is MISSING)
 
 _DEFAULTS = {
     "truncation.signal_dim": 40,
@@ -111,7 +112,7 @@ def parse_config(path: str | Path) -> Scenario:
         key = f"params.{f}"
         if key in raw:
             params_kwargs[f] = _parse_scalar(key, raw[key])
-    for required in ("g", "lambda_a", "gamma_a", "gamma_b"):
+    for required in _REQUIRED_PARAMS:
         if required not in params_kwargs:
             raise ConfigError(f"missing required key params.{required}")
     try:
@@ -250,6 +251,9 @@ def _qfi(scenario: Scenario, value: float, p: SystemParams):
 
 def _uncertainty(scenario: Scenario, value: float, p: SystemParams):
     if p.gamma_b > 0:
+        # the two routes coincide only for a zero-temperature bath
+        if p.nbar != 0:
+            raise ConfigError("uncertainty task compares routes at nbar = 0")
         # the moment route first: at and above threshold it raises StabilityError
         other = meanfield.delta2_g_normal(p)
         closed = analytic.delta2_g("normal_phase", "photon", p)
@@ -301,8 +305,13 @@ def _occupation_rule(scenario: Scenario, table):
     ]
 
 
+def _sensor_optimum(p: SystemParams) -> float:
+    """The coupling sqrt(gamma_a kappa_e / 2) that minimizes delta^2 lambda_a."""
+    return math.sqrt(p.gamma_a * p.kappa_e / 2.0)
+
+
 def _sensor_grid(p: SystemParams):
-    g_star = math.sqrt(p.gamma_a * p.kappa_e / 2.0) if p.kappa_e > 0 else p.g
+    g_star = _sensor_optimum(p) if p.kappa_e > 0 else p.g
     return [g_star * f for f in (0.25, 0.5, 0.75, 1.0, 1.5, 2.0, 3.0)]
 
 
@@ -322,7 +331,7 @@ def _sensor_rule(scenario: Scenario, table):
              worst["delta2_lambda"], worst["delta2_vs_Nb"], 1e-12)]
     if p.kappa_e > 0:
         best = min(table, key=lambda row: row["delta2_lambda"])
-        g_true = math.sqrt(p.gamma_a * p.kappa_e / 2.0)
+        g_true = _sensor_optimum(p)
         spacing = max(
             abs(b["g"] - a["g"]) for a, b in zip(table, table[1:])
         ) if len(table) > 1 else abs(best["g"])
@@ -343,7 +352,6 @@ class Task:
     worker: Callable  # (scenario, value, params) -> table row
     rule: Callable  # (scenario, table) -> [(quantity, analytic, numeric, tolerance)]
     points: Callable = _sweep_points  # scenario -> [(value, params)]
-    requires: tuple[Callable, str] | None = None  # (predicate on params, error)
 
 
 TASKS = {
@@ -360,17 +368,12 @@ TASKS = {
         _qfi,
         _each_point("qfi_gaussian_vs_closed", "F_closed", "F_gaussian",
                     lambda sc: max(sc.rel_tol, 1e-5)),
-        requires=(lambda p: p.gamma_b == 0 and p.kappa_e > 0,
-                  "qfi task needs gamma_b = 0 and kappa_e > 0"),
     ),
     "uncertainty": Task(
         "delta^2 g: closed form vs independently assembled route",
         ("value", "delta2_closed", "delta2_other", "rel_dev"),
         _uncertainty,
         lambda sc, table: [row["comparison"] for row in table],
-        # the two routes coincide only for a zero-temperature bath
-        requires=(lambda p: p.gamma_b == 0 or p.nbar == 0,
-                  "uncertainty task compares routes at nbar = 0"),
     ),
     "meanfield": Task(
         "phase structure: branch existence / stability / critical drive",
@@ -399,19 +402,8 @@ TASKS = {
         _sensor,
         _sensor_rule,
         points=_g_points(_sensor_grid),
-        # lambda_a^2 / N_b is 0/0 without drive, and the moment route needs g > 0
-        requires=(lambda p: p.gamma_b == 0 and p.lambda_a != 0 and p.g > 0,
-                  "requires lambda_a != 0, g > 0 and gamma_b = 0 (sensor task)"),
     ),
 }
-
-
-def _checked_points(task: Task, scenario: Scenario) -> list[tuple[float, SystemParams]]:
-    """The task's points, with its precondition checked at every one."""
-    points = task.points(scenario)
-    if task.requires is not None and not all(task.requires[0](p) for _, p in points):
-        raise ConfigError(task.requires[1])
-    return points
 
 
 def _run_task(task: Task, scenario: Scenario, points, threads: int):
@@ -482,26 +474,17 @@ def report(rows: list[ComparisonRow]) -> str:
 # --- entry points -----------------------------------------------------------------
 
 def run(config_path: str, out_dir: str = ".", threads: int = 1) -> int:
+    """Compute every task, then write its files: a run that exits 2 or 3 writes none."""
     try:
         scenario = parse_config(config_path)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
-
-    out = Path(out_dir)
-    all_rows: list[ComparisonRow] = []
-    try:
-        # every task's points and preconditions before any task computes, so
-        # a config error writes no file
-        plan = [(name, _checked_points(TASKS[name], scenario)) for name in scenario.tasks]
-        out.mkdir(parents=True, exist_ok=True)
-        for name, points in plan:
-            task = TASKS[name]
-            rows, table = _run_task(task, scenario, points, threads)
-            stem = f"{scenario.name}_{name}"
-            write_csv(out / f"{stem}.csv", task.columns, table)
-            write_json(out / f"{stem}.json", scenario, name, task.columns, table, rows)
-            all_rows.extend(rows)
+        # every task's points first, so a sweep a task cannot take fails
+        # before any task computes; the library rejects a point outside a
+        # task's domain when the task computes it
+        plan = [(name, TASKS[name].points(scenario)) for name in scenario.tasks]
+        results = [
+            (name, *_run_task(TASKS[name], scenario, points, threads))
+            for name, points in plan
+        ]
     except (ConfigError, ValueError) as exc:
         # ValueError: parameter combinations rejected by model-level validation
         print(f"config error: {exc}", file=sys.stderr)
@@ -510,6 +493,14 @@ def run(config_path: str, out_dir: str = ".", threads: int = 1) -> int:
         print(f"solver failure: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 3
 
+    out = Path(out_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    all_rows: list[ComparisonRow] = []
+    for name, rows, table in results:
+        columns, stem = TASKS[name].columns, f"{scenario.name}_{name}"
+        write_csv(out / f"{stem}.csv", columns, table)
+        write_json(out / f"{stem}.json", scenario, name, columns, table, rows)
+        all_rows.extend(rows)
     print(report(all_rows))
     return 0 if all(r.passed for r in all_rows) else 1
 
@@ -519,8 +510,7 @@ def print_defaults() -> int:
     print("name = scenario")
     print("tasks = steady_moments            # comma list:", ", ".join(TASKS))
     for f in _PARAM_FIELDS:
-        required = f in ("g", "lambda_a", "gamma_a", "gamma_b")
-        mark = "required" if required else "optional"
+        mark = "required" if f in _REQUIRED_PARAMS else "optional"
         print(f"params.{f} = 0.0                  # {mark}")
     print("# sweep.parameter = g")
     print("# sweep.values = 0.02, 0.05, 0.1")

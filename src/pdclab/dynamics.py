@@ -99,6 +99,9 @@ class SystemParams:
     nbar: float = 0.0
 
     def __post_init__(self):
+        for name, value in vars(self).items():
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value!r}")
         if self.gamma_a < 0 or self.gamma_b < 0:
             raise ValueError("single-photon rates must be non-negative")
         if self.kappa_e < 0:

@@ -4,11 +4,13 @@ import csv
 import json
 import subprocess
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import pytest
 
 from pdclab.cli import ComparisonRow, main, parse_config
+from pdclab.dynamics import SystemParams
 from pdclab.errors import ConfigError
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
@@ -34,6 +36,11 @@ def write(tmp_path, text, name="scenario.cfg"):
     path = tmp_path / name
     path.write_text(text)
     return path
+
+
+def params_text(**overrides) -> str:
+    values = {"g": 0.1, "lambda_a": 1.0, "gamma_a": 10.0, "gamma_b": 1.0, **overrides}
+    return "".join(f"params.{key} = {value}\n" for key, value in values.items())
 
 
 def test_parse_config_round_trip(tmp_path):
@@ -123,6 +130,18 @@ def test_parse_config_invalid_params_rejected(tmp_path):
     )
     with pytest.raises(ConfigError, match="invalid parameters"):
         parse_config(path)
+
+
+@pytest.mark.parametrize("value", ("nan", "inf", "-inf"))
+@pytest.mark.parametrize("name", [f.name for f in fields(SystemParams)])
+def test_run_rejects_non_finite_parameters(tmp_path, capsys, name, value):
+    # nan < 0 is False: a sign check alone lets non-finite values through
+    text = "tasks = uncertainty\n" + params_text(**{"kappa_e": 0.1, "nbar": 0.0, name: value})
+    out = tmp_path / "o"
+    assert main(["run", str(write(tmp_path, text)), "--out-dir", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert f"config error: invalid parameters: {name} must be finite" in err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize(
@@ -390,10 +409,10 @@ def test_run_supercritical_uncertainty_exits_3(tmp_path, capsys):
     [
         ("params.gamma_b = 1.0\n", "nbar\nsweep.values = 0, 2", "uncertainty",
          "uncertainty task compares routes at nbar = 0"),
-        ("params.gamma_b = 0.0\nparams.kappa_e = 0.1\n", "kappa_e\nsweep.values = 0.1, 0",
-         "qfi", "qfi task needs gamma_b = 0 and kappa_e > 0"),
+        ("params.gamma_b = 0.0\nparams.kappa_e = 0.1\n", "gamma_b\nsweep.values = 0, 0.5",
+         "qfi", "this branch form holds only at gamma_b = 0"),
     ],
-    ids=["uncertainty-nbar", "qfi-kappa_e"],
+    ids=["uncertainty-nbar", "qfi-gamma_b"],
 )
 def test_run_checks_task_preconditions_at_every_point(tmp_path, capsys, rates, sweep, task,
                                                       message):
@@ -401,6 +420,46 @@ def test_run_checks_task_preconditions_at_every_point(tmp_path, capsys, rates, s
     assert main(["run", str(write(tmp_path, text)), "--out-dir", str(tmp_path / "o")]) == 2
     assert f"config error: {message}" in capsys.readouterr().err
     assert not (tmp_path / "o" / f"swept_{task}.csv").exists()
+
+
+@pytest.mark.parametrize(
+    "params, tasks, code, message",
+    [
+        (dict(gamma_b=0.5, kappa_e=0.1), "meanfield, qfi", 2,
+         "config error: this branch form holds only at gamma_b = 0"),
+        (dict(lambda_a=0.0, gamma_b=0.0, kappa_e=0.1), "occupation, sensor", 2,
+         "config error: requires lambda_a != 0"),
+        (dict(nbar=0.5), "gap, uncertainty", 2,
+         "config error: uncertainty task compares routes at nbar = 0"),
+        (dict(nbar=0.5), "meanfield, occupation", 2,
+         "config error: three-level equations assume a zero-temperature signal bath"),
+        (dict(nbar=0.5), "meanfield, steady_moments", 2,
+         "config error: moment series assumes a zero-temperature signal bath"),
+        (dict(g=0.0), "gap, meanfield", 2, "config error: critical drive undefined at g <= 0"),
+        (dict(g=0.0, gamma_b=0.0, kappa_e=0.1), "occupation, qfi", 2,
+         "config error: requires g > 0"),
+        (dict(gamma_b=0.0, kappa_e=0.05), "occupation, steady_moments", 3,
+         "solver failure: SteadyStateDegenerateError"),
+        (dict(gamma_b=0.0), "qfi", 0, None),
+    ],
+    ids=["qfi-gamma_b", "sensor-lambda_a", "uncertainty-nbar", "occupation-nbar",
+         "steady_moments-nbar", "meanfield-g", "qfi-g", "steady_moments-degenerate",
+         "qfi-kappa_e-zero"],
+)
+def test_run_writes_files_only_when_every_task_succeeds(tmp_path, capsys, params, tasks,
+                                                        code, message):
+    # the library function that owns a task's domain rejects the point when
+    # the task computes it; by then the earlier task has computed, not written
+    text = f"name = d\ntasks = {tasks}\ntruncation.signal_dim = 12\n" + params_text(**params)
+    out = tmp_path / "o"
+    assert main(["run", str(write(tmp_path, text)), "--out-dir", str(out)]) == code
+    err = capsys.readouterr().err
+    if code == 0:
+        assert err == ""
+        assert sorted(p.name for p in out.iterdir()) == [f"d_{tasks}.csv", f"d_{tasks}.json"]
+    else:
+        assert message in err
+        assert not out.exists()
 
 
 @pytest.mark.parametrize("task", ("occupation", "sensor"))
@@ -449,7 +508,7 @@ def test_run_zero_drive_sensor_exits_2(tmp_path, capsys):
 
 
 def test_run_zero_drive_sensor_writes_no_earlier_task(tmp_path, capsys):
-    # the sensor's precondition fails before qfi, listed first, computes
+    # qfi, listed first, computes; the sensor's domain error then writes nothing
     text = ZERO_DRIVE + "params.gamma_b = 0.0\nparams.kappa_e = 0.1\ntasks = qfi, sensor\n"
     out = tmp_path / "o"
     assert main(["run", str(write(tmp_path, text)), "--out-dir", str(out)]) == 2

@@ -12,7 +12,6 @@ ROOT = Path(__file__).resolve().parent.parent
 # the package's __init__ imports names only to re-export them
 SCANNED = sorted(
     [p for p in (ROOT / "src" / "pdclab").glob("*.py") if p.name != "__init__.py"]
-    + list((ROOT / "scripts").glob("*.py"))
     + list((ROOT / "tests").glob("*.py"))
 )
 
