@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 
 from scipy.optimize import minimize_scalar
 
@@ -71,24 +71,19 @@ def qfi_closed_form(initial, t: float) -> float:
 
     The generator of g is G = a b^dag^2 + a^dag b^2; for a g-independent
     family under exp(-iHt) the QFI is 4 t^2 Var(G), which collapses to a
-    closed form for each product initial state.
+    closed form for each product initial state. A pump of mean occupation a1
+    (coherent or Fock) with a signal Fock state n gives
+    4 (a1 (2n^2 + 2n + 2) + n (n - 1)) t^2; a coherent signal of mean
+    occupation a2 gives 4 (a2^2 + 4 a1 a2 + 2 a1) t^2.
     """
-    if isinstance(initial, Semiclassical):
-        if initial.alpha_sq < 0 or initial.n < 0:
-            raise ValueError("occupations must be non-negative")
-        a2, n = initial.alpha_sq, initial.n
-        return 4.0 * (a2 * (2 * n * n + 2 * n + 2) + n * (n - 1)) * t * t
-    if isinstance(initial, FullyQuantum):
-        if initial.n1 < 0 or initial.n2 < 0:
-            raise ValueError("occupations must be non-negative")
-        n1, n2 = initial.n1, initial.n2
-        return 4.0 * (n1 * (2 * n2 * n2 + 2 * n2 + 2) + n2 * (n2 - 1)) * t * t
+    if not isinstance(initial, (Semiclassical, FullyQuantum, Classical)):
+        raise TypeError(f"unknown initial-state class {type(initial).__name__}")
+    a1, a2 = astuple(initial)
+    if a1 < 0 or a2 < 0:
+        raise ValueError("occupations must be non-negative")
     if isinstance(initial, Classical):
-        if initial.alpha1_sq < 0 or initial.alpha2_sq < 0:
-            raise ValueError("occupations must be non-negative")
-        # quoted large-occupation result; not a small-alpha identity
-        return initial.alpha2_sq**2 * t * t
-    raise TypeError(f"unknown initial-state class {type(initial).__name__}")
+        return 4.0 * (a2 * a2 + 4 * a1 * a2 + 2 * a1) * t * t
+    return 4.0 * (a1 * (2 * a2 * a2 + 2 * a2 + 2) + a2 * (a2 - 1)) * t * t
 
 
 def optimal_allocation(n_total: float, t: float) -> tuple[float, float]:
@@ -217,6 +212,8 @@ def qfi_gb0_closed(params: SystemParams) -> float:
 
     F = 2 lambda_a (kappa_e gamma_a - 2g^2)^2 / (g (kappa_e gamma_a + 2g^2)^3).
     """
+    if params.gamma_b != 0:
+        raise ValueError("this branch form holds only at gamma_b = 0")
     g, lam = params.g, params.lambda_a
     if g <= 0:
         raise ValueError("requires g > 0")
@@ -238,12 +235,7 @@ def delta2_g_homodyne_phase(params: SystemParams, phi: float) -> float:
     return 2.0 * g**3 / (lam * factor * factor)
 
 
-def delta2_g(
-    regime: str,
-    observable: str,
-    params: SystemParams,
-    variant: str = "printed",
-) -> float:
+def delta2_g(regime: str, observable: str, params: SystemParams) -> float:
     """Measurement uncertainty delta^2 g, by regime and observable.
 
     Regimes: gb0 (gamma_b = 0, any kappa_e >= 0), three_level (g -> 0 limit of
@@ -253,10 +245,10 @@ def delta2_g(
     g (kappa_e gamma_a + 2g^2)^3 / (2 lambda_a (kappa_e gamma_a - 2g^2)^2),
     which is g^3 / lambda_a at kappa_e = 0; homodyne, 2 g^3 / lambda_a, has a
     closed form only at kappa_e = 0. normal_phase is the thermal form at
-    params.nbar (at nbar = 0, the zero-temperature form bit for bit). Forms
-    are evaluated as printed; the critical regime also offers
-    variant="derived", the limit of the normal-phase form, which differs from
-    the printed value by a factor 2 gamma_a gamma_b (recorded inconsistency).
+    params.nbar (at nbar = 0, the zero-temperature form bit for bit). The
+    critical form is the printed one, (gamma_a gamma_b - 2 g lambda_a)^2 /
+    (4 lambda_a^2 gamma_a gamma_b): a factor 2 gamma_a gamma_b below the limit
+    of the normal-phase form (recorded inconsistency, criterion 9).
     Every form diverges at lambda_a = 0: DivergenceError.
     """
     g, lam = params.g, params.lambda_a
@@ -276,11 +268,7 @@ def delta2_g(
                 )
             val = g * (ke_ga + 2 * g * g) ** 3 / denom
         elif observable == "homodyne":
-            if params.kappa_e != 0:
-                raise ValueError(
-                    "the gb0 homodyne form holds only at gamma_b = kappa_e = 0"
-                )
-            val = 2.0 * g**3 / lam
+            val = delta2_g_homodyne_phase(params, 0.0)
         else:
             raise ValueError(f"unknown observable {observable!r}")
 
@@ -311,13 +299,8 @@ def delta2_g(
             val = delta**2 * bracket / (
                 16 * (1 + 2 * nbar) * lam * lam * ga**4 * gb**4
             )
-        elif variant == "printed":
-            val = (ga * gb - 2 * g * lam) ** 2 / (4 * lam * lam * ga * gb)
-        elif variant == "derived":
-            # exact critical limit of the normal-phase form, nbar-independent
-            val = (ga * gb - 2 * g * lam) ** 2 / (2 * lam * lam)
         else:
-            raise ValueError(f"unknown variant {variant!r}")
+            val = (ga * gb - 2 * g * lam) ** 2 / (4 * lam * lam * ga * gb)
 
     else:
         raise ValueError(f"unknown regime {regime!r}")

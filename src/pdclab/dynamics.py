@@ -575,20 +575,15 @@ def three_level_evolve(params: SystemParams, rho0: DensityMatrix, t: float) -> D
     return DensityMatrix(rho, FockSpace(3), tol=1e-7)
 
 
-def three_level_steady(
-    params: SystemParams, coherence_variant: str = "corrected"
-) -> DensityMatrix:
+def three_level_steady(params: SystemParams) -> DensityMatrix:
     """Closed-form steady state of the three-level model.
 
     With A = 2g^2 + gamma_a(kappa_e + gamma_b) and
     D = 2A^2 + 4 g^2 lambda_a^2:
     rho00 = (2A^2 + g^2 lambda_a^2)/D, rho11 = 2 g^2 lambda_a^2/D,
-    rho22 = g^2 lambda_a^2/D, rho10 = rho21 = 0.
-
-    The 2-0 coherence satisfying the stationarity conditions is
-    rho20 = -i sqrt(2) g A lambda_a / D ("corrected", the default, which the
-    Liouvillian oracle confirms); coherence_variant="printed" selects the
-    variant without the sqrt(2) for documentation purposes.
+    rho22 = g^2 lambda_a^2/D, rho10 = rho21 = 0, and
+    rho20 = -i sqrt(2) g A lambda_a / D, the coherence the Liouvillian
+    confirms (the printed form lacks the sqrt(2); README, Quirks).
     """
     _three_level_rates(params)  # gamma_a > 0 and a zero-temperature bath
     g, lam = params.g, params.lambda_a
@@ -598,12 +593,7 @@ def three_level_steady(
     rho[0, 0] = (2 * a_const * a_const + g * g * lam * lam) / d_const
     rho[1, 1] = 2 * g * g * lam * lam / d_const
     rho[2, 2] = g * g * lam * lam / d_const
-    if coherence_variant == "corrected":
-        w = math.sqrt(2.0) * g * a_const * lam / d_const
-    elif coherence_variant == "printed":
-        w = g * a_const * lam / d_const
-    else:
-        raise ValueError(f"unknown coherence_variant {coherence_variant!r}")
+    w = math.sqrt(2.0) * g * a_const * lam / d_const
     rho[2, 0] = -1j * w
     rho[0, 2] = 1j * w
     return DensityMatrix(rho, FockSpace(3), tol=1e-12)
@@ -611,7 +601,5 @@ def three_level_steady(
 
 def three_level_occupation(params: SystemParams) -> float:
     """Signal occupation N_b = rho11 + 2 rho22 of the three-level steady state."""
-    _three_level_rates(params)  # gamma_a > 0 and a zero-temperature bath
-    g, lam = params.g, params.lambda_a
-    a_const = 2 * g * g + params.gamma_a * (params.kappa_e + params.gamma_b)
-    return 2 * g * g * lam * lam / (a_const * a_const + 2 * g * g * lam * lam)
+    rho = three_level_steady(params).matrix
+    return float(rho[1, 1].real + 2 * rho[2, 2].real)

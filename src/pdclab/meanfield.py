@@ -59,11 +59,16 @@ class StabilityReport:
 class FluctuationMoments:
     n_fluct: float
     anom: complex
-    fourth: float
 
     def __post_init__(self):
         if self.n_fluct < 0:
             raise ValueError(f"negative fluctuation occupation {self.n_fluct}")
+
+    @property
+    def fourth(self) -> float:
+        """<(db^dag db)^2> by zero-mean Gaussian decoupling: 2n^2 + n + |anom|^2."""
+        n = self.n_fluct
+        return 2 * n * n + n + abs(self.anom) ** 2
 
 
 def mean_field_residual(params: SystemParams, sol: MeanFieldSolution) -> float:
@@ -144,40 +149,23 @@ def _require_normal_phase(params: SystemParams):
         )
 
 
-def fluct_moments_analytic(params: SystemParams, verbatim: bool = False) -> FluctuationMoments:
+def fluct_moments_analytic(params: SystemParams) -> FluctuationMoments:
     """Closed-form stationary fluctuation moments in the normal phase.
 
     With nbar = params.nbar, the signal-bath occupation,
     n = (2 g^2 lambda_a^2 + gamma_a^2 gamma_b^2 nbar) / Delta,
     <(db)^2> = -i g lambda_a gamma_a gamma_b (1 + 2 nbar) / Delta,
-    Delta = gamma_a^2 gamma_b^2 - 4 g^2 lambda_a^2, and the fourth moment by
-    zero-mean Gaussian decoupling 2n^2 + n + |anom|^2 (identically the quoted
-    quartic form at nbar = 0).
-
-    verbatim=True reproduces the quoted zero-temperature expressions letter by
-    letter: denominator gamma_a gamma_b - 4 g^2 lambda_a^2 and a 1/2 on the
-    anomalous moment. Both are inconsistent with the Lyapunov solution and
-    with the quoted quartic form; kept only for comparison.
+    Delta = gamma_a^2 gamma_b^2 - 4 g^2 lambda_a^2; the fourth moment is
+    identically the quoted quartic form at nbar = 0. The printed
+    zero-temperature forms differ (README, Quirks).
     """
     _require_normal_phase(params)
     g, lam, nbar = params.g, params.lambda_a, params.nbar
     ga, gb = params.gamma_a, params.gamma_b
-    if verbatim:
-        if nbar != 0:
-            raise ValueError("verbatim forms are zero-temperature only")
-        delta_p = ga * gb - 4 * g * g * lam * lam
-        n = 2 * g * g * lam * lam / delta_p
-        anom = -1j * g * lam * ga * gb / (2 * delta_p)
-        fourth = (
-            3 * g * g * lam * lam * ga * ga * gb * gb
-            / (ga * ga * gb * gb - 4 * g * g * lam * lam) ** 2
-        )
-        return FluctuationMoments(n, anom, fourth)
     delta = ga * ga * gb * gb - 4 * g * g * lam * lam
     n = (2 * g * g * lam * lam + ga * ga * gb * gb * nbar) / delta
     anom = -1j * g * lam * ga * gb * (1 + 2 * nbar) / delta
-    fourth = 2 * n * n + n + abs(anom) ** 2
-    return FluctuationMoments(n, anom, fourth)
+    return FluctuationMoments(n, anom)
 
 
 def fluct_moments_lyapunov(
@@ -203,8 +191,7 @@ def fluct_moments_lyapunov(
     anom = complex(m[2, 2])
     if -1e-12 < n < 0:
         n = 0.0
-    fourth = 2 * n * n + n + abs(anom) ** 2
-    return FluctuationMoments(n, anom, fourth)
+    return FluctuationMoments(n, anom)
 
 
 def delta2_g_normal(params: SystemParams) -> float:

@@ -13,6 +13,7 @@ from pdclab.analytic import (
     Classical,
     FullyQuantum,
     Semiclassical,
+    SensorOptimum,
     critical_lambda,
     delta2_g,
     delta2_g_homodyne_phase,
@@ -24,9 +25,24 @@ from pdclab.analytic import (
     _series_f,
     qfi_gb0_closed,
 )
-from pdclab.dynamics import SystemParams, build_reduced_model, steady_state
+from pdclab.dynamics import (
+    SystemParams,
+    build_full_model,
+    build_reduced_model,
+    evolve_closed,
+    steady_state,
+    three_level_steady,
+)
 from pdclab.errors import DivergenceError, SeriesConvergenceError
-from pdclab.hilbert import FockSpace, annihilation, expectation, number_operator
+from pdclab.hilbert import (
+    FockSpace,
+    annihilation,
+    coherent_state,
+    expectation,
+    number_operator,
+    tensor_state,
+)
+from pdclab.metrology import error_propagation, photon_stats, qfi_pure
 
 WORK = SystemParams(g=0.4, lambda_a=0.9, gamma_a=6.0, gamma_b=0.5, kappa_e=0.1)
 
@@ -194,9 +210,28 @@ def test_qfi_closed_forms_hand_values():
     # signal vacuum: pump-limited 8 alpha^2 t^2
     assert qfi_closed_form(Semiclassical(2.0, 0.0), t) == pytest.approx(16.0)
     assert qfi_closed_form(FullyQuantum(2.0, 0.0), t) == pytest.approx(16.0)
-    assert qfi_closed_form(Classical(2.0, 3.0), t) == pytest.approx(9.0)
+    # coherent x coherent: 4 (a2^2 + 4 a1 a2 + 2 a1) t^2
+    assert qfi_closed_form(Classical(2.0, 3.0), t) == pytest.approx(148.0)
     # time enters squared
     assert qfi_closed_form(Semiclassical(1.0, 1.0), 2.0) == pytest.approx(96.0)
+
+
+@pytest.mark.parametrize("a1, a2, d_a, d_b", [(0.5, 1.0, 12, 16), (1.0, 0.5, 14, 14)])
+def test_qfi_closed_form_classical_matches_closed_evolution(a1, a2, d_a, d_b):
+    # criterion 3's set-up with a coherent signal: 4 t^2 Var(G) of coherent x coherent
+    t = 0.1
+    psi0 = tensor_state(
+        coherent_state(math.sqrt(a1), FockSpace(d_a)),
+        coherent_state(math.sqrt(a2), FockSpace(d_b)),
+    )
+
+    def family(g):
+        h = build_full_model(SystemParams(g=g, lambda_a=0.0, gamma_a=1.0, gamma_b=0.0),
+                             d_a, d_b).hamiltonian
+        return evolve_closed(h, psi0, t, rtol=1e-10, atol=1e-12)
+
+    value = qfi_pure(family, 1.0).value
+    assert qfi_closed_form(Classical(a1, a2), t) == pytest.approx(value, rel=1e-6)
 
 
 def test_qfi_closed_form_input_validation():
@@ -241,6 +276,12 @@ def test_delta2_g_gb0_kappa_saturates_qcrb():
     assert delta2_g("gb0", "qcrb", p) == pytest.approx(photon, rel=1e-14)
 
 
+def test_qfi_gb0_closed_requires_gamma_b_zero():
+    p = SystemParams(g=0.1, lambda_a=1.0, gamma_a=10.0, gamma_b=0.5, kappa_e=0.1)
+    with pytest.raises(ValueError, match="holds only at gamma_b = 0"):
+        qfi_gb0_closed(p)
+
+
 def test_delta2_g_gb0_kappa_divergence_at_impedance_match():
     # kappa_e gamma_a = 2 g^2 makes the closed form blow up
     p = SystemParams(g=1.0, lambda_a=1.0, gamma_a=2.0, gamma_b=0.0, kappa_e=1.0)
@@ -259,6 +300,15 @@ def test_delta2_g_three_level_prefactor_chain():
     assert homodyne == pytest.approx(scale, rel=1e-13)
     assert qcrb <= photon <= homodyne
     assert photon == pytest.approx(6.749999999999998, rel=1e-14)
+
+
+def test_delta2_g_three_level_photon_matches_error_propagation():
+    # photon counting on the closed-form three-level family, numerically
+    # differentiated; <b> = 0 there, so homodyne has no such route
+    p = SystemParams(g=1e-4, lambda_a=0.1, gamma_a=1.0, gamma_b=0.5, kappa_e=0.1)
+    rec = photon_stats(lambda g: three_level_steady(replace(p, g=g)), p.g)
+    numeric = error_propagation(rec)
+    assert numeric == pytest.approx(delta2_g("three_level", "photon", p), rel=1e-5)
 
 
 def test_delta2_g_normal_phase_frozen_value():
@@ -307,7 +357,8 @@ def test_delta2_g_thermal_monotone_decreasing_in_nbar_subcritical():
 def test_delta2_g_critical_variants_differ_by_2_gamma_gamma():
     p = SystemParams(g=1.0, lambda_a=0.2, gamma_a=1.0, gamma_b=1.0)
     printed = delta2_g("critical", "photon", p)
-    derived = delta2_g("critical", "photon", p, variant="derived")
+    # the critical limit of the normal-phase form, as criterion 9 computes it
+    derived = (p.gamma_a * p.gamma_b - 2 * p.g * p.lambda_a) ** 2 / (2 * p.lambda_a**2)
     assert printed == pytest.approx(2.2499999999999996, rel=1e-13)
     assert derived == pytest.approx(
         printed * 2.0 * p.gamma_a * p.gamma_b, rel=1e-13
@@ -384,6 +435,15 @@ def test_lambda_sensor_identity_and_optimum():
     assert opt.stated_g == pytest.approx(math.sqrt(10.0 * 0.1))
     assert opt.value_at_stated_g == pytest.approx(1.5, rel=1e-12)
     assert opt.value_at_stated_g > opt.value
+
+
+def test_lambda_sensor_has_no_interior_optimum_without_intrinsic_loss():
+    # at kappa_e = 0 delta^2 lambda_a = lambda_a g falls without bound as g -> 0
+    p = SystemParams(g=0.1, lambda_a=1.0, gamma_a=10.0, gamma_b=0.0)
+    d2, d2_nb, opt = lambda_sensor(p)
+    assert d2 == pytest.approx(0.1, rel=1e-14)
+    assert d2 == pytest.approx(d2_nb, rel=1e-14)
+    assert opt == SensorOptimum(0.0, 0.0, 0.0, 0.0, 0.0)
 
 
 def test_lambda_sensor_requires_lossless_signal():

@@ -500,6 +500,19 @@ def test_run_zero_drive_uncertainty_exits_3(tmp_path, capsys, rates):
     assert "solver failure: DivergenceError" in capsys.readouterr().err
 
 
+def test_run_sensor_without_intrinsic_loss_checks_only_the_identity(tmp_path):
+    # at kappa_e = 0 there is no interior optimum: no argmin or minimum rows
+    text = "name = lossless\ntasks = sensor\n" + params_text(gamma_b=0.0)
+    assert main(["run", str(write(tmp_path, text)), "--out-dir", str(tmp_path / "o")]) == 0
+    payload = json.loads((tmp_path / "o" / "lossless_sensor.json").read_text())
+    assert [c["quantity"] for c in payload["comparisons"]] == [
+        "sensor_identity_delta2_vs_Nb_route@g=0.025"
+    ]
+    assert [row[0] for row in payload["rows"]] == pytest.approx(
+        [0.1 * f for f in (0.25, 0.5, 0.75, 1.0, 1.5, 2.0, 3.0)]
+    )
+
+
 def test_run_zero_drive_sensor_exits_2(tmp_path, capsys):
     # lambda_a^2 / N_b is 0/0 without drive: the sensor is undefined there
     text = ZERO_DRIVE + "params.gamma_b = 0.0\nparams.kappa_e = 0.1\ntasks = sensor\n"

@@ -350,7 +350,10 @@ def test_three_level_steady_matches_liouvillian_and_frozen_values():
 def test_three_level_printed_coherence_differs_by_sqrt2():
     p = SystemParams(g=0.3, lambda_a=0.7, gamma_a=5.0, gamma_b=0.4, kappa_e=0.2)
     corrected = three_level_steady(p).matrix[2, 0]
-    printed = three_level_steady(p, coherence_variant="printed").matrix[2, 0]
+    # the paper's printed rho20 = -i g A lambda_a / D
+    a_const = 2 * p.g**2 + p.gamma_a * (p.kappa_e + p.gamma_b)
+    d_const = 2 * a_const**2 + 4 * (p.g * p.lambda_a) ** 2
+    printed = -1j * p.g * a_const * p.lambda_a / d_const
     assert corrected == pytest.approx(math.sqrt(2.0) * printed, rel=1e-14)
 
 

@@ -134,16 +134,6 @@ def test_fourth_moment_identity_zero_temperature(g, gamma_a, gamma_b, frac):
     )
 
 
-def test_verbatim_variant_reproduces_printed_forms():
-    p = SystemParams(g=1.0, lambda_a=0.1, gamma_a=1.0, gamma_b=1.0)
-    fm = fluct_moments_analytic(p, verbatim=True)
-    g2l2 = (p.g * p.lambda_a) ** 2
-    denom = p.gamma_a * p.gamma_b - 4 * g2l2
-    assert fm.n_fluct == pytest.approx(2 * g2l2 / denom, rel=1e-14)
-    with pytest.raises(ValueError):
-        fluct_moments_analytic(replace(p, nbar=0.5), verbatim=True)
-
-
 @settings(max_examples=25, deadline=None)
 @given(
     g=st.floats(0.05, 2.0),
