@@ -30,6 +30,7 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from scipy.integrate import solve_ivp
+from scipy.linalg import expm
 
 from .errors import (
     DimensionMismatchError,
@@ -69,6 +70,13 @@ __all__ = [
 # Dense eigendecomposition of a Liouvillian block is O(side^3); beyond this
 # side length the cost is unreasonable for a gap query.
 _DENSE_EIG_MAX_SIDE = 2048
+
+# evolve_open exponentiates the invariant blocks of M (sides n_b) when
+# sum n_b^3 <= _EXPM_RATIO * nnz(M) * t * ||L||_inf, and integrates otherwise:
+# both sides scale the cost of a route, dense O(n_b^3) per block against
+# O(nnz) per ODE step with a step count growing with t ||L||. Fitted from the
+# crossover table of BENCH_evolve_open.json.
+_EXPM_RATIO = 4.0
 
 # An eigenvalue z of L is a zero mode when |Re z| <= _ZERO_MODE_CUT * ||L||_inf.
 _ZERO_MODE_CUT = 1e-10
@@ -220,6 +228,13 @@ def _unvec(v: np.ndarray, d: int) -> np.ndarray:
     return v.reshape((d, d), order="F")
 
 
+def _check_time(t: float, backward: bool = False) -> None:
+    if not math.isfinite(t):
+        raise ValueError(f"evolution time must be finite, got {t!r}")
+    if t < 0 and not backward:
+        raise ValueError(f"evolution time must be non-negative, got {t!r}")
+
+
 def evolve_closed(
     h: Operator,
     psi0: StateVector,
@@ -227,7 +242,11 @@ def evolve_closed(
     rtol: float = 1e-8,
     atol: float = 1e-10,
 ) -> StateVector:
-    """Propagate |psi> under d|psi>/dt = -i H |psi| with adaptive stepping."""
+    """Propagate |psi> under d|psi>/dt = -i H |psi| with adaptive stepping.
+
+    t may be negative (backward unitary evolution) but must be finite.
+    """
+    _check_time(t, backward=True)
     if not h.is_hermitian(1e-10):
         raise IntegratorError("closed evolution requires a Hermitian Hamiltonian")
     if h.space != psi0.space:
@@ -251,6 +270,24 @@ def evolve_closed(
     return StateVector(y / np.linalg.norm(y), psi0.space)
 
 
+def _evolve_blocks(m: sp.csr_matrix, blocks: list[np.ndarray], x0: np.ndarray,
+                   t: float) -> np.ndarray:
+    """x(t) = expm(t M) x0, one dense real exponential per invariant block of M."""
+    x = np.empty_like(x0)
+    for idx in blocks:
+        x[idx] = expm(t * m[idx][:, idx].toarray()) @ x0[idx]
+    return x
+
+
+def _evolve_ode(m: sp.csr_matrix, x0: np.ndarray, t: float, rtol: float,
+                atol: float) -> np.ndarray:
+    """x(t) of dx/dt = M x by adaptive DOP853 at the given tolerances."""
+    sol = solve_ivp(lambda _t, x: m @ x, (0.0, t), x0, method="DOP853", rtol=rtol, atol=atol)
+    if sol.status != 0:
+        raise IntegratorError(f"open evolution failed: {sol.message}")
+    return sol.y[:, -1]
+
+
 def evolve_open(
     model: LindbladModel,
     rho0: DensityMatrix,
@@ -258,29 +295,38 @@ def evolve_open(
     rtol: float = 1e-8,
     atol: float = 1e-10,
 ) -> DensityMatrix:
-    """Integrate the master equation from rho0 for time t.
+    """Evolve the master equation from rho0 for a finite time t >= 0.
 
-    The integration runs on the real coordinates x of _real_generator,
-    dx/dt = M x, so rtol and atol apply to them and the result is Hermitian by
-    construction. The trace is verified on the result; positivity is verified
-    when the dimension is small enough for an eigendecomposition to be cheap.
+    The evolution runs on the real coordinates x of _real_generator,
+    dx/dt = M x, so the result is Hermitian by construction. Of two routes
+    the cheaper one is taken, from the invariant blocks of M (_blocks) of
+    sides n_b: when every block fits the dense cap (_DENSE_EIG_MAX_SIDE) and
+    sum n_b^3 <= _EXPM_RATIO * nnz(M) * t * ||L||_inf, each block is
+    exponentiated (scipy.linalg.expm, accurate to rounding); otherwise DOP853
+    integrates the whole of M, and rtol and atol bound that route only. Either
+    way the result must be finite, its trace 1 within 10 max(rtol, atol, 1e-9)
+    and, when d <= 128, its smallest eigenvalue at least -1e3 max(rtol, atol);
+    a violation raises IntegratorError.
     """
+    _check_time(t)
     if model.space != rho0.space:
         raise DimensionMismatchError("model and state spaces differ")
     if t == 0:
         return rho0
     d = model.dim
-    basis, m, _ = _real_generator(liouvillian_matrix(model))
-
-    def rhs(_t, x):
-        return m @ x
-
+    basis, m, norm = _real_generator(liouvillian_matrix(model))
     x0 = (basis.conj().T @ _vec(rho0.matrix)).real
-    sol = solve_ivp(rhs, (0.0, t), x0, method="DOP853", rtol=rtol, atol=atol)
-    if sol.status != 0:
-        raise IntegratorError(f"open evolution failed: {sol.message}")
-    rho = _unvec(basis @ sol.y[:, -1], d)
+    blocks = _blocks(m)
+    sides = np.array([idx.size for idx in blocks], dtype=float)
+    if (sides.max() <= _DENSE_EIG_MAX_SIDE
+            and np.sum(sides**3) <= _EXPM_RATIO * m.nnz * t * norm):
+        x = _evolve_blocks(m, blocks, x0, t)
+    else:
+        x = _evolve_ode(m, x0, t, rtol, atol)
+    rho = _unvec(basis @ x, d)
 
+    if not np.isfinite(rho).all():
+        raise IntegratorError("open evolution produced non-finite entries")
     tol_eff = max(rtol, atol)
     tr_dev = abs(np.trace(rho).real - 1.0)
     if tr_dev > 10 * max(tol_eff, 1e-9):
@@ -360,22 +406,30 @@ def _real_generator(lio: sp.csr_matrix) -> tuple[sp.csc_matrix, sp.csr_matrix, f
     return t, m, norm
 
 
-def _block_spectra(m: sp.csr_matrix) -> np.ndarray | None:
-    """Eigenvalues of L from its real generator M (_real_generator), one real
-    invariant block at a time.
+def _blocks(m: sp.csr_matrix) -> list[np.ndarray]:
+    """Coordinate index sets of the invariant blocks of the real generator M.
 
     Each weakly connected component of M's sparsity pattern is an invariant
-    block, so the spectrum of L is the union of the blocks' spectra, each from
-    one real dense eigensolve. Returns None when the largest block is longer
-    than _DENSE_EIG_MAX_SIDE.
+    block; the sets are ordered by component label, each ascending.
     """
     from scipy.sparse.csgraph import connected_components
 
     _, labels = connected_components(m, connection="weak")
     sizes = np.bincount(labels)
-    if sizes.max() > _DENSE_EIG_MAX_SIDE:
+    return np.split(np.argsort(labels, kind="stable"), np.cumsum(sizes)[:-1])
+
+
+def _block_spectra(m: sp.csr_matrix) -> np.ndarray | None:
+    """Eigenvalues of L from its real generator M (_real_generator), one real
+    invariant block (_blocks) at a time.
+
+    The spectrum of L is the union of the blocks' spectra, each from one real
+    dense eigensolve. Returns None when the largest block is longer than
+    _DENSE_EIG_MAX_SIDE.
+    """
+    blocks = _blocks(m)
+    if max(idx.size for idx in blocks) > _DENSE_EIG_MAX_SIDE:
         return None
-    blocks = np.split(np.argsort(labels, kind="stable"), np.cumsum(sizes)[:-1])
     return np.concatenate([np.linalg.eigvals(m[idx][:, idx].toarray()) for idx in blocks])
 
 
@@ -518,8 +572,10 @@ def three_level_evolve(params: SystemParams, rho0: DensityMatrix, t: float) -> D
 
     State variables are rho00, rho22, rho10, rho21, rho20 with
     rho11 = 1 - rho00 - rho22. The equation set is the exact restriction of
-    the reduced master equation to a three-dimensional Fock space.
+    the reduced master equation to a three-dimensional Fock space. t must be
+    finite and non-negative.
     """
+    _check_time(t)
     if rho0.dim != 3:
         raise DimensionMismatchError("three-level evolution needs a dim-3 state")
     lam, kp, gb = _three_level_rates(params)

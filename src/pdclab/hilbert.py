@@ -150,7 +150,10 @@ class StateVector:
 
 @dataclass
 class DensityMatrix:
-    """Mixed state: Hermitian, unit trace, positive within tolerance."""
+    """Mixed state with finite entries, Hermitian and of unit trace within tol.
+
+    Positivity is not checked; min_eigenvalue reports it.
+    """
 
     matrix: np.ndarray
     space: Space
@@ -163,6 +166,8 @@ class DensityMatrix:
             raise DimensionMismatchError(
                 f"density matrix {self.matrix.shape} on space dim {n}"
             )
+        if not np.isfinite(self.matrix).all():
+            raise ValueError("density matrix has non-finite entries")
         herm_dev = np.abs(self.matrix - self.matrix.conj().T).max()
         if herm_dev > self.tol:
             raise ValueError(f"density matrix not Hermitian: deviation {herm_dev}")

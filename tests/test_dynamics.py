@@ -9,6 +9,7 @@ import pytest
 import scipy.sparse as sp
 from scipy.integrate import solve_ivp
 
+from pdclab import dynamics
 from pdclab.analytic import moment_gb0
 from pdclab.dynamics import (
     LindbladModel,
@@ -211,6 +212,90 @@ def test_evolve_open_matches_the_vec_rho_integration():
         rho = evolve_open(model, rho0, t, rtol=rtol, atol=atol).matrix
         assert np.array_equal(rho, rho.conj().T), label
         assert np.abs(rho - ref).max() <= 10 * max(rtol, atol), label
+
+
+def _criterion4_case(g=0.1):
+    p = SystemParams(g=g, lambda_a=12.0, gamma_a=10.0, gamma_b=0.0, kappa_e=0.018)
+    seed = coherent_state(0.8 * moment_gb0(0, 1, p), FockSpace(34))
+    return build_reduced_model(p, 34), density_from_state(seed), 250.0
+
+
+def _full_4x8_case():
+    # criterion 11's full-model integration
+    p = SystemParams(g=0.2, lambda_a=0.01, gamma_a=10.0, gamma_b=1.0)
+    vac = tensor_state(fock_state(0, FockSpace(4)), fock_state(0, FockSpace(8)))
+    return build_full_model(p, 4, 8), density_from_state(vac), 2.0
+
+
+def _route_cases():
+    yield "criterion-4", *_criterion4_case()
+    p = SystemParams(g=0.4, lambda_a=0.9, gamma_a=6.0, gamma_b=0.5, kappa_e=0.1, nbar=0.5)
+    vac = density_from_state(fock_state(0, FockSpace(16)))
+    yield "reduced-d16-thermal-t60", build_reduced_model(p, 16), vac, 60.0
+    p = SystemParams(g=0.3, lambda_a=0.4, gamma_a=1.0, gamma_b=0.5, nbar=0.5)
+    psi = tensor_state(fock_state(0, FockSpace(3)), fock_state(1, FockSpace(8)))
+    yield "full-3x8-thermal", build_full_model(p, 3, 8), density_from_state(psi), 5.0
+    yield "full-4x8-t2", *_full_4x8_case()
+
+
+def test_evolve_open_block_exponential_matches_the_ode_route():
+    rtol, atol = 1e-10, 1e-12
+    for label, model, rho0, t in _route_cases():
+        basis, m, _ = dynamics._real_generator(liouvillian_matrix(model))
+        x0 = (basis.conj().T @ rho0.matrix.reshape(-1, order="F")).real
+        via_expm = dynamics._evolve_blocks(m, dynamics._blocks(m), x0, t)
+        via_ode = dynamics._evolve_ode(m, x0, t, rtol, atol)
+        assert np.abs(via_expm - via_ode).max() <= 10 * max(rtol, atol), label
+
+
+def test_evolve_open_picks_the_route_by_cost(monkeypatch):
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args[1])
+        return solve_ivp(*args, **kwargs)
+
+    monkeypatch.setattr(dynamics, "solve_ivp", counted)
+    evolve_open(*_criterion4_case())
+    assert calls == []
+    evolve_open(*_full_4x8_case())
+    assert calls == [(0.0, 2.0)]
+
+
+def test_evolve_open_rejects_a_non_finite_result(monkeypatch):
+    model, rho0, t = _full_4x8_case()
+
+    def with_nan(coords):
+        def route(m, x0, *_):
+            x = x0.copy()
+            x[coords] = np.nan
+            return x
+
+        return route
+
+    # every coordinate, then only sqrt(2) Re rho[0, 1], which leaves the trace finite
+    for coords in (slice(None), model.dim):
+        monkeypatch.setattr(dynamics, "_evolve_ode", with_nan(coords))
+        with pytest.raises(IntegratorError, match="non-finite"):
+            evolve_open(model, rho0, t)
+
+
+@pytest.mark.parametrize("t", (math.nan, math.inf, -math.inf, -5.0))
+def test_evolutions_reject_invalid_times(t):
+    p = SystemParams(g=0.3, lambda_a=0.7, gamma_a=5.0, gamma_b=0.4, kappa_e=0.2)
+    rho0 = density_from_state(fock_state(0, FockSpace(3)))
+    with pytest.raises(ValueError, match="evolution time"):
+        evolve_open(build_reduced_model(p, 3), rho0, t)
+    with pytest.raises(ValueError, match="evolution time"):
+        three_level_evolve(p, rho0, t)
+    h = build_reduced_model(p, 3).hamiltonian
+    if math.isfinite(t):  # closed evolution runs backward in time
+        psi = evolve_closed(h, fock_state(0, FockSpace(3)), t, rtol=1e-10, atol=1e-12)
+        back = evolve_closed(h, psi, -t, rtol=1e-10, atol=1e-12)
+        assert np.abs(back.amplitudes - fock_state(0, FockSpace(3)).amplitudes).max() < 1e-8
+    else:
+        with pytest.raises(ValueError, match="evolution time"):
+            evolve_closed(h, fock_state(0, FockSpace(3)), t)
 
 
 def test_steady_state_agrees_with_long_time_evolution():

@@ -202,6 +202,16 @@ def test_density_matrix_rejects_bad_trace_and_nonhermitian():
         DensityMatrix(bad, space)
 
 
+@pytest.mark.parametrize("bad", (math.nan, math.inf))
+def test_density_matrix_rejects_non_finite_entries(bad):
+    with pytest.raises(ValueError, match="non-finite"):
+        DensityMatrix(np.full((2, 2), bad), FockSpace(2))
+    rho = np.diag([0.5, 0.5]).astype(complex)
+    rho[0, 1] = rho[1, 0] = bad
+    with pytest.raises(ValueError, match="non-finite"):
+        DensityMatrix(rho, FockSpace(2))
+
+
 def test_state_vector_requires_normalization():
     with pytest.raises(ValueError):
         StateVector(np.array([1.0, 1.0]), FockSpace(2))
