@@ -8,8 +8,9 @@ routes that are kept deliberately independent so each can check the other:
     truncated Fock spaces, operators, states.
 ``dynamics``
     Lindblad generators for the full two-mode system and for the adiabatically
-    reduced signal mode, time evolution, steady states, spectral gaps, and the
-    closed three-level restriction.
+    reduced signal mode, closed (exact exponential) and open time evolution,
+    steady states, spectral gaps, and the three-level model, the reduced mode
+    at d = 3.
 ``analytic``
     closed-form steady-state moments, quantum Fisher information, measurement
     uncertainties, and the coupling-sensor figures of merit.

@@ -156,6 +156,9 @@ def parse_config(path: str | Path) -> Scenario:
         if not (math.isfinite(value) and value > 0):
             raise ConfigError(f"{key} must be finite and > 0, got {value!r}")
         tolerances[key] = value
+    signal_dim = setting("truncation.signal_dim")
+    if signal_dim < 1:  # FockSpace's domain
+        raise ConfigError(f"truncation.signal_dim must be >= 1, got {signal_dim}")
 
     name = raw.get("name", path.stem).strip()
     if not name or not all(c.isalnum() or c in "-_" for c in name):
@@ -166,7 +169,7 @@ def parse_config(path: str | Path) -> Scenario:
         params=params,
         tasks=tasks,
         sweep=sweep,
-        signal_dim=setting("truncation.signal_dim"),
+        signal_dim=signal_dim,
         rel_tol=tolerances["tolerances.rel"],
         floor=tolerances["tolerances.floor"],
     )

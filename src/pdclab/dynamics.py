@@ -17,7 +17,10 @@ population decays as exp(-2 gamma t). Every Liouvillian solver here (steady
 state, spectra, open evolution) works on the real generator T^H L T in a
 Hermitian-operator basis (_real_generator), so the states it returns are
 Hermitian by construction; trace and (on small dimensions) positivity are
-checked, and violations raise instead of propagating silently.
+checked, and violations raise instead of propagating silently. The
+three-level model is the reduced one at d = 3 and evolves through
+evolve_open. Closed evolution applies exp(-iHt) exactly (expm_multiply);
+the package's one ODE integration is evolve_open's DOP853 route (_evolve_ode).
 """
 
 from __future__ import annotations
@@ -198,8 +201,7 @@ def build_reduced_model(params: SystemParams, d_b: int) -> LindbladModel:
 def liouvillian_matrix(model: LindbladModel) -> sp.csr_matrix:
     """Vectorized generator acting on vec(rho) in column-major convention.
 
-    The superoperator is the one sparse object of the package: the dense
-    Hamiltonian and collapse operators become CSR here.
+    The dense Hamiltonian and collapse operators become CSR here.
 
     vec(A rho B) = (B^T kron A) vec(rho), hence
     L = -i(I kron H - H^T kron I)
@@ -235,14 +237,9 @@ def _check_time(t: float, backward: bool = False) -> None:
         raise ValueError(f"evolution time must be non-negative, got {t!r}")
 
 
-def evolve_closed(
-    h: Operator,
-    psi0: StateVector,
-    t: float,
-    rtol: float = 1e-8,
-    atol: float = 1e-10,
-) -> StateVector:
-    """Propagate |psi> under d|psi>/dt = -i H |psi| with adaptive stepping.
+def evolve_closed(h: Operator, psi0: StateVector, t: float) -> StateVector:
+    """Propagate |psi> under d|psi>/dt = -i H |psi>: exp(-iHt) psi0, the action
+    of the matrix exponential (expm_multiply, Al-Mohy & Higham 2011) on psi0.
 
     t may be negative (backward unitary evolution) but must be finite.
     """
@@ -253,19 +250,9 @@ def evolve_closed(
         raise DimensionMismatchError("Hamiltonian and state spaces differ")
     if t == 0:
         return psi0
-    mat = h.matrix
-
-    def rhs(_t, y):
-        return -1j * (mat @ y)
-
-    sol = solve_ivp(
-        rhs, (0.0, t), psi0.amplitudes, method="DOP853", rtol=rtol, atol=atol
-    )
-    if sol.status != 0:
-        raise IntegratorError(f"closed evolution failed: {sol.message}")
-    y = sol.y[:, -1]
+    y = spla.expm_multiply(-1j * t * sp.csr_matrix(h.matrix), psi0.amplitudes)
     drift = abs(np.linalg.norm(y) - 1.0)
-    if drift > 1e-6:
+    if not drift <= 1e-6:  # NaN fails too
         raise IntegratorError(f"norm drift {drift:.2e} exceeds tolerance")
     return StateVector(y / np.linalg.norm(y), psi0.space)
 
@@ -557,78 +544,23 @@ def auto_truncated_steady(
 
 # --- three-level approximation -------------------------------------------------
 
-def _three_level_rates(params: SystemParams) -> tuple[float, float, float]:
+def _check_three_level(params: SystemParams) -> None:
     if params.gamma_a <= 0:
         raise ValueError("three-level reduction undefined at gamma_a = 0")
     if params.nbar != 0:
         raise ValueError("three-level equations assume a zero-temperature signal bath")
-    lam_eff = params.g * params.lambda_a / params.gamma_a
-    kprime = params.kappa + params.kappa_e
-    return lam_eff, kprime, params.gamma_b
 
 
 def three_level_evolve(params: SystemParams, rho0: DensityMatrix, t: float) -> DensityMatrix:
-    """Integrate the five coupled equations of the lowest-three-level model.
+    """Evolve the lowest-three-level model, the reduced master equation on a
+    three-dimensional Fock space, by evolve_open at rtol 1e-10, atol 1e-12.
 
-    State variables are rho00, rho22, rho10, rho21, rho20 with
-    rho11 = 1 - rho00 - rho22. The equation set is the exact restriction of
-    the reduced master equation to a three-dimensional Fock space. t must be
-    finite and non-negative.
+    t must be finite and non-negative.
     """
-    _check_time(t)
+    _check_three_level(params)
     if rho0.dim != 3:
         raise DimensionMismatchError("three-level evolution needs a dim-3 state")
-    lam, kp, gb = _three_level_rates(params)
-    sq2 = math.sqrt(2.0)
-
-    def rhs(_t, y):
-        r00, r22 = y[0], y[1]
-        r10 = y[2] + 1j * y[3]
-        r21 = y[4] + 1j * y[5]
-        r20 = y[6] + 1j * y[7]
-        r11 = 1.0 - r00 - r22
-        d00 = -1j * sq2 * lam * (r20 - np.conj(r20)) + 2 * gb * r11 + 4 * kp * r22
-        d22 = -1j * sq2 * lam * (np.conj(r20) - r20) - 4 * (gb + kp) * r22
-        d10 = 1j * sq2 * lam * np.conj(r21) + gb * (2 * sq2 * r21 - r10)
-        d21 = -1j * sq2 * lam * np.conj(r10) - (3 * gb + 2 * kp) * r21
-        d20 = -1j * sq2 * lam * (r00 - r22) - 2 * (gb + kp) * r20
-        return [
-            d00.real,
-            d22.real,
-            d10.real,
-            d10.imag,
-            d21.real,
-            d21.imag,
-            d20.real,
-            d20.imag,
-        ]
-
-    m = rho0.matrix
-    y0 = [
-        m[0, 0].real,
-        m[2, 2].real,
-        m[1, 0].real,
-        m[1, 0].imag,
-        m[2, 1].real,
-        m[2, 1].imag,
-        m[2, 0].real,
-        m[2, 0].imag,
-    ]
-    sol = solve_ivp(rhs, (0.0, t), y0, method="DOP853", rtol=1e-10, atol=1e-12)
-    if sol.status != 0:
-        raise IntegratorError(f"three-level evolution failed: {sol.message}")
-    y = sol.y[:, -1]
-    rho = np.zeros((3, 3), dtype=complex)
-    rho[0, 0] = y[0]
-    rho[2, 2] = y[1]
-    rho[1, 1] = 1.0 - y[0] - y[1]
-    rho[1, 0] = y[2] + 1j * y[3]
-    rho[0, 1] = np.conj(rho[1, 0])
-    rho[2, 1] = y[4] + 1j * y[5]
-    rho[1, 2] = np.conj(rho[2, 1])
-    rho[2, 0] = y[6] + 1j * y[7]
-    rho[0, 2] = np.conj(rho[2, 0])
-    return DensityMatrix(rho, FockSpace(3), tol=1e-7)
+    return evolve_open(build_reduced_model(params, 3), rho0, t, rtol=1e-10, atol=1e-12)
 
 
 def three_level_steady(params: SystemParams) -> DensityMatrix:
@@ -641,7 +573,7 @@ def three_level_steady(params: SystemParams) -> DensityMatrix:
     rho20 = -i sqrt(2) g A lambda_a / D, the coherence the Liouvillian
     confirms (the printed form lacks the sqrt(2); README, Quirks).
     """
-    _three_level_rates(params)  # gamma_a > 0 and a zero-temperature bath
+    _check_three_level(params)
     g, lam = params.g, params.lambda_a
     a_const = 2 * g * g + params.gamma_a * (params.kappa_e + params.gamma_b)
     d_const = 2 * a_const * a_const + 4 * g * g * lam * lam

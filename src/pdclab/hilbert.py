@@ -7,13 +7,14 @@ that dimension mismatches are caught at the boundary instead of deep inside a
 solver.
 
 Storage has one rule: states, density matrices and operators on a space of
-dim n are dense complex arrays. Only the superoperator, whose side is n^2, is
-sparse; dynamics.liouvillian_matrix is the single place where dense operators
-become CSR.
+dim n are dense complex arrays. Solvers convert them to CSR where they need
+sparse products: dynamics.liouvillian_matrix for the superoperator, whose side
+is n^2, and dynamics.evolve_closed for the Hamiltonian it exponentiates.
 """
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass, field
 from functools import reduce
@@ -128,7 +129,8 @@ class Operator:
 
 @dataclass
 class StateVector:
-    """Normalized pure state on a (possibly tensor-product) space."""
+    """Normalized pure state with finite amplitudes on a (possibly
+    tensor-product) space."""
 
     amplitudes: np.ndarray
     space: Space
@@ -139,6 +141,8 @@ class StateVector:
             raise DimensionMismatchError(
                 f"state of length {self.amplitudes.shape} on space dim {self.space.dim}"
             )
+        if not np.isfinite(self.amplitudes).all():
+            raise ValueError("state has non-finite amplitudes")
         nrm = np.linalg.norm(self.amplitudes)
         if abs(nrm - 1.0) > _NORM_TOL:
             raise ValueError(f"state norm {nrm} deviates from 1 beyond {_NORM_TOL}")
@@ -241,8 +245,10 @@ def coherent_state(alpha: complex, space: FockSpace) -> StateVector:
 
     Raises TruncationError when the retained weight falls below
     1 - _COHERENT_TAIL_TOL, i.e. when the truncation visibly clips the Poisson
-    tail.
+    tail, and ValueError for a non-finite alpha.
     """
+    if not cmath.isfinite(alpha):
+        raise ValueError(f"coherent amplitude must be finite, got {alpha!r}")
     d = space.dim
     n = np.arange(d)
     # log-domain magnitudes avoid overflow for large |alpha|

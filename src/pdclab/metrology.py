@@ -73,6 +73,9 @@ class MeasurementRecord:
     dmean_dg: float
 
     def __post_init__(self):
+        for name, value in vars(self).items():
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value!r}")
         if self.variance < 0:
             raise ValueError(f"negative variance {self.variance}")
 
@@ -84,6 +87,8 @@ class QfiResult:
     fd_step: float
 
     def __post_init__(self):
+        if not math.isfinite(self.value):
+            raise ValueError(f"QFI must be finite, got {self.value!r}")
         if self.value < 0:
             raise ValueError(f"negative QFI {self.value}")
 

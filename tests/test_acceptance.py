@@ -138,7 +138,7 @@ def _closed_family(pump, n_signal: int, d_a: int, d_b: int, t: float):
     def family(g):
         p = SystemParams(g=g, lambda_a=0.0, gamma_a=1.0, gamma_b=0.0)
         h = build_full_model(p, d_a, d_b).hamiltonian
-        return evolve_closed(h, psi0, t, rtol=1e-10, atol=1e-12)
+        return evolve_closed(h, psi0, t)
 
     return family
 

@@ -228,7 +228,7 @@ def test_qfi_closed_form_classical_matches_closed_evolution(a1, a2, d_a, d_b):
     def family(g):
         h = build_full_model(SystemParams(g=g, lambda_a=0.0, gamma_a=1.0, gamma_b=0.0),
                              d_a, d_b).hamiltonian
-        return evolve_closed(h, psi0, t, rtol=1e-10, atol=1e-12)
+        return evolve_closed(h, psi0, t)
 
     value = qfi_pure(family, 1.0).value
     assert qfi_closed_form(Classical(a1, a2), t) == pytest.approx(value, rel=1e-6)

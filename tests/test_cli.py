@@ -163,6 +163,16 @@ def test_parse_config_rejects_invalid_tolerances(tmp_path, key, value):
         parse_config(write(tmp_path, text))
 
 
+@pytest.mark.parametrize("dim", ("-5", "0"))
+def test_run_rejects_a_non_positive_signal_dim(tmp_path, capsys, dim):
+    # meanfield never builds a Fock space, so only the parser can catch it
+    text = "tasks = meanfield\n" + params_text() + f"truncation.signal_dim = {dim}\n"
+    out = tmp_path / "o"
+    assert main(["run", str(write(tmp_path, text)), "--out-dir", str(out)]) == 2
+    assert f"truncation.signal_dim must be >= 1, got {dim}" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_parse_config_rejects_non_numeric_tolerance(tmp_path):
     path = write(tmp_path, GOOD + "tolerances.floor = tiny\n")
     with pytest.raises(ConfigError, match="cannot parse numeric value for tolerances.floor"):

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 from scipy.integrate import solve_ivp
+from scipy.linalg import expm
 
 from pdclab import dynamics
 from pdclab.analytic import moment_gb0
@@ -35,6 +36,7 @@ from pdclab.errors import (
 from pdclab.hilbert import (
     DensityMatrix,
     FockSpace,
+    StateVector,
     annihilation,
     coherent_state,
     density_from_state,
@@ -290,8 +292,8 @@ def test_evolutions_reject_invalid_times(t):
         three_level_evolve(p, rho0, t)
     h = build_reduced_model(p, 3).hamiltonian
     if math.isfinite(t):  # closed evolution runs backward in time
-        psi = evolve_closed(h, fock_state(0, FockSpace(3)), t, rtol=1e-10, atol=1e-12)
-        back = evolve_closed(h, psi, -t, rtol=1e-10, atol=1e-12)
+        psi = evolve_closed(h, fock_state(0, FockSpace(3)), t)
+        back = evolve_closed(h, psi, -t)
         assert np.abs(back.amplitudes - fock_state(0, FockSpace(3)).amplitudes).max() < 1e-8
     else:
         with pytest.raises(ValueError, match="evolution time"):
@@ -404,16 +406,24 @@ def test_evolve_closed_rejects_nonhermitian():
         evolve_closed(annihilation(space), fock_state(0, space), 0.1)
 
 
-def test_three_level_evolution_matches_dim3_liouvillian():
-    p = SystemParams(g=0.3, lambda_a=0.7, gamma_a=5.0, gamma_b=0.4, kappa_e=0.2)
-    rho0_mat = np.diag([0.6, 0.3, 0.1]).astype(complex)
-    rho0_mat[2, 0] = 0.05j
-    rho0_mat[0, 2] = -0.05j
-    rho0 = DensityMatrix(rho0_mat, FockSpace(3))
-    t = 2.5
-    via_odes = three_level_evolve(p, rho0, t)
-    via_lio = evolve_open(build_reduced_model(p, 3), rho0, t, rtol=1e-11, atol=1e-13)
-    assert np.abs(via_odes.matrix - via_lio.matrix).max() < 1e-8
+def test_evolve_closed_rejects_a_non_finite_result(monkeypatch):
+    # NaN > tol is False: a plain drift check lets a NaN state through
+    nan_action = SimpleNamespace(expm_multiply=lambda a, v: np.full_like(v, np.nan))
+    monkeypatch.setattr(dynamics, "spla", nan_action)
+    space = FockSpace(4)
+    with pytest.raises(IntegratorError, match="norm drift"):
+        evolve_closed(number_operator(space), fock_state(1, space), 0.3)
+
+
+@pytest.mark.parametrize("t", (0.7, -0.7))
+def test_evolve_closed_matches_the_dense_exponential(t):
+    p = SystemParams(g=0.3, lambda_a=0.7, gamma_a=5.0, gamma_b=0.4)
+    h = build_full_model(p, 3, 8).hamiltonian
+    rng = np.random.default_rng(7)
+    amps = rng.normal(size=h.dim) + 1j * rng.normal(size=h.dim)
+    psi0 = StateVector(amps / np.linalg.norm(amps), h.space)
+    reference = expm(-1j * t * h.matrix) @ psi0.amplitudes
+    assert np.abs(evolve_closed(h, psi0, t).amplitudes - reference).max() <= 1e-12
 
 
 def test_three_level_steady_matches_liouvillian_and_frozen_values():

@@ -212,6 +212,15 @@ def test_density_matrix_rejects_non_finite_entries(bad):
         DensityMatrix(rho, FockSpace(2))
 
 
+@pytest.mark.parametrize("bad", (math.nan, math.inf))
+def test_pure_states_reject_non_finite_amplitudes(bad):
+    # abs(nan - 1) > tol is False: the norm check alone lets NaN through
+    with pytest.raises(ValueError, match="non-finite"):
+        StateVector(np.array([bad, 0.0]), FockSpace(2))
+    with pytest.raises(ValueError, match="coherent amplitude must be finite"):
+        coherent_state(complex(bad), FockSpace(4))
+
+
 def test_state_vector_requires_normalization():
     with pytest.raises(ValueError):
         StateVector(np.array([1.0, 1.0]), FockSpace(2))

@@ -1,5 +1,6 @@
-"""No module imports a name it never uses, and no private module-level name of
-the package goes unreferenced (no linter ships with the package)."""
+"""No module imports a name it never uses, no private module-level name of
+the package goes unreferenced (no linter ships with the package), and one
+function of the package calls solve_ivp."""
 
 import ast
 import inspect
@@ -125,3 +126,45 @@ def test_package_exports_every_public_name():
         else:
             public = set(module.__all__)
         assert names == public, f"pdclab.{name}: __all__ and the package exports differ"
+
+
+def solve_ivp_callers(source: str) -> list[str]:
+    """Name of the innermost enclosing function of each call to solve_ivp, by
+    name or as an attribute; "<module>" for a call outside any function."""
+    callers = []
+
+    def visit(node: ast.AST, owner: str) -> None:
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, child.name)
+                continue
+            if isinstance(child, ast.Call):
+                func = child.func
+                name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+                if name == "solve_ivp":
+                    callers.append(owner)
+            visit(child, owner)
+
+    visit(ast.parse(source), "<module>")
+    return callers
+
+
+def test_scanner_finds_solve_ivp_callers():
+    source = (
+        "import scipy.integrate as si\nfrom scipy.integrate import solve_ivp\n"
+        "solve_ivp(f)\n"
+        "def a():\n    def b():\n        return si.solve_ivp(lambda t, y: y)\n"
+        "    return solve_ivp\n"
+        "class C:\n    def c(self):\n        return [solve_ivp(f) for _ in ()]\n"
+    )
+    assert solve_ivp_callers(source) == ["<module>", "b", "c"]
+
+
+def test_solve_ivp_has_one_call_site():
+    # evolve_open's DOP853 route is the package's one ODE integration
+    found = [
+        f"{path.stem}.{caller}"
+        for path in sorted((ROOT / "src" / "pdclab").glob("*.py"))
+        for caller in solve_ivp_callers(path.read_text())
+    ]
+    assert found == ["dynamics._evolve_ode"]

@@ -23,6 +23,7 @@ from pdclab.metrology import (
     GaussianDerivatives,
     GaussianMoments,
     MeasurementRecord,
+    QfiResult,
     default_step,
     error_propagation,
     gaussian_moments,
@@ -96,7 +97,7 @@ def _closed_family(alpha, n_signal, d_a, d_b, t, pump_fock=None):
     def family(g):
         p = SystemParams(g=g, lambda_a=0.0, gamma_a=1.0, gamma_b=0.0)
         h = build_full_model(p, d_a, d_b).hamiltonian
-        return evolve_closed(h, psi0, t, rtol=1e-10, atol=1e-12)
+        return evolve_closed(h, psi0, t)
 
     return family
 
@@ -345,6 +346,20 @@ def test_error_propagation_zero_derivative_raises():
 def test_measurement_record_rejects_negative_variance():
     with pytest.raises(ValueError):
         MeasurementRecord(mean=0.0, variance=-0.1, dmean_dg=1.0)
+
+
+@pytest.mark.parametrize("bad", (math.nan, math.inf))
+@pytest.mark.parametrize("field", ("mean", "variance", "dmean_dg"))
+def test_measurement_record_rejects_non_finite_fields(field, bad):
+    values = {"mean": 1.0, "variance": 1.0, "dmean_dg": 1.0, field: bad}
+    with pytest.raises(ValueError, match=f"{field} must be finite"):
+        MeasurementRecord(**values)
+
+
+@pytest.mark.parametrize("bad", (math.nan, math.inf))
+def test_qfi_result_rejects_a_non_finite_value(bad):
+    with pytest.raises(ValueError, match="QFI must be finite"):
+        QfiResult(bad, "pure", 0.0)
 
 
 def test_default_step_scales_with_g():
