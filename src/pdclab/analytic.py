@@ -14,8 +14,6 @@ import cmath
 import math
 from dataclasses import astuple, dataclass
 
-from scipy.optimize import minimize_scalar
-
 from .dynamics import SystemParams
 from .errors import DivergenceError, SeriesConvergenceError
 
@@ -358,6 +356,8 @@ def lambda_sensor(params: SystemParams) -> tuple[float, float, SensorOptimum]:
         # no interior optimum: the formula decreases without bound as g -> 0
         opt = SensorOptimum(0.0, 0.0, 0.0, 0.0, 0.0)
     else:
+        from scipy.optimize import minimize_scalar  # deferred: import pdclab skips scipy.optimize
+
         res = minimize_scalar(
             formula,
             bounds=(1e-12, 10.0 * math.sqrt(ga * ke)),

@@ -32,7 +32,6 @@ from typing import Callable
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
-from scipy.integrate import solve_ivp
 from scipy.linalg import expm
 
 from .errors import (
@@ -175,7 +174,11 @@ def build_full_model(params: SystemParams, d_a: int, d_b: int) -> LindbladModel:
     a = embed(annihilation(spaces[0]), 0, spaces)
     b = embed(annihilation(spaces[1]), 1, spaces)
     ad, bd = a.dag(), b.dag()
-    h = params.g * (a @ bd @ bd + ad @ b @ b) + (1j * params.lambda_a) * (ad - a)
+    # the cubic terms as CSR products: O(nnz) instead of dense O(n^3), with
+    # the dense products' association and hence their values bit for bit
+    sa, sb, sad, sbd = (sp.csr_matrix(op.matrix) for op in (a, b, ad, bd))
+    pair = Operator((sa @ sbd @ sbd + sad @ sb @ sb).toarray(), a.space)
+    h = params.g * pair + (1j * params.lambda_a) * (ad - a)
     channels = [(params.gamma_a, a)] + _signal_channels(params, b)
     return LindbladModel(h, channels)
 
@@ -264,6 +267,16 @@ def _evolve_blocks(m: sp.csr_matrix, blocks: list[np.ndarray], x0: np.ndarray,
     for idx in blocks:
         x[idx] = expm(t * m[idx][:, idx].toarray()) @ x0[idx]
     return x
+
+
+def solve_ivp(*args, **kwargs):
+    """scipy.integrate.solve_ivp, imported on the first call so that import
+    pdclab skips scipy.integrate. A module attribute, not a local import in
+    _evolve_ode, so that callers can rebind dynamics.solve_ivp to observe the
+    ODE route."""
+    from scipy.integrate import solve_ivp as scipy_solve_ivp
+
+    return scipy_solve_ivp(*args, **kwargs)
 
 
 def _evolve_ode(m: sp.csr_matrix, x0: np.ndarray, t: float, rtol: float,

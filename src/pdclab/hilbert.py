@@ -9,7 +9,8 @@ solver.
 Storage has one rule: states, density matrices and operators on a space of
 dim n are dense complex arrays. Solvers convert them to CSR where they need
 sparse products: dynamics.liouvillian_matrix for the superoperator, whose side
-is n^2, and dynamics.evolve_closed for the Hamiltonian it exponentiates.
+is n^2, dynamics.evolve_closed for the Hamiltonian it exponentiates, and
+dynamics.build_full_model for the cubic terms of its Hamiltonian.
 """
 
 from __future__ import annotations
@@ -20,7 +21,6 @@ from dataclasses import dataclass, field
 from functools import reduce
 
 import numpy as np
-from scipy.special import gammainc
 
 from .errors import DimensionMismatchError, TruncationError
 
@@ -259,6 +259,8 @@ def coherent_state(alpha: complex, space: FockSpace) -> StateVector:
     logmag = n * np.log(abs(alpha)) - 0.5 * np.array([math.lgamma(k + 1) for k in n])
     phase = np.exp(1j * n * np.angle(alpha))
     amps = np.exp(logmag - logmag.max()) * phase
+    from scipy.special import gammainc  # deferred: import pdclab skips scipy.special
+
     # Poisson P(N >= d), the regularized lower incomplete gamma: no underflow
     # of exp(-|alpha|^2) at large |alpha|
     tail = float(gammainc(d, abs(alpha) ** 2))

@@ -40,6 +40,7 @@ from pdclab.hilbert import (
     annihilation,
     coherent_state,
     density_from_state,
+    embed,
     expectation,
     fock_state,
     number_operator,
@@ -141,6 +142,27 @@ def test_liouvillian_is_bit_identical_to_sparse_operator_assembly(nbar):
         assert lio.shape == ref.shape, dims
         for name in ("indptr", "indices", "data"):
             assert np.array_equal(getattr(lio, name), getattr(ref, name)), (dims, name)
+
+
+@pytest.mark.parametrize("dims", ((3, 6), (4, 12), (6, 14)))
+@pytest.mark.parametrize(
+    "params",
+    (
+        SystemParams(g=0.3, lambda_a=0.7, gamma_a=2.0, gamma_b=0.4, kappa_e=0.1),
+        SystemParams(g=0.2, lambda_a=1.3, gamma_a=1.0, gamma_b=0.5, nbar=0.5),
+        SystemParams(g=0.1234567, lambda_a=-0.987654, gamma_a=3.0, gamma_b=0.0),
+    ),
+    ids=("cold", "thermal", "gamma_b=0"),
+)
+def test_full_hamiltonian_equals_the_dense_product_form(params, dims):
+    # g(a b^dag^2 + a^dag b^2) by dense products of the embedded operators;
+    # (a b^dag) b^dag and a (b^dag b^dag) differ in the last bit from 4x12 on
+    spaces = (FockSpace(dims[0]), FockSpace(dims[1]))
+    a = embed(annihilation(spaces[0]), 0, spaces)
+    b = embed(annihilation(spaces[1]), 1, spaces)
+    ad, bd = a.dag(), b.dag()
+    reference = params.g * (a @ bd @ bd + ad @ b @ b) + (1j * params.lambda_a) * (ad - a)
+    assert np.array_equal(build_full_model(params, *dims).hamiltonian.matrix, reference.matrix)
 
 
 def test_single_excitation_decays_at_twice_gamma():

@@ -1,10 +1,18 @@
 """No module imports a name it never uses, no private module-level name of
-the package goes unreferenced (no linter ships with the package), and one
-function of the package calls solve_ivp."""
+the package goes unreferenced (no linter ships with the package), one
+function of the package calls solve_ivp, and import pdclab leaves out the
+scipy subpackages that only one function each needs."""
 
 import ast
 import inspect
+import json
+import math
+import os
+import subprocess
+import sys
 from pathlib import Path
+
+import pytest
 
 import pdclab
 from pdclab import errors
@@ -168,3 +176,100 @@ def test_solve_ivp_has_one_call_site():
         for caller in solve_ivp_callers(path.read_text())
     ]
     assert found == ["dynamics._evolve_ode"]
+
+
+# scipy subpackages that a single function each needs: imported inside it
+DEFERRED = ("scipy.optimize", "scipy.integrate", "scipy.special")
+
+
+def module_level_imports(source: str) -> list[tuple[int, str]]:
+    """(line, dotted name) of each module an import statement outside any
+    function or lambda names; `from x import y` gives both x and x.y."""
+    found = []
+
+    def visit(node: ast.AST) -> None:
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                continue
+            if isinstance(child, ast.Import):
+                found.extend((child.lineno, alias.name) for alias in child.names)
+            elif isinstance(child, ast.ImportFrom) and child.level == 0:
+                found.append((child.lineno, child.module))
+                found.extend((child.lineno, f"{child.module}.{a.name}") for a in child.names)
+            visit(child)
+
+    visit(ast.parse(source))
+    return found
+
+
+def deferred(name: str) -> bool:
+    return any(name == d or name.startswith(d + ".") for d in DEFERRED)
+
+
+def test_scanner_finds_module_level_imports():
+    source = (
+        "import scipy.integrate as si\nfrom scipy import optimize\n"
+        "try:\n    from scipy.special import gammainc\nexcept ImportError:\n    pass\n"
+        "class C:\n    import scipy.special\n"
+        "def f():\n    from scipy.optimize import minimize_scalar\n"
+    )
+    flagged = [(line, name) for line, name in module_level_imports(source) if deferred(name)]
+    assert flagged == [
+        (1, "scipy.integrate"), (2, "scipy.optimize"),
+        (4, "scipy.special"), (4, "scipy.special.gammainc"), (8, "scipy.special"),
+    ]
+
+
+def test_no_module_level_import_of_a_deferred_subpackage():
+    found = [
+        f"{path.relative_to(ROOT)}:{line}: {name}"
+        for path in sorted((ROOT / "src" / "pdclab").glob("*.py"))
+        for line, name in module_level_imports(path.read_text())
+        if deferred(name)
+    ]
+    assert not found, "module-level imports of deferred subpackages:\n" + "\n".join(found)
+
+
+# A fresh interpreter: the test session has loaded all of scipy long before.
+# Each step prints the deferred subpackages loaded so far and its result.
+IMPORT_PROBE = """
+import json, sys
+import pdclab.cli
+from pdclab.analytic import lambda_sensor
+from pdclab.dynamics import SystemParams, build_full_model, evolve_open
+from pdclab.hilbert import FockSpace, coherent_state, density_from_state, fock_state, tensor_state
+
+def step(value):
+    print(json.dumps([sorted(m for m in DEFERRED if m in sys.modules), value]))
+
+DEFERRED = {deferred!r}
+step(None)
+step(abs(coherent_state(1.5 - 0.5j, FockSpace(40)).amplitudes[0]) ** 2)
+step(lambda_sensor(SystemParams(g=0.2, lambda_a=1.0, gamma_a=2.0, gamma_b=0.0, kappa_e=0.05))[2].g_opt)
+full = build_full_model(SystemParams(g=0.2, lambda_a=0.01, gamma_a=10.0, gamma_b=1.0), 4, 8)
+vac = tensor_state(fock_state(0, FockSpace(4)), fock_state(0, FockSpace(8)))
+step(evolve_open(full, density_from_state(vac), 2.0).matrix.trace().real)
+"""
+
+
+def test_import_pdclab_defers_and_each_deferred_path_still_works():
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", IMPORT_PROBE.format(deferred=DEFERRED)],
+        capture_output=True, text=True, env=env, cwd=ROOT,
+    )
+    assert proc.returncode == 0, proc.stderr
+    (loaded, _), (special, vacuum), (optimize, g_opt), (integrate, trace) = map(
+        json.loads, proc.stdout.splitlines()
+    )
+    assert loaded == []
+    # coherent_state's tail check (gammainc) passed: |<0|alpha>|^2 = exp(-|alpha|^2)
+    assert special == ["scipy.special"]
+    assert vacuum == pytest.approx(math.exp(-2.5), rel=1e-12)
+    # minimize_scalar finds the optimum coupling sqrt(gamma_a kappa_e / 2)
+    assert "scipy.optimize" in optimize and "scipy.integrate" not in optimize
+    assert g_opt == pytest.approx(math.sqrt(2.0 * 0.05 / 2), rel=1e-6)
+    # criterion 11's full 4x8 model at t = 2 takes the DOP853 route
+    assert "scipy.integrate" in integrate
+    assert trace == pytest.approx(1.0, abs=1e-9)
