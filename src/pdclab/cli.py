@@ -210,19 +210,13 @@ def _parallel(points, worker, threads: int):
 # --- tasks ----------------------------------------------------------------------
 #
 # A worker maps one point (scenario, value, params) to one table row. A rule
-# maps the sorted table to (quantity, analytic, numeric, tolerance) tuples.
+# maps the sorted table to (quantity, analytic, numeric, tolerance) tuples; a
+# task with one comparison per point has its worker put that tuple in the row
+# under "comparison", outside the columns, and _each_point collects them.
 
-def _each_point(prefix: str, analytic_col: str, numeric_col: str, tolerance):
-    """Rule with one comparison per point; tolerance(scenario) sets its bound."""
-
-    def rule(scenario: Scenario, table):
-        tol = tolerance(scenario)
-        return [
-            (f"{prefix}@{row['value']:g}", row[analytic_col], row[numeric_col], tol)
-            for row in table
-        ]
-
-    return rule
+def _each_point(scenario: Scenario, table):
+    """Rule with one comparison per point: the "comparison" of each row."""
+    return [row["comparison"] for row in table]
 
 
 def _steady_moments(scenario: Scenario, value: float, p: SystemParams):
@@ -234,8 +228,9 @@ def _steady_moments(scenario: Scenario, value: float, p: SystemParams):
     )
     numeric = expectation(number_operator(result.rho.space), result.rho).real
     rel = _rel_dev(series, numeric, scenario.floor)
+    quantity = f"Nb_series_vs_liouville@{value:g}"
     return {"value": value, "Nb_series": series, "Nb_liouville": numeric, "dim": dim,
-            "rel_dev": rel}
+            "rel_dev": rel, "comparison": (quantity, series, numeric, scenario.rel_tol)}
 
 
 def _qfi(scenario: Scenario, value: float, p: SystemParams):
@@ -249,7 +244,9 @@ def _qfi(scenario: Scenario, value: float, p: SystemParams):
     closed = analytic.qfi_gb0_closed(p)
     numeric = metrology.qfi_gaussian_family(fam, p.g).value
     rel = _rel_dev(closed, numeric, scenario.floor)
-    return {"value": value, "F_closed": closed, "F_gaussian": numeric, "rel_dev": rel}
+    tol = max(scenario.rel_tol, 1e-5)
+    return {"value": value, "F_closed": closed, "F_gaussian": numeric, "rel_dev": rel,
+            "comparison": (f"qfi_gaussian_vs_closed@{value:g}", closed, numeric, tol)}
 
 
 def _uncertainty(scenario: Scenario, value: float, p: SystemParams):
@@ -286,7 +283,9 @@ def _gap(scenario: Scenario, value: float, p: SystemParams):
     dim = min(scenario.signal_dim, 24)
     gap = dynamics.spectral_gap(dynamics.build_reduced_model(p, dim))
     estimate = 2.0 * (p.kappa + p.kappa_e) if p.gamma_b == 0 else p.gamma_b
-    return {"value": value, "gap": gap, "rate_estimate": estimate, "dim": dim}
+    # the estimate is a scale, not an identity: factor-2 agreement
+    return {"value": value, "gap": gap, "rate_estimate": estimate, "dim": dim,
+            "comparison": (f"gap_vs_rate_estimate@{value:g}", estimate, gap, 1.0)}
 
 
 def _occupation(scenario: Scenario, g: float, p: SystemParams):
@@ -362,21 +361,19 @@ TASKS = {
         "signal occupation: moment series vs Liouvillian steady state",
         ("value", "Nb_series", "Nb_liouville", "dim", "rel_dev"),
         _steady_moments,
-        _each_point("Nb_series_vs_liouville", "Nb_series", "Nb_liouville",
-                    lambda sc: sc.rel_tol),
+        _each_point,
     ),
     "qfi": Task(
         "gamma_b=0 Gaussian QFI: closed form vs moment-family route",
         ("value", "F_closed", "F_gaussian", "rel_dev"),
         _qfi,
-        _each_point("qfi_gaussian_vs_closed", "F_closed", "F_gaussian",
-                    lambda sc: max(sc.rel_tol, 1e-5)),
+        _each_point,
     ),
     "uncertainty": Task(
         "delta^2 g: closed form vs independently assembled route",
         ("value", "delta2_closed", "delta2_other", "rel_dev"),
         _uncertainty,
-        lambda sc, table: [row["comparison"] for row in table],
+        _each_point,
     ),
     "meanfield": Task(
         "phase structure: branch existence / stability / critical drive",
@@ -389,8 +386,7 @@ TASKS = {
         "Liouvillian spectral gap of the reduced model vs rate estimate",
         ("value", "gap", "rate_estimate", "dim"),
         _gap,
-        # the estimate is a scale, not an identity: factor-2 agreement
-        _each_point("gap_vs_rate_estimate", "rate_estimate", "gap", lambda sc: 1.0),
+        _each_point,
     ),
     "occupation": Task(
         "occupation regression: three-level closed form vs exact steady state",

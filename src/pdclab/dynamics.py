@@ -16,11 +16,14 @@ so a decaying amplitude obeys d<c>/dt = -gamma_c <c> and a one-photon Fock
 population decays as exp(-2 gamma t). Every Liouvillian solver here (steady
 state, spectra, open evolution) works on the real generator T^H L T in a
 Hermitian-operator basis (_real_generator), so the states it returns are
-Hermitian by construction; trace and (on small dimensions) positivity are
-checked, and violations raise instead of propagating silently. The
+Hermitian by construction. Each solver's accuracy is a module constant, not
+a per-call option: steady_state accepts a residual up to _RESIDUAL_TOL, and
+evolve_open checks trace (_TRACE_TOL) and, on small dimensions, positivity
+(_MIN_EIGENVALUE); violations raise instead of propagating silently. The
 three-level model is the reduced one at d = 3 and evolves through
 evolve_open. Closed evolution applies exp(-iHt) exactly (expm_multiply);
-the package's one ODE integration is evolve_open's DOP853 route (_evolve_ode).
+the package's one ODE integration is evolve_open's DOP853 route (_evolve_ode),
+at _ODE_RTOL and _ODE_ATOL.
 """
 
 from __future__ import annotations
@@ -80,6 +83,15 @@ _DENSE_EIG_MAX_SIDE = 2048
 # crossover table of BENCH_evolve_open.json.
 _EXPM_RATIO = 4.0
 
+# evolve_open's DOP853 route (_evolve_ode) integrates at _ODE_RTOL, _ODE_ATOL;
+# either route's state must keep trace 1 within _TRACE_TOL and, at d <= 128,
+# a smallest eigenvalue of at least _MIN_EIGENVALUE.
+_ODE_RTOL, _ODE_ATOL = 1e-10, 1e-12
+_TRACE_TOL, _MIN_EIGENVALUE = 1e-8, -1e-7
+
+# steady_state accepts a residual max|L vec(rho)| up to _RESIDUAL_TOL * max(1, ||L||_inf).
+_RESIDUAL_TOL = 1e-10
+
 # An eigenvalue z of L is a zero mode when |Re z| <= _ZERO_MODE_CUT * ||L||_inf.
 _ZERO_MODE_CUT = 1e-10
 
@@ -135,7 +147,7 @@ class LindbladModel:
     channels: list[tuple[float, Operator]]
 
     def __post_init__(self):
-        if not self.hamiltonian.is_hermitian(1e-10):
+        if not self.hamiltonian.is_hermitian():
             raise ValueError("model Hamiltonian is not Hermitian")
         for rate, c in self.channels:
             if rate < 0:
@@ -247,7 +259,7 @@ def evolve_closed(h: Operator, psi0: StateVector, t: float) -> StateVector:
     t may be negative (backward unitary evolution) but must be finite.
     """
     _check_time(t, backward=True)
-    if not h.is_hermitian(1e-10):
+    if not h.is_hermitian():
         raise IntegratorError("closed evolution requires a Hermitian Hamiltonian")
     if h.space != psi0.space:
         raise DimensionMismatchError("Hamiltonian and state spaces differ")
@@ -279,22 +291,16 @@ def solve_ivp(*args, **kwargs):
     return scipy_solve_ivp(*args, **kwargs)
 
 
-def _evolve_ode(m: sp.csr_matrix, x0: np.ndarray, t: float, rtol: float,
-                atol: float) -> np.ndarray:
-    """x(t) of dx/dt = M x by adaptive DOP853 at the given tolerances."""
-    sol = solve_ivp(lambda _t, x: m @ x, (0.0, t), x0, method="DOP853", rtol=rtol, atol=atol)
+def _evolve_ode(m: sp.csr_matrix, x0: np.ndarray, t: float) -> np.ndarray:
+    """x(t) of dx/dt = M x by adaptive DOP853 at _ODE_RTOL and _ODE_ATOL."""
+    sol = solve_ivp(lambda _t, x: m @ x, (0.0, t), x0, method="DOP853",
+                    rtol=_ODE_RTOL, atol=_ODE_ATOL)
     if sol.status != 0:
         raise IntegratorError(f"open evolution failed: {sol.message}")
     return sol.y[:, -1]
 
 
-def evolve_open(
-    model: LindbladModel,
-    rho0: DensityMatrix,
-    t: float,
-    rtol: float = 1e-8,
-    atol: float = 1e-10,
-) -> DensityMatrix:
+def evolve_open(model: LindbladModel, rho0: DensityMatrix, t: float) -> DensityMatrix:
     """Evolve the master equation from rho0 for a finite time t >= 0.
 
     The evolution runs on the real coordinates x of _real_generator,
@@ -303,10 +309,10 @@ def evolve_open(
     sides n_b: when every block fits the dense cap (_DENSE_EIG_MAX_SIDE) and
     sum n_b^3 <= _EXPM_RATIO * nnz(M) * t * ||L||_inf, each block is
     exponentiated (scipy.linalg.expm, accurate to rounding); otherwise DOP853
-    integrates the whole of M, and rtol and atol bound that route only. Either
-    way the result must be finite, its trace 1 within 10 max(rtol, atol, 1e-9)
-    and, when d <= 128, its smallest eigenvalue at least -1e3 max(rtol, atol);
-    a violation raises IntegratorError.
+    integrates the whole of M at _ODE_RTOL and _ODE_ATOL (_evolve_ode). Either
+    way the result must be finite, its trace 1 within _TRACE_TOL and, when
+    d <= 128, its smallest eigenvalue at least _MIN_EIGENVALUE; a violation
+    raises IntegratorError.
     """
     _check_time(t)
     if model.space != rho0.space:
@@ -322,21 +328,20 @@ def evolve_open(
             and np.sum(sides**3) <= _EXPM_RATIO * m.nnz * t * norm):
         x = _evolve_blocks(m, blocks, x0, t)
     else:
-        x = _evolve_ode(m, x0, t, rtol, atol)
+        x = _evolve_ode(m, x0, t)
     rho = _unvec(basis @ x, d)
 
     if not np.isfinite(rho).all():
         raise IntegratorError("open evolution produced non-finite entries")
-    tol_eff = max(rtol, atol)
     tr_dev = abs(np.trace(rho).real - 1.0)
-    if tr_dev > 10 * max(tol_eff, 1e-9):
-        raise IntegratorError(f"trace drift {tr_dev:.2e} beyond 10x tolerance")
+    if tr_dev > _TRACE_TOL:
+        raise IntegratorError(f"trace drift {tr_dev:.2e} exceeds {_TRACE_TOL:.0e}")
     rho = rho / np.trace(rho).real
     if d <= 128:
         lo = float(np.linalg.eigvalsh(rho)[0])
-        if lo < -1e3 * tol_eff:
+        if lo < _MIN_EIGENVALUE:
             raise IntegratorError(f"positivity violated: min eigenvalue {lo:.2e}")
-    return DensityMatrix(rho, rho0.space, tol=1e-7)
+    return DensityMatrix(rho, rho0.space)
 
 
 def _trace_row_system(m: sp.csr_matrix, d: int):
@@ -448,7 +453,7 @@ def _clean_density(v: np.ndarray, d: int) -> np.ndarray:
     return rho / np.trace(rho).real
 
 
-def steady_state(model: LindbladModel, tol: float = 1e-10) -> SteadyStateResult:
+def steady_state(model: LindbladModel) -> SteadyStateResult:
     """Steady state from the Liouvillian null space with trace normalization.
 
     Row 0 of the real generator M = T^H L T (_real_generator) is replaced by
@@ -459,9 +464,9 @@ def steady_state(model: LindbladModel, tol: float = 1e-10) -> SteadyStateResult:
     exactly zero pivot or A is numerically singular: cond1(A) * eps >= 1,
     i.e. rcond <= machine epsilon, the singularity test of LAPACK xGESVX and
     MATLAB. A singular A raises SteadyStateDegenerateError carrying the count
-    of L's zero modes, or None when L is too large to count them. tol is the
-    acceptance bound of the solve: a residual max|L vec(rho)| above
-    max(tol, 1e-12) * max(1, ||L||_inf) raises ResidualError.
+    of L's zero modes, or None when L is too large to count them. A residual
+    max|L vec(rho)| above _RESIDUAL_TOL * max(1, ||L||_inf) raises
+    ResidualError.
     """
     if not any(rate > 0 for rate, _ in model.channels):
         raise ValueError("steady_state needs at least one dissipative channel")
@@ -491,10 +496,10 @@ def steady_state(model: LindbladModel, tol: float = 1e-10) -> SteadyStateResult:
 
     rho = _clean_density(basis @ x, d)
     residual = float(np.abs(lio @ _vec(rho)).max())
-    bound = max(tol, 1e-12) * max(1.0, norm)
+    bound = _RESIDUAL_TOL * max(1.0, norm)
     if residual > bound:
         raise ResidualError(f"steady-state residual {residual:.3e} exceeds {bound:.3e}")
-    return SteadyStateResult(DensityMatrix(rho, model.space, tol=1e-7), residual)
+    return SteadyStateResult(DensityMatrix(rho, model.space), residual)
 
 
 def spectral_gap(model: LindbladModel) -> float:
@@ -566,14 +571,14 @@ def _check_three_level(params: SystemParams) -> None:
 
 def three_level_evolve(params: SystemParams, rho0: DensityMatrix, t: float) -> DensityMatrix:
     """Evolve the lowest-three-level model, the reduced master equation on a
-    three-dimensional Fock space, by evolve_open at rtol 1e-10, atol 1e-12.
+    three-dimensional Fock space, by evolve_open.
 
     t must be finite and non-negative.
     """
     _check_three_level(params)
     if rho0.dim != 3:
         raise DimensionMismatchError("three-level evolution needs a dim-3 state")
-    return evolve_open(build_reduced_model(params, 3), rho0, t, rtol=1e-10, atol=1e-12)
+    return evolve_open(build_reduced_model(params, 3), rho0, t)
 
 
 def three_level_steady(params: SystemParams) -> DensityMatrix:

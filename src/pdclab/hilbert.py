@@ -44,6 +44,8 @@ __all__ = [
 
 # StateVector accepts amplitudes whose norm is within _NORM_TOL of 1.
 _NORM_TOL = 1e-10
+# Operator.is_hermitian accepts max|O - O^dag| up to _HERMITIAN_TOL.
+_HERMITIAN_TOL = 1e-10
 # coherent_state raises when its truncation drops more than _COHERENT_TAIL_TOL
 # of the Poisson weight.
 _COHERENT_TAIL_TOL = 1e-10
@@ -123,8 +125,8 @@ class Operator:
 
     __mul__ = __rmul__
 
-    def is_hermitian(self, tol: float = 1e-10) -> bool:
-        return np.abs(self.matrix - self.matrix.conj().T).max() <= tol
+    def is_hermitian(self) -> bool:
+        return np.abs(self.matrix - self.matrix.conj().T).max() <= _HERMITIAN_TOL
 
 
 @dataclass

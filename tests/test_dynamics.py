@@ -169,7 +169,7 @@ def test_single_excitation_decays_at_twice_gamma():
     gamma, t = 0.7, 0.9
     model = decay_only_model(gamma, 4)
     rho0 = density_from_state(fock_state(1, FockSpace(4)))
-    rho_t = evolve_open(model, rho0, t, rtol=1e-10, atol=1e-12)
+    rho_t = evolve_open(model, rho0, t)
     assert rho_t.matrix[1, 1].real == pytest.approx(math.exp(-2 * gamma * t), rel=1e-8)
     assert rho_t.matrix[0, 0].real == pytest.approx(
         1 - math.exp(-2 * gamma * t), rel=1e-8
@@ -182,7 +182,7 @@ def test_amplitude_decays_at_gamma():
     model = decay_only_model(gamma, 24)
     alpha = 0.8 - 0.3j
     rho0 = density_from_state(coherent_state(alpha, space))
-    rho_t = evolve_open(model, rho0, t, rtol=1e-10, atol=1e-12)
+    rho_t = evolve_open(model, rho0, t)
     amp = expectation(annihilation(space), rho_t)
     assert amp == pytest.approx(alpha * math.exp(-gamma * t), abs=1e-8)
 
@@ -229,11 +229,11 @@ def _evolution_cases():
 
 
 def test_evolve_open_matches_the_vec_rho_integration():
-    # the bound is the one evolve_open's trace check applies
+    # the reference's tolerances; the bound is ten times the larger
     rtol, atol = 1e-8, 1e-10
     for label, model, rho0, t in _evolution_cases():
         ref = _vec_rho_evolution(model, rho0, t, rtol, atol)
-        rho = evolve_open(model, rho0, t, rtol=rtol, atol=atol).matrix
+        rho = evolve_open(model, rho0, t).matrix
         assert np.array_equal(rho, rho.conj().T), label
         assert np.abs(rho - ref).max() <= 10 * max(rtol, atol), label
 
@@ -268,8 +268,12 @@ def test_evolve_open_block_exponential_matches_the_ode_route():
         basis, m, _ = dynamics._real_generator(liouvillian_matrix(model))
         x0 = (basis.conj().T @ rho0.matrix.reshape(-1, order="F")).real
         via_expm = dynamics._evolve_blocks(m, dynamics._blocks(m), x0, t)
-        via_ode = dynamics._evolve_ode(m, x0, t, rtol, atol)
+        via_ode = dynamics._evolve_ode(m, x0, t)
         assert np.abs(via_expm - via_ode).max() <= 10 * max(rtol, atol), label
+        # the public route, whichever it takes, is as accurate
+        rho = evolve_open(model, rho0, t).matrix
+        via_expm_rho = (basis @ via_expm).reshape(rho.shape, order="F")
+        assert np.abs(rho - via_expm_rho).max() <= 1e-10, label
 
 
 def test_evolve_open_picks_the_route_by_cost(monkeypatch):
@@ -326,7 +330,7 @@ def test_steady_state_agrees_with_long_time_evolution():
     model = build_reduced_model(WORK, 16)
     direct = steady_state(model).rho
     rho0 = density_from_state(fock_state(0, FockSpace(16)))
-    evolved = evolve_open(model, rho0, 60.0, rtol=1e-10, atol=1e-12)
+    evolved = evolve_open(model, rho0, 60.0)
     n_op = number_operator(FockSpace(16))
     assert expectation(n_op, evolved).real == pytest.approx(
         expectation(n_op, direct).real, rel=1e-6

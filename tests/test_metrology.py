@@ -71,20 +71,6 @@ def test_qfi_pure_phase_family_is_4_var_n():
     assert value == pytest.approx(4.0 * alpha**2, rel=1e-8)
 
 
-def test_qfi_pure_rejects_unnormalized_family():
-    space = FockSpace(5)
-
-    def family(g):
-        # bypasses the constructor check so qfi_pure's own guard must fire
-        s = StateVector.__new__(StateVector)
-        s.amplitudes = np.array([1.0, g, 0, 0, 0], dtype=complex)
-        s.space = space
-        return s
-
-    with pytest.raises(ValueError):
-        qfi_pure(family, 0.5)
-
-
 def _closed_family(alpha, n_signal, d_a, d_b, t, pump_fock=None):
     """Two-mode closed evolution family in the coupling."""
     sa, sb = FockSpace(d_a), FockSpace(d_b)

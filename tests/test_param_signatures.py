@@ -1,5 +1,7 @@
 """SystemParams is the one source of each physical parameter: no public function
-that takes a SystemParams also takes a parameter named after one of its fields."""
+that takes a SystemParams also takes a parameter named after one of its fields.
+The solvers own their accuracy: no public function of dynamics or hilbert takes
+a tolerance parameter."""
 
 from __future__ import annotations
 
@@ -12,6 +14,7 @@ from pdclab.dynamics import SystemParams
 
 FIELDS = {f.name for f in fields(SystemParams)}
 MODULES = (analytic, cli, dynamics, hilbert, meanfield, metrology)
+TOLERANCE_NAMES = {"tol", "rtol", "atol"}
 
 
 def takes_params(fn) -> bool:
@@ -25,9 +28,13 @@ def shadowed_fields(fn) -> list[str]:
     return [name for name in inspect.signature(fn).parameters if name in FIELDS]
 
 
-def public_functions():
+def tolerance_parameters(fn) -> list[str]:
+    return [name for name in inspect.signature(fn).parameters if name in TOLERANCE_NAMES]
+
+
+def public_functions(modules=MODULES):
     """(qualified name, function) of every public function and public method."""
-    for module in MODULES:
+    for module in modules:
         for name, obj in vars(module).items():
             if name.startswith("_") or getattr(obj, "__module__", None) != module.__name__:
                 continue
@@ -57,3 +64,23 @@ def test_no_public_function_shadows_a_params_field():
     found = {name: shadowed_fields(fn) for name, fn in functions.items()}
     found = {name: shadows for name, shadows in found.items() if shadows}
     assert not found, f"parameters that shadow SystemParams fields: {found}"
+
+
+def test_checker_finds_a_tolerance_parameter():
+    def knob(model, t: float, rtol: float = 1e-8, atol: float = 1e-10):
+        return model, t, rtol, atol
+
+    def fixed(model, t: float):
+        return model, t
+
+    assert tolerance_parameters(knob) == ["rtol", "atol"]
+    assert tolerance_parameters(fixed) == []
+
+
+def test_no_solver_takes_a_tolerance():
+    functions = dict(public_functions((dynamics, hilbert)))
+    assert {"pdclab.dynamics.evolve_open", "pdclab.dynamics.steady_state",
+            "pdclab.hilbert.Operator.is_hermitian"} <= set(functions)
+    found = {name: tolerance_parameters(fn) for name, fn in functions.items()}
+    found = {name: knobs for name, knobs in found.items() if knobs}
+    assert not found, f"tolerance parameters of public solvers: {found}"

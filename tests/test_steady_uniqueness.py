@@ -396,6 +396,8 @@ def test_residual_above_tol_raises(monkeypatch):
     model = build_reduced_model(UNIQUE, 8)
     with pytest.raises(ResidualError):
         steady_state(model)
-    # tol is the acceptance bound of the solve: a loose one accepts the same state
-    result = steady_state(model, tol=1e-3)
+    # _RESIDUAL_TOL is the acceptance bound of the solve: a loose one accepts
+    # the same state
+    monkeypatch.setattr(dynamics, "_RESIDUAL_TOL", 1e-3)
+    result = steady_state(model)
     assert 1e-10 < result.residual <= 1e-3 * spla.norm(liouvillian_matrix(model), np.inf)
