@@ -16,7 +16,12 @@ so a decaying amplitude obeys d<c>/dt = -gamma_c <c> and a one-photon Fock
 population decays as exp(-2 gamma t). Every Liouvillian solver here (steady
 state, spectra, open evolution) works on the real generator T^H L T in a
 Hermitian-operator basis (_real_generator), so the states it returns are
-Hermitian by construction. Each solver's accuracy is a module constant, not
+Hermitian by construction. The basis (_hermitian_basis) puts the phase
+(1 + i)/2 on the level pairs whose signal Fock numbers differ by an odd
+count; that diagonalizes the weak symmetry rho -> U rho^T U^dag,
+U = exp(i pi n_b / 2), of both model builders, so the invariant blocks of
+T^H L T (_blocks) split the coherences of odd signal-number difference in
+two. Each solver's accuracy is a module constant, not
 a per-call option: steady_state accepts a residual up to _RESIDUAL_TOL, and
 evolve_open checks trace (_TRACE_TOL) and, on small dimensions, positivity
 (_MIN_EIGENVALUE); violations raise instead of propagating silently. The
@@ -48,7 +53,9 @@ from .hilbert import (
     DensityMatrix,
     FockSpace,
     Operator,
+    Space,
     StateVector,
+    TensorSpace,
     annihilation,
     embed,
     top_level_population,
@@ -320,7 +327,7 @@ def evolve_open(model: LindbladModel, rho0: DensityMatrix, t: float) -> DensityM
     if t == 0:
         return rho0
     d = model.dim
-    basis, m, norm = _real_generator(liouvillian_matrix(model))
+    basis, m, norm = _real_generator(liouvillian_matrix(model), model.space)
     x0 = (basis.conj().T @ _vec(rho0.matrix)).real
     blocks = _blocks(m)
     sides = np.array([idx.size for idx in blocks], dtype=float)
@@ -371,32 +378,53 @@ def _condition_number(a: sp.csc_matrix, lu) -> float:
     return spla.norm(a, 1) * spla.onenormest(inv, t=1)
 
 
-def _hermitian_basis(d: int) -> sp.csc_matrix:
+def _hermitian_basis(space: Space) -> sp.csc_matrix:
     """Unitary T from real Hermitian-basis coordinates to column-major vec(rho).
 
-    The coordinates are rho[k, k], then sqrt(2) Re rho[m, n] and
-    sqrt(2) Im rho[m, n] for each m < n; column j of T is vec of the Hermitian
-    basis matrix E_kk, (E_mn + E_nm)/sqrt(2) or i(E_mn - E_nm)/sqrt(2).
+    The coordinates are rho[k, k], then two per level pair m < n; column j of
+    T is vec of the Hermitian basis matrix E_kk, c E_mn + conj(c) E_nm or
+    i c E_mn + conj(i c) E_nm. The phase is c = 1/sqrt(2), the coordinates
+    sqrt(2) Re rho[m, n] and sqrt(2) Im rho[m, n], unless the signal Fock
+    numbers of m and n differ by an odd count: then c = (1 + i)/2. The signal
+    mode is the last factor of a TensorSpace, or the whole FockSpace.
+
+    The phase makes the coordinates eigenvectors, eigenvalues +-1, of
+    S(rho) = U rho^T U^dag with U = exp(i pi n_b / 2). Both model builders
+    commute with S (U H^T U^dag = -H, and U conj(c) U^dag is c up to a phase
+    for every channel c), so the entries of T^H L T between the two
+    S-sectors cancel to exact zeros and _blocks splits the coherences of odd
+    signal-number difference in two. For a model without the symmetry the
+    basis is as orthonormal and Hermitian, only the blocks do not split.
     """
+    d = space.dim
+    d_s = space.factors[-1].dim if isinstance(space, TensorSpace) else d
     m, n = np.triu_indices(d, 1)
+    odd = (m % d_s + n % d_s) % 2 == 1
     upper, lower = m + n * d, n + m * d
     re = d + 2 * np.arange(m.size)
     h = math.sqrt(0.5)
     rows = np.concatenate([np.arange(d) * (d + 1), upper, lower, upper, lower])
     cols = np.concatenate([np.arange(d), re, re, re + 1, re + 1])
-    data = np.concatenate([np.ones(d), np.full(2 * m.size, h),
-                           np.full(m.size, 1j * h), np.full(m.size, -1j * h)])
+    data = np.concatenate([
+        np.ones(d),
+        np.where(odd, 0.5 + 0.5j, h), np.where(odd, 0.5 - 0.5j, h),
+        np.where(odd, -0.5 + 0.5j, 1j * h), np.where(odd, -0.5 - 0.5j, -1j * h),
+    ])
     return sp.csc_matrix((data, (rows, cols)), shape=(d * d, d * d))
 
 
-def _real_generator(lio: sp.csr_matrix) -> tuple[sp.csc_matrix, sp.csr_matrix, float]:
-    """T from _hermitian_basis, the real generator M = T^H L T and ||L||_inf.
+def _real_generator(lio: sp.csr_matrix,
+                    space: Space) -> tuple[sp.csc_matrix, sp.csr_matrix, float]:
+    """T = _hermitian_basis(space), the real generator M = T^H L T and ||L||_inf.
 
-    A Lindbladian preserves Hermiticity, so M is real; its imaginary part must
-    be rounding, at most 1e-12 ||L||_inf, else ResidualError. With
-    vec(rho) = T x, the master equation reads dx/dt = M x.
+    A Lindbladian preserves Hermiticity, so M is real in any orthonormal
+    Hermitian basis; its imaginary part must be rounding, at most
+    1e-12 ||L||_inf, else ResidualError. With vec(rho) = T x, the master
+    equation reads dx/dt = M x. Entries that cancel to exact zeros, among
+    them those between the sectors of _hermitian_basis's symmetry, are
+    dropped from M's sparsity pattern, so _blocks sees the split.
     """
-    t = _hermitian_basis(math.isqrt(lio.shape[0]))
+    t = _hermitian_basis(space)
     m = (t.conj().T @ lio @ t).tocsr()
     norm = spla.norm(lio, np.inf)
     bound = 1e-12 * norm
@@ -472,7 +500,7 @@ def steady_state(model: LindbladModel) -> SteadyStateResult:
         raise ValueError("steady_state needs at least one dissipative channel")
     d = model.dim
     lio = liouvillian_matrix(model)
-    basis, m, norm = _real_generator(lio)
+    basis, m, norm = _real_generator(lio, model.space)
     a, b = _trace_row_system(m, d)
 
     try:
@@ -508,7 +536,7 @@ def spectral_gap(model: LindbladModel) -> float:
     eps = _ZERO_MODE_CUT * ||L||_inf, the zero-mode cut of _kernel_dimension;
     the spectrum comes from _block_spectra.
     """
-    _, m, norm = _real_generator(liouvillian_matrix(model))
+    _, m, norm = _real_generator(liouvillian_matrix(model), model.space)
     ev = _block_spectra(m)
     if ev is None:
         raise ValueError(

@@ -265,7 +265,7 @@ def _route_cases():
 def test_evolve_open_block_exponential_matches_the_ode_route():
     rtol, atol = 1e-10, 1e-12
     for label, model, rho0, t in _route_cases():
-        basis, m, _ = dynamics._real_generator(liouvillian_matrix(model))
+        basis, m, _ = dynamics._real_generator(liouvillian_matrix(model), model.space)
         x0 = (basis.conj().T @ rho0.matrix.reshape(-1, order="F")).real
         via_expm = dynamics._evolve_blocks(m, dynamics._blocks(m), x0, t)
         via_ode = dynamics._evolve_ode(m, x0, t)

@@ -31,6 +31,7 @@ from pdclab.dynamics import (
     steady_state,
 )
 from pdclab.errors import ResidualError, SteadyStateDegenerateError
+from pdclab.hilbert import FockSpace
 
 _DENSE_COUNTS: dict[tuple, int] = {}
 
@@ -40,9 +41,9 @@ def _zero_modes(block: np.ndarray, scale: float) -> int:
     return int(np.sum(np.abs(ev.real) <= 1e-10 * scale))
 
 
-def _block_kernel_count(lio) -> int | None:
+def _block_kernel_count(lio, space) -> int | None:
     """_kernel_dimension on the real generator and norm that steady_state builds."""
-    _, m, norm = _real_generator(lio)
+    _, m, norm = _real_generator(lio, space)
     return _kernel_dimension(m, norm)
 
 
@@ -240,20 +241,21 @@ def test_zero_liouvillian_is_degenerate():
     "model, blocks, kernel_dim",
     [
         (build_reduced_model(SystemParams(g=0.2, lambda_a=0.5, gamma_a=4.0, gamma_b=0.0, kappa_e=0.05), 12), (4, 6), 4),
-        (build_reduced_model(SystemParams(g=0.2, lambda_a=0.5, gamma_a=4.0, gamma_b=0.5, kappa_e=0.05), 12), (2, 3), 1),
+        (build_reduced_model(SystemParams(g=0.2, lambda_a=0.5, gamma_a=4.0, gamma_b=0.5, kappa_e=0.05), 12), (2, 4), 1),
         (build_full_model(SystemParams(g=0.3, lambda_a=0.4, gamma_a=1.0, gamma_b=0.0), 3, 8), (4, 6), 2),
     ],
     ids=["reduced-gb0", "reduced-gb0.5", "full-3x8-gb0"],
 )
 def test_kernel_dimension_by_blocks_equals_dense_count(model, blocks, kernel_dim):
-    # blocks: (components of L, components of the real T^H L T), which splits finer
+    # blocks: (components of L, components of the real T^H L T), which splits
+    # finer: at gamma_b > 0 the phased basis splits the odd coherences in two
     lio = liouvillian_matrix(model)
-    t = _hermitian_basis(model.dim)
+    t = _hermitian_basis(model.space)
     real = (t.conj().T @ lio @ t).real
     real.eliminate_zeros()
     assert connected_components(abs(lio), connection="weak")[0] == blocks[0]
     assert connected_components(real, connection="weak")[0] == blocks[1]
-    assert _block_kernel_count(lio) == _dense_kernel_count(lio) == kernel_dim
+    assert _block_kernel_count(lio, model.space) == _dense_kernel_count(lio) == kernel_dim
 
 
 def _dense_spectrum(lio) -> tuple[float, int]:
@@ -291,7 +293,7 @@ def test_block_spectra_match_the_whole_matrix_eigensolve():
         gap, kernel_dim = _dense_spectrum(lio)
         floor = 100 * np.finfo(float).eps * spla.norm(lio, np.inf)
         assert spectral_gap(model) == pytest.approx(gap, rel=1e-10, abs=floor), label
-        assert _block_kernel_count(lio) == kernel_dim, label
+        assert _block_kernel_count(lio, model.space) == kernel_dim, label
         counts.add(kernel_dim)
     assert counts == {1, 2, 4}  # unique and degenerate kernels are both met
 
@@ -307,7 +309,7 @@ def test_block_spectra_match_the_whole_matrix_eigensolve():
 )
 def test_hermitian_basis_is_unitary_and_makes_the_liouvillian_real(model):
     lio = liouvillian_matrix(model)
-    t = _hermitian_basis(model.dim)
+    t = _hermitian_basis(model.space)
     assert np.diff(t.indptr).max() == 2  # two entries per off-diagonal column
     assert np.abs((t.conj().T @ t).toarray() - np.eye(lio.shape[0])).max() < 1e-15
     m = (t.conj().T @ lio @ t).toarray()
@@ -322,16 +324,30 @@ def test_block_spectra_reject_a_generator_that_breaks_hermiticity():
     # rho -> i rho is no Lindbladian: T^H L T = i I is purely imaginary
     lio = sp.identity(16, dtype=complex, format="csr") * 1j
     with pytest.raises(ResidualError, match="not real in the Hermitian basis"):
-        _real_generator(lio)
+        _real_generator(lio, FockSpace(4))
 
 
-def test_dense_cap_bounds_the_largest_real_block():
-    # reduced d = 64 has real blocks up to 2048, the cap; d = 65 has one of 2112
+def test_dense_cap_bounds_the_largest_real_block(monkeypatch):
+    # at gamma_b > 0 the reduced model at d = 89 has real blocks up to 2025,
+    # within the cap of 2048; d = 90 has one of 2070
     params = SystemParams(g=0.2, lambda_a=0.5, gamma_a=4.0, gamma_b=0.5)
-    model = build_reduced_model(params, 65)
-    assert _block_kernel_count(liouvillian_matrix(model)) is None
+    model = build_reduced_model(params, 90)
+    assert _block_kernel_count(liouvillian_matrix(model), model.space) is None
     with pytest.raises(ValueError, match="block longer than 2048"):
         spectral_gap(model)
+    # d = 89 still counts; its four dense eigensolves take about 14 s, so a
+    # stand-in that records the sides and returns zeros replaces them
+    sides = []
+
+    def recorded(a):
+        sides.append(a.shape[0])
+        return np.zeros(a.shape[0])
+
+    model = build_reduced_model(params, 89)
+    lio = liouvillian_matrix(model)
+    monkeypatch.setattr(np.linalg, "eigvals", recorded)
+    assert _block_kernel_count(lio, model.space) == 89 * 89
+    assert sorted(sides) == [1936, 1980, 1980, 2025]
 
 
 UNIQUE = SystemParams(g=0.2, lambda_a=0.5, gamma_a=4.0, gamma_b=0.5, kappa_e=0.05)
@@ -356,9 +372,9 @@ def test_one_real_generator_and_one_norm_per_solver_call(monkeypatch):
     calls = {"generator": 0, "inf_norm": 0}
     real_generator, real_norm = dynamics._real_generator, spla.norm
 
-    def counting_generator(lio):
+    def counting_generator(lio, space):
         calls["generator"] += 1
-        return real_generator(lio)
+        return real_generator(lio, space)
 
     def counting_norm(x, ord=None, **kwargs):
         calls["inf_norm"] += ord == np.inf
