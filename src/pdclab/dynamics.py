@@ -21,9 +21,17 @@ Hermitian by construction. The basis (_hermitian_basis) puts the phase
 count; that diagonalizes the weak symmetry rho -> U rho^T U^dag,
 U = exp(i pi n_b / 2), of both model builders, so the invariant blocks of
 T^H L T (_blocks) split the coherences of odd signal-number difference in
-two. Each solver's accuracy is a module constant, not
-a per-call option: steady_state accepts a residual up to _RESIDUAL_TOL, and
-evolve_open checks trace (_TRACE_TOL) and, on small dimensions, positivity
+two. steady_state factorizes one trace-row system: on the trace block
+alone, the block of T^H L T that holds the diagonal coordinates, when the
+channel operators certify an irreducible semigroup and hence a
+one-dimensional kernel (_cyclic_dimension: the common kernel of the strictly
+upper-triangular channels is the vacuum, and the vacuum's cyclic subspace
+under K = -iH - sum_c gamma_c c^dag c and the channels is the whole Hilbert
+space; Baumgartner & Narnhofer, J. Phys. A 41, 395303 (2008); Evans, CMP 54,
+293 (1977); Frigerio, CMP 63, 269 (1978)), and on the whole of T^H L T
+otherwise. Each solver's accuracy is a module constant, not a per-call
+option: steady_state accepts a residual up to _RESIDUAL_TOL, and evolve_open
+checks trace (_TRACE_TOL) and, on small dimensions, positivity
 (_MIN_EIGENVALUE); violations raise instead of propagating silently. The
 three-level model is the reduced one at d = 3 and evolves through
 evolve_open. Closed evolution applies exp(-iHt) exactly (expm_multiply);
@@ -98,6 +106,11 @@ _TRACE_TOL, _MIN_EIGENVALUE = 1e-8, -1e-7
 
 # steady_state accepts a residual max|L vec(rho)| up to _RESIDUAL_TOL * max(1, ||L||_inf).
 _RESIDUAL_TOL = 1e-10
+
+# _cyclic_dimension keeps a new direction when its singular value exceeds
+# _RANK_CUT times the largest inf-norm of the generators; the same relative
+# cut decides the dimension of the channels' common kernel.
+_RANK_CUT = 1e-10
 
 # An eigenvalue z of L is a zero mode when |Re z| <= _ZERO_MODE_CUT * ||L||_inf.
 _ZERO_MODE_CUT = 1e-10
@@ -476,6 +489,75 @@ def _kernel_dimension(m: sp.csr_matrix, norm: float) -> int | None:
     return int(np.sum(np.abs(ev.real) <= _ZERO_MODE_CUT * norm))
 
 
+def _cyclic_dimension(model: LindbladModel) -> int:
+    """Dimension of the subspace that K and the channels generate from the
+    common kernel vector of the strictly upper-triangular channels; 0 when
+    there is no such channel or their common kernel is not one-dimensional.
+
+    Only channels of nonzero rate count. K = -iH - sum_c gamma_c c^dag c is
+    the no-jump generator of this module's dissipator convention (jump
+    operators sqrt(2 gamma_c) c). A subspace is invariant under the semigroup
+    exactly when K and every channel leave it invariant (Baumgartner &
+    Narnhofer, J. Phys. A 41, 395303 (2008)). The strictly upper-triangular
+    channels in the product Fock basis (a, b, b^2) generate a nilpotent
+    algebra, so every invariant subspace holds a common kernel vector of
+    theirs; when that kernel is one-dimensional it is the vacuum e_0, and
+    every invariant subspace holds the cyclic subspace of e_0. Dimension d
+    thus leaves no proper invariant subspace: the semigroup is irreducible,
+    and L has a one-dimensional kernel (Evans, CMP 54, 293 (1977); Frigerio,
+    CMP 63, 269 (1978)). The subspace grows by block Gram-Schmidt; a new
+    direction counts when its singular value exceeds _RANK_CUT times the
+    largest inf-norm of the generators.
+    """
+    channels = [(rate, c.matrix) for rate, c in model.channels if rate > 0]
+    lowering = [c for _, c in channels if not np.tril(c).any()]
+    if not lowering:
+        return 0
+    s = np.linalg.svd(np.vstack(lowering), compute_uv=False)
+    if np.count_nonzero(s <= _RANK_CUT * s[0]) != 1:
+        return 0
+    d = model.dim
+    k = -1j * model.hamiltonian.matrix
+    for rate, c in channels:
+        k = k - rate * (c.conj().T @ c)
+    generators = [k] + [c for _, c in channels]
+    cut = _RANK_CUT * max(np.abs(g).sum(axis=1).max() for g in generators)
+    q = np.eye(d, 1, dtype=complex)
+    new = q
+    while new.shape[1] and q.shape[1] < d:
+        w = np.hstack([g @ new for g in generators])
+        for _ in range(2):  # classical Gram-Schmidt, repeated once for orthogonality
+            w -= q @ (q.conj().T @ w)
+        u, s, _ = np.linalg.svd(w, full_matrices=False)
+        new = u[:, s > cut]
+        q = np.hstack([q, new])
+    return q.shape[1]
+
+
+def _trace_block(m: sp.csr_matrix, d: int) -> np.ndarray | None:
+    """Coordinates of the invariant block of M (_blocks) that holds all d
+    diagonal coordinates, or None when they are split across blocks."""
+    block = next(idx for idx in _blocks(m) if idx[0] == 0)
+    return block if np.array_equal(block[:d], np.arange(d)) else None
+
+
+def _solve_trace_row(m: sp.csr_matrix, d: int) -> np.ndarray | None:
+    """x with (M x)_i = 0 for i > 0 and trace 1 on the first d coordinates,
+    from one LU of _trace_row_system(m, d) and one step of iterative
+    refinement; None when that system is singular: an exactly zero pivot, or
+    cond1 * eps >= 1."""
+    a, b = _trace_row_system(m, d)
+    try:
+        lu = spla.splu(a)
+        x = lu.solve(b)
+        x += lu.solve(b - a @ x)
+        if np.all(np.isfinite(x)) and _condition_number(a, lu) * np.finfo(float).eps < 1.0:
+            return x
+    except RuntimeError:  # exactly singular pivot
+        pass
+    return None
+
+
 def _clean_density(v: np.ndarray, d: int) -> np.ndarray:
     rho = _unvec(v, d)
     return rho / np.trace(rho).real
@@ -484,40 +566,46 @@ def _clean_density(v: np.ndarray, d: int) -> np.ndarray:
 def steady_state(model: LindbladModel) -> SteadyStateResult:
     """Steady state from the Liouvillian null space with trace normalization.
 
-    Row 0 of the real generator M = T^H L T (_real_generator) is replaced by
-    the trace functional, ones on the d diagonal coordinates, and the
-    resulting real matrix A is factorized once; rho = unvec(T x) is then
-    Hermitian by construction. A is nonsingular exactly when the kernel of L is
-    one-dimensional, so the kernel counts as degenerate when the LU meets an
-    exactly zero pivot or A is numerically singular: cond1(A) * eps >= 1,
-    i.e. rcond <= machine epsilon, the singularity test of LAPACK xGESVX and
-    MATLAB. A singular A raises SteadyStateDegenerateError carrying the count
-    of L's zero modes, or None when L is too large to count them. A residual
-    max|L vec(rho)| above _RESIDUAL_TOL * max(1, ||L||_inf) raises
-    ResidualError.
+    Row 0 of the real generator M = T^H L T (_real_generator), or of one of
+    its invariant blocks, is replaced by the trace functional, ones on the d
+    diagonal coordinates, and the resulting real matrix A is factorized once
+    (_solve_trace_row); rho = unvec(T x) is then Hermitian by construction.
+    When the channels certify an irreducible semigroup (_cyclic_dimension
+    reaches d; Baumgartner & Narnhofer 2008, Evans 1977, Frigerio 1978), the
+    kernel of L is one-dimensional and lies in the trace block, the block of
+    M that holds the diagonal coordinates (_trace_block), and A is built on
+    that block alone; the other blocks are nonsingular and stay zero.
+    Otherwise (gamma_b = 0, g = 0 in the full model, no triangular channel)
+    A is built on the whole of M, which is nonsingular exactly when the
+    kernel of L is one-dimensional. Either way the kernel counts as
+    degenerate when the LU meets an exactly zero pivot or A is numerically
+    singular: cond1(A) * eps >= 1, i.e. rcond <= machine epsilon, the
+    singularity test of LAPACK xGESVX and MATLAB. A singular A raises
+    SteadyStateDegenerateError, whose message names the system (trace block
+    or whole, and its side) and which carries the count of L's zero modes, or
+    None when L is too large to count them. A residual max|L vec(rho)| above
+    _RESIDUAL_TOL * max(1, ||L||_inf) raises ResidualError.
     """
     if not any(rate > 0 for rate, _ in model.channels):
         raise ValueError("steady_state needs at least one dissipative channel")
     d = model.dim
     lio = liouvillian_matrix(model)
     basis, m, norm = _real_generator(lio, model.space)
-    a, b = _trace_row_system(m, d)
-
-    try:
-        lu = spla.splu(a)
-        x = lu.solve(b)
-        x += lu.solve(b - a @ x)  # one step of iterative refinement
-        singular = not (
-            np.all(np.isfinite(x))
-            and _condition_number(a, lu) * np.finfo(float).eps < 1.0
-        )
-    except RuntimeError:  # exactly singular pivot
-        singular = True
-    if singular:
+    block = _trace_block(m, d) if _cyclic_dimension(model) == d else None
+    if block is None:
+        system = f"the whole trace-row system (side {m.shape[0]})"
+        x = _solve_trace_row(m, d)
+    else:
+        system = f"the trace-row system of the trace block (side {block.size})"
+        x_block, x = _solve_trace_row(m[block][:, block], d), None
+        if x_block is not None:  # the other blocks hold no part of the kernel
+            x = np.zeros(m.shape[0])
+            x[block] = x_block
+    if x is None:
         kdim = _kernel_dimension(m, norm)
         counted = "too large to count" if kdim is None else kdim
         raise SteadyStateDegenerateError(
-            f"no unique steady state: the trace-row system is singular "
+            f"no unique steady state: {system} is singular "
             f"(Liouvillian zero modes: {counted})",
             kernel_dim=kdim,
         )

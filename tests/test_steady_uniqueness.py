@@ -1,8 +1,11 @@
 """Uniqueness of the Liouvillian steady state: one LU, its rcond, and kernel counts.
 
 `steady_state` decides uniqueness from the condition estimate of the one
-trace-row LU it builds on the real generator T^H L T. The slow path it
-replaced solved a second system whose row 0 is a random normalization
+trace-row LU it builds on the real generator T^H L T: on the trace block
+alone when the channel operators certify an irreducible semigroup, on the
+whole generator otherwise; the whole-matrix path stays reachable by refusing
+the certificate and is the reference of the trace-block path. The slow path
+both replaced solved a second system whose row 0 is a random normalization
 functional and compared the two states; that probe, and the complex vec(rho)
 trace-row solve before the real one, are kept here as test-local references.
 Kernel counts and spectral gaps come from real block spectra; the
@@ -20,6 +23,7 @@ from scipy.sparse.csgraph import connected_components
 
 from pdclab import dynamics
 from pdclab.dynamics import (
+    LindbladModel,
     SystemParams,
     _hermitian_basis,
     _kernel_dimension,
@@ -31,9 +35,11 @@ from pdclab.dynamics import (
     steady_state,
 )
 from pdclab.errors import ResidualError, SteadyStateDegenerateError
-from pdclab.hilbert import FockSpace
+from pdclab.hilbert import FockSpace, annihilation, embed, expectation, number_operator
 
 _DENSE_COUNTS: dict[tuple, int] = {}
+
+UNIQUE = SystemParams(g=0.2, lambda_a=0.5, gamma_a=4.0, gamma_b=0.5, kappa_e=0.05)
 
 
 def _zero_modes(block: np.ndarray, scale: float) -> int:
@@ -164,6 +170,25 @@ def _full_grid(d_a: int, d_b: int):
     yield 0.5, 0.0, build_full_model(params, d_a, d_b)
 
 
+def _near_decoupled_grid():
+    """A reduced model at gamma_b = 1e-6 with kappa_e = 0, in _grid's form:
+    the parity sectors are coupled by gamma_b alone."""
+    params = SystemParams(g=0.2, lambda_a=0.5, gamma_a=4.0, gamma_b=1e-6, nbar=0.5)
+    yield 1e-6, 0.5, build_reduced_model(params, 48)
+
+
+def _trace_block_side(model) -> int:
+    """Side of the weakly connected component of the real generator that
+    holds coordinate 0, the diagonal rho[0, 0]."""
+    _, m, _ = _real_generator(liouvillian_matrix(model), model.space)
+    labels = connected_components(m, connection="weak")[1]
+    return int(np.count_nonzero(labels == labels[0]))
+
+
+def _certified(model) -> bool:
+    return dynamics._cyclic_dimension(model) == model.dim
+
+
 @pytest.mark.parametrize("d", (8, 16))
 def test_parity_sector_count_equals_whole_matrix_count(d):
     counts = []
@@ -182,11 +207,17 @@ def test_parity_sector_count_equals_whole_matrix_count(d):
 )
 def test_one_lu_agrees_with_the_random_row_probe(grid, monkeypatch):
     """Same verdicts and kernel dimensions as the probe; rho agrees with the
-    complex trace-row solve to within that solve's own cond1 * eps.
+    complex trace-row solve to within that solve's own cond1 * eps. A unique
+    steady state costs one LU: of the trace block's side when the channels
+    certify the model, of the whole generator's side otherwise.
 
     gamma_b runs from the degenerate manifold (0) through 1e-10 to 1. The grid
     leaves out gamma_b ~ 1e-14: there the probe's verdict is rounding noise, as
     its mismatch (9e-6 to 2e-5) sits within a factor 20 of its own 1e-6 cut.
+    The rcond verdict is noise there too: at gamma_b = 1e-14, nbar = 0.5 and
+    d = 16 the certified trace block passes cond1 * eps < 1 and the model
+    counts as unique, while the whole-matrix LU fails it and counts the model
+    as degenerate.
     """
     splu_calls = []
 
@@ -208,10 +239,107 @@ def test_one_lu_agrees_with_the_random_row_probe(grid, monkeypatch):
                 verdict = ("unique", 1)  # a nonsingular solve means a 1-dim kernel
         assert verdict == expected, (gamma_b, nbar)
         if verdict[0] == "unique":
-            assert len(splu_calls) == 1, (gamma_b, nbar)
+            side = _trace_block_side(model) if _certified(model) else model.dim**2
+            assert splu_calls == [(side, side)], (gamma_b, nbar)
             dev = np.abs(result.rho.matrix - rho).max()
             assert dev <= cond * np.finfo(float).eps, (gamma_b, nbar, dev, cond)
     assert expected == ("unique", 1)  # the grid ends on a unique model
+
+
+@pytest.mark.parametrize(
+    "grid",
+    [pytest.param(partial(_grid, d), id=str(d)) for d in (8, 16, 40)]
+    + [pytest.param(partial(_full_grid, *dims), id=f"full-{dims[0]}x{dims[1]}")
+       for dims in ((3, 8), (4, 10), (4, 12))]
+    + [pytest.param(_near_decoupled_grid, id="reduced-gb1e-6")],
+)
+def test_trace_block_path_matches_the_whole_matrix_path(grid, monkeypatch):
+    """Each certified model gives the same verdict, kernel_dim and, within
+    1e-12, rho on the trace block as on the whole generator, the path that a
+    refused certificate takes. Uncertified models take that path already."""
+
+    def solve(model):
+        try:
+            return ("unique", 1), steady_state(model).rho.matrix
+        except SteadyStateDegenerateError as exc:
+            return ("degenerate", exc.kernel_dim), None
+
+    certified = 0
+    for gamma_b, nbar, model in grid():
+        if not _certified(model):
+            continue
+        certified += 1
+        verdict, rho = solve(model)
+        with monkeypatch.context() as patch:
+            patch.setattr(dynamics, "_cyclic_dimension", lambda model: 0)
+            whole_verdict, whole_rho = solve(model)
+        assert verdict == whole_verdict, (gamma_b, nbar)
+        if rho is not None:
+            assert np.abs(rho - whole_rho).max() <= 1e-12, (gamma_b, nbar)
+    assert certified
+
+
+@pytest.mark.parametrize(
+    "model",
+    [
+        build_reduced_model(UNIQUE, 16),
+        build_reduced_model(SystemParams(g=0.2, lambda_a=0.5, gamma_a=4.0, gamma_b=0.5, kappa_e=0.05, nbar=0.5), 16),
+        build_reduced_model(SystemParams(g=0.2, lambda_a=0.5, gamma_a=4.0, gamma_b=1e-6, kappa_e=0.05), 16),
+        build_full_model(SystemParams(g=0.3, lambda_a=0.4, gamma_a=1.0, gamma_b=0.5), 4, 12),
+    ],
+    ids=["reduced-cold", "reduced-thermal", "reduced-gb1e-6", "full-4x12"],
+)
+def test_channels_certify_irreducible_models(model):
+    assert dynamics._cyclic_dimension(model) == model.dim
+
+
+def _dephasing_model(d: int) -> LindbladModel:
+    # n_b is diagonal, so no channel is strictly triangular; every Fock
+    # population is conserved and L has d zero modes
+    n = number_operator(FockSpace(d))
+    return LindbladModel(n, [(0.3, n)])
+
+
+def test_certificate_refusals_take_the_whole_matrix_path(monkeypatch):
+    """Where the certificate stops: the kernel of b^2 alone is two-dimensional
+    at gamma_b = 0; at g = 0 the pump's coherent state times the signal vacuum
+    is unique but not full rank, and the cyclic subspace of the vacuum is the
+    pump's 4 levels of 48; a lone dephasing channel is not triangular. Each
+    model is answered by one LU of the whole generator."""
+    splu_sides = []
+
+    def counting_splu(a, *args, **kwargs):
+        splu_sides.append(a.shape[0])
+        return real_splu(a, *args, **kwargs)
+
+    real_splu = spla.splu
+    monkeypatch.setattr(spla, "splu", counting_splu)
+    lossless = build_reduced_model(
+        SystemParams(g=0.2, lambda_a=0.5, gamma_a=4.0, gamma_b=0.0, kappa_e=0.05), 16
+    )
+    uncoupled = build_full_model(SystemParams(g=0.0, lambda_a=0.4, gamma_a=1.0, gamma_b=0.5), 4, 12)
+    dephasing = _dephasing_model(6)
+    assert [dynamics._cyclic_dimension(m) for m in (lossless, uncoupled, dephasing)] == [0, 4, 0]
+
+    for model, kernel_dim in ((lossless, 4), (dephasing, 6)):
+        splu_sides.clear()
+        side = model.dim**2
+        with pytest.raises(SteadyStateDegenerateError,
+                           match=rf"the whole trace-row system \(side {side}\) is singular") as err:
+            steady_state(model)
+        assert err.value.kernel_dim == kernel_dim
+        assert splu_sides == [side]
+
+    splu_sides.clear()
+    rho = steady_state(uncoupled).rho
+    assert splu_sides == [48 * 48]
+    # the signal stays in its vacuum; the pump sits near the coherent state
+    # alpha = lambda_a / gamma_a = 0.4, up to the truncation at 4 levels
+    spaces = rho.space.factors
+    a = embed(annihilation(spaces[0]), 0, spaces)
+    n_b = embed(number_operator(spaces[1]), 1, spaces)
+    assert abs(expectation(n_b, rho)) < 1e-14
+    assert expectation(a, rho) == pytest.approx(0.4, abs=1e-3)
 
 
 @pytest.mark.parametrize(
@@ -350,16 +478,22 @@ def test_dense_cap_bounds_the_largest_real_block(monkeypatch):
     assert sorted(sides) == [1936, 1980, 1980, 2025]
 
 
-UNIQUE = SystemParams(g=0.2, lambda_a=0.5, gamma_a=4.0, gamma_b=0.5, kappa_e=0.05)
-
-
 def test_singular_solve_raises_whatever_the_kernel_count(monkeypatch):
     # a singular trace-row system has no fallback, even when the count finds
-    # a single zero mode
+    # a single zero mode; the message names the system that was singular
     monkeypatch.setattr(dynamics, "_condition_number", lambda a, lu: np.inf)
     monkeypatch.setattr(dynamics, "_kernel_dimension", lambda m, norm: 1)
-    with pytest.raises(SteadyStateDegenerateError) as err:
-        steady_state(build_reduced_model(UNIQUE, 8))
+    model = build_reduced_model(UNIQUE, 8)
+    side = _trace_block_side(model)
+    assert side < 64
+    with pytest.raises(SteadyStateDegenerateError,
+                       match=rf"trace-row system of the trace block \(side {side}\) is singular") as err:
+        steady_state(model)
+    assert err.value.kernel_dim == 1
+    monkeypatch.setattr(dynamics, "_cyclic_dimension", lambda model: 0)
+    with pytest.raises(SteadyStateDegenerateError,
+                       match=r"the whole trace-row system \(side 64\) is singular") as err:
+        steady_state(model)
     assert err.value.kernel_dim == 1
 
 
