@@ -41,14 +41,12 @@ at _ODE_RTOL and _ODE_ATOL.
 
 from __future__ import annotations
 
+import importlib
 import math
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-import scipy.sparse as sp
-import scipy.sparse.linalg as spla
-from scipy.linalg import expm
 
 from .errors import (
     DimensionMismatchError,
@@ -68,6 +66,30 @@ from .hilbert import (
     embed,
     top_level_population,
 )
+
+
+class _Deferred:
+    """A module imported on the first attribute access through this reference,
+    then kept: import pdclab loads no scipy. Every access reads the module's
+    attribute anew, so a patched module attribute is seen."""
+
+    def __init__(self, name: str):
+        self._name = name
+        self._module = None
+
+    def __getattr__(self, attr: str):
+        # import_module holds the module's import lock, so threads that race
+        # on the first access all receive the fully initialized module
+        module = self._module
+        if module is None:
+            module = self._module = importlib.import_module(self._name)
+        return getattr(module, attr)
+
+
+# module attributes, not local imports, so that callers can rebind
+# dynamics.spla to observe the sparse LU
+sp = _Deferred("scipy.sparse")
+spla = _Deferred("scipy.sparse.linalg")
 
 __all__ = [
     "SystemParams",
@@ -295,6 +317,8 @@ def evolve_closed(h: Operator, psi0: StateVector, t: float) -> StateVector:
 def _evolve_blocks(m: sp.csr_matrix, blocks: list[np.ndarray], x0: np.ndarray,
                    t: float) -> np.ndarray:
     """x(t) = expm(t M) x0, one dense real exponential per invariant block of M."""
+    from scipy.linalg import expm
+
     x = np.empty_like(x0)
     for idx in blocks:
         x[idx] = expm(t * m[idx][:, idx].toarray()) @ x0[idx]

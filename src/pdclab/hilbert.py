@@ -242,6 +242,14 @@ def fock_state(n: int, space: FockSpace) -> StateVector:
     return StateVector(amps, space)
 
 
+def _poisson_tail(log_terms: np.ndarray, mean: float) -> float:
+    """P(N >= d) for N ~ Poisson(mean), from log_terms[n] = n log(mean) -
+    lgamma(n + 1), n < d: 1 - exp(logsumexp(log_terms) - mean), summed in the
+    log domain, so exp(-mean) never underflows at large mean."""
+    top = log_terms.max()
+    return -math.expm1(top + math.log(float(np.sum(np.exp(log_terms - top)))) - mean)
+
+
 def coherent_state(alpha: complex, space: FockSpace) -> StateVector:
     """Coherent state with amplitudes ~ alpha^n/sqrt(n!), renormalized.
 
@@ -261,11 +269,7 @@ def coherent_state(alpha: complex, space: FockSpace) -> StateVector:
     logmag = n * np.log(abs(alpha)) - 0.5 * np.array([math.lgamma(k + 1) for k in n])
     phase = np.exp(1j * n * np.angle(alpha))
     amps = np.exp(logmag - logmag.max()) * phase
-    from scipy.special import gammainc  # deferred: import pdclab skips scipy.special
-
-    # Poisson P(N >= d), the regularized lower incomplete gamma: no underflow
-    # of exp(-|alpha|^2) at large |alpha|
-    tail = float(gammainc(d, abs(alpha) ** 2))
+    tail = _poisson_tail(2 * logmag, abs(alpha) ** 2)
     if tail > _COHERENT_TAIL_TOL:
         raise TruncationError(
             f"coherent state |alpha|^2={abs(alpha)**2:.3g} keeps only "

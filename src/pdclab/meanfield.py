@@ -21,7 +21,6 @@ import cmath
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-from scipy.linalg import solve_sylvester
 
 from .dynamics import SystemParams
 from .errors import ResidualError, StabilityError
@@ -182,6 +181,8 @@ def fluct_moments_lyapunov(
     """
     if not report.stable:
         raise StabilityError("unstable W: no stationary covariance exists")
+    from scipy.linalg import solve_sylvester  # deferred: import pdclab skips scipy
+
     d = np.zeros((4, 4), dtype=complex)
     d[0, 1] = 2.0 * params.gamma_a
     d[2, 3] = 2.0 * params.gamma_b * (params.nbar + 1.0)

@@ -2,6 +2,7 @@
 
 import csv
 import json
+import os
 import subprocess
 import sys
 from dataclasses import fields
@@ -14,6 +15,7 @@ from pdclab.dynamics import SystemParams
 from pdclab.errors import ConfigError
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+SRC = CONFIGS.parent / "src"
 
 GOOD = """
 # comment lines and blank lines are ignored
@@ -252,6 +254,26 @@ def test_run_byte_identical_across_thread_counts(tmp_path):
         assert sorted(p.name for p in outn.iterdir()) == files
         for name in files:
             assert (out1 / name).read_bytes() == (outn / name).read_bytes(), (cfg, name)
+
+
+def test_cold_run_byte_identical_across_thread_counts(tmp_path):
+    # fresh interpreters, so that the pool's threads race on the first
+    # import of scipy's sparse stack and of scipy.optimize
+    cfg = CONFIGS / "sensor.cfg"
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    for threads in ("4", "1"):
+        proc = subprocess.run(
+            [sys.executable, "-m", "pdclab.cli", "run", str(cfg),
+             "--out-dir", str(tmp_path / threads), "--threads", threads],
+            capture_output=True, text=True, env=env,
+        )
+        assert proc.returncode == 0, proc.stderr
+    files = sorted(p.name for p in (tmp_path / "1").iterdir())
+    assert len(files) == 2 * len(parse_config(cfg).tasks)
+    assert sorted(p.name for p in (tmp_path / "4").iterdir()) == files
+    for name in files:
+        assert (tmp_path / "1" / name).read_bytes() == (tmp_path / "4" / name).read_bytes(), name
 
 
 def test_run_exit_1_on_tolerance_failure(tmp_path, capsys):

@@ -26,6 +26,7 @@ from pdclab.hilbert import (
     tensor_state,
     top_level_population,
 )
+from pdclab.hilbert import _COHERENT_TAIL_TOL, _poisson_tail
 
 
 # one storage rule on every dimension, including both sides of 64
@@ -131,6 +132,31 @@ def test_coherent_state_tail_at_large_occupation():
     assert mean_n == pytest.approx(800.0, rel=1e-12)
     with pytest.raises(TruncationError):
         coherent_state(math.sqrt(800.0), FockSpace(820))
+
+
+def test_poisson_tail_matches_the_incomplete_gamma():
+    # P(N >= d) is the regularized lower incomplete gamma P(d, mean); the
+    # log-domain sum loses a few eps * mean to rounding (at most 2.05 here)
+    from scipy.special import gammainc
+
+    for mean in (0.01, 0.5, 2.0, 10.0, 37.5, 100.0, 250.0, 900.0, 2000.0):
+        top = int(mean + 12 * math.sqrt(mean)) + 40  # past the Poisson bulk
+        for d in range(1, top, max(1, top // 60)):
+            n = np.arange(d)
+            log_terms = n * math.log(mean) - np.array([math.lgamma(k + 1) for k in n])
+            error = abs(_poisson_tail(log_terms, mean) - float(gammainc(d, mean)))
+            assert error <= 8 * np.finfo(float).eps * max(1.0, mean), (mean, d)
+
+
+def test_coherent_state_tail_verdict_flips_where_the_incomplete_gamma_does():
+    from scipy.special import gammainc
+
+    for mean in (0.3, 4.0, 30.0, 200.0, 800.0):
+        d = next(d for d in range(1, 2000) if gammainc(d, mean) <= _COHERENT_TAIL_TOL)
+        assert gammainc(d - 1, mean) > _COHERENT_TAIL_TOL
+        coherent_state(math.sqrt(mean), FockSpace(d))
+        with pytest.raises(TruncationError):
+            coherent_state(math.sqrt(mean), FockSpace(d - 1))
 
 
 def test_tensor_state_is_kron():

@@ -1,7 +1,9 @@
 """No module imports a name it never uses, no private module-level name of
 the package goes unreferenced (no linter ships with the package), one
-function of the package calls solve_ivp, and import pdclab leaves out the
-scipy subpackages that only one function each needs."""
+function of the package calls solve_ivp, and import pdclab loads numpy but no
+scipy: no module of the package imports scipy at module level, each scipy
+subpackage loads on the first call that needs it, and configs/meanfield.cfg
+runs without scipy."""
 
 import ast
 import inspect
@@ -178,8 +180,9 @@ def test_solve_ivp_has_one_call_site():
     assert found == ["dynamics._evolve_ode"]
 
 
-# scipy subpackages that a single function each needs: imported inside it
-DEFERRED = ("scipy.optimize", "scipy.integrate", "scipy.special")
+# no module-level import of scipy: each scipy name is imported by the
+# function that needs it, or reached through dynamics' deferred references
+DEFERRED = ("scipy",)
 
 
 def module_level_imports(source: str) -> list[tuple[int, str]]:
@@ -208,15 +211,15 @@ def deferred(name: str) -> bool:
 
 def test_scanner_finds_module_level_imports():
     source = (
-        "import scipy.integrate as si\nfrom scipy import optimize\n"
+        "import scipy.integrate as si\nfrom scipy import optimize\nimport scipyx\n"
         "try:\n    from scipy.special import gammainc\nexcept ImportError:\n    pass\n"
         "class C:\n    import scipy.special\n"
         "def f():\n    from scipy.optimize import minimize_scalar\n"
     )
     flagged = [(line, name) for line, name in module_level_imports(source) if deferred(name)]
     assert flagged == [
-        (1, "scipy.integrate"), (2, "scipy.optimize"),
-        (4, "scipy.special"), (4, "scipy.special.gammainc"), (8, "scipy.special"),
+        (1, "scipy.integrate"), (2, "scipy"), (2, "scipy.optimize"),
+        (5, "scipy.special"), (5, "scipy.special.gammainc"), (9, "scipy.special"),
     ]
 
 
@@ -227,24 +230,44 @@ def test_no_module_level_import_of_a_deferred_subpackage():
         for line, name in module_level_imports(path.read_text())
         if deferred(name)
     ]
-    assert not found, "module-level imports of deferred subpackages:\n" + "\n".join(found)
+    assert not found, "module-level imports of scipy:\n" + "\n".join(found)
 
 
 # A fresh interpreter: the test session has loaded all of scipy long before.
-# Each step prints the deferred subpackages loaded so far and its result.
+# Each step prints the tracked scipy subpackages loaded so far and its result.
+TRACKED = (
+    "scipy.linalg", "scipy.sparse", "scipy.sparse.linalg", "scipy.sparse.csgraph",
+    "scipy.optimize", "scipy.integrate", "scipy.special",
+)
 IMPORT_PROBE = """
 import json, sys
 import pdclab.cli
 from pdclab.analytic import lambda_sensor
-from pdclab.dynamics import SystemParams, build_full_model, evolve_open
-from pdclab.hilbert import FockSpace, coherent_state, density_from_state, fock_state, tensor_state
+from pdclab.dynamics import (
+    SystemParams, build_full_model, build_reduced_model, evolve_open, steady_state,
+)
+from pdclab.hilbert import (
+    FockSpace, coherent_state, density_from_state, expectation, fock_state,
+    number_operator, tensor_state,
+)
+from pdclab.meanfield import (
+    build_W, fluct_moments_analytic, fluct_moments_lyapunov, steady_solutions,
+)
 
 def step(value):
-    print(json.dumps([sorted(m for m in DEFERRED if m in sys.modules), value]))
+    print(json.dumps([sorted(m for m in TRACKED if m in sys.modules), value]))
 
-DEFERRED = {deferred!r}
-step(None)
+TRACKED = {tracked!r}
+step(sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy.")))
 step(abs(coherent_state(1.5 - 0.5j, FockSpace(40)).amplitudes[0]) ** 2)
+p = SystemParams(g=0.2, lambda_a=1.0, gamma_a=10.0, gamma_b=1.0, nbar=0.5)
+lyapunov = fluct_moments_lyapunov(build_W(p, steady_solutions(p)[0]), p).n_fluct
+step(abs(lyapunov / fluct_moments_analytic(p).n_fluct - 1))
+reduced = build_reduced_model(p, 16)
+n_ss = expectation(number_operator(reduced.space), steady_state(reduced).rho).real
+step(n_ss)
+vac = density_from_state(fock_state(0, FockSpace(16)))
+step(abs(expectation(number_operator(reduced.space), evolve_open(reduced, vac, 60.0)).real - n_ss))
 step(lambda_sensor(SystemParams(g=0.2, lambda_a=1.0, gamma_a=2.0, gamma_b=0.0, kappa_e=0.05))[2].g_opt)
 full = build_full_model(SystemParams(g=0.2, lambda_a=0.01, gamma_a=10.0, gamma_b=1.0), 4, 8)
 vac = tensor_state(fock_state(0, FockSpace(4)), fock_state(0, FockSpace(8)))
@@ -252,24 +275,99 @@ step(evolve_open(full, density_from_state(vac), 2.0).matrix.trace().real)
 """
 
 
-def test_import_pdclab_defers_and_each_deferred_path_still_works():
+def fresh_env() -> dict:
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    return env
+
+
+def test_import_pdclab_defers_and_each_deferred_path_still_works():
     proc = subprocess.run(
-        [sys.executable, "-c", IMPORT_PROBE.format(deferred=DEFERRED)],
-        capture_output=True, text=True, env=env, cwd=ROOT,
+        [sys.executable, "-c", IMPORT_PROBE.format(tracked=TRACKED)],
+        capture_output=True, text=True, env=fresh_env(), cwd=ROOT,
     )
     assert proc.returncode == 0, proc.stderr
-    (loaded, _), (special, vacuum), (optimize, g_opt), (integrate, trace) = map(
-        json.loads, proc.stdout.splitlines()
-    )
-    assert loaded == []
-    # coherent_state's tail check (gammainc) passed: |<0|alpha>|^2 = exp(-|alpha|^2)
-    assert special == ["scipy.special"]
+    steps = [json.loads(line) for line in proc.stdout.splitlines()]
+    (loaded, every_scipy), (special, vacuum), (lyapunov, rel_dev) = steps[:3]
+    (steady, n_ss), (blocks, drift), (optimize, g_opt), (integrate, trace) = steps[3:]
+    # import pdclab.cli loads no scipy module at all
+    assert loaded == [] and every_scipy == []
+    # coherent_state's tail check is numpy alone: |<0|alpha>|^2 = exp(-|alpha|^2)
+    assert special == []
     assert vacuum == pytest.approx(math.exp(-2.5), rel=1e-12)
+    # fluct_moments_lyapunov's solve_sylvester loads scipy.linalg and nothing sparse
+    assert lyapunov == ["scipy.linalg"]
+    assert rel_dev < 1e-10  # the closed form, numpy alone
+    # the first steady_state loads the sparse stack and no other subpackage
+    assert steady == ["scipy.linalg", "scipy.sparse", "scipy.sparse.csgraph", "scipy.sparse.linalg"]
+    assert n_ss > 0
+    # evolve_open's block route (expm from scipy.linalg) relaxes onto the steady state
+    assert blocks == steady
+    assert drift < 1e-6
     # minimize_scalar finds the optimum coupling sqrt(gamma_a kappa_e / 2)
     assert "scipy.optimize" in optimize and "scipy.integrate" not in optimize
     assert g_opt == pytest.approx(math.sqrt(2.0 * 0.05 / 2), rel=1e-6)
     # criterion 11's full 4x8 model at t = 2 takes the DOP853 route
     assert "scipy.integrate" in integrate
     assert trace == pytest.approx(1.0, abs=1e-9)
+
+
+# `python -m pdclab.cli run configs/meanfield.cfg`, then the scipy modules it
+# left in sys.modules (-X importtime does not list modules that
+# importlib.import_module loads, so it cannot see the deferred references)
+MEANFIELD_RUN = """
+import json, runpy, sys
+sys.argv = ["pdclab", "run", "configs/meanfield.cfg", "--out-dir", {out!r}]
+try:
+    runpy.run_module("pdclab.cli", run_name="__main__", alter_sys=True)
+except SystemExit as done:
+    code = done.code
+print(json.dumps([code, sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))]))
+"""
+
+
+def test_meanfield_config_runs_without_scipy(tmp_path):
+    proc = subprocess.run(
+        [sys.executable, "-c", MEANFIELD_RUN.format(out=str(tmp_path))],
+        capture_output=True, text=True, env=fresh_env(), cwd=ROOT,
+    )
+    assert proc.returncode == 0, proc.stderr
+    code, scipy_modules = json.loads(proc.stdout.splitlines()[-1])
+    assert code == 0
+    assert scipy_modules == []
+    assert sorted(p.name for p in tmp_path.iterdir()) == [
+        "meanfield_meanfield.csv", "meanfield_meanfield.json",
+    ]
+
+
+# Threads that race on the first access through a deferred reference: a
+# switch interval of 1 us interleaves them inside the import itself.
+RACE_PROBE = """
+import sys, threading
+sys.setswitchinterval(1e-6)
+from pdclab import dynamics
+assert "scipy.sparse" not in sys.modules
+barrier = threading.Barrier(8)
+got = []
+
+def first_access():
+    barrier.wait()
+    got.append((dynamics.spla.splu, dynamics.sp.csr_matrix))
+
+threads = [threading.Thread(target=first_access) for _ in range(8)]
+for t in threads:
+    t.start()
+for t in threads:
+    t.join(timeout=60)
+assert not any(t.is_alive() for t in threads)
+import scipy.sparse, scipy.sparse.linalg
+assert got == [(scipy.sparse.linalg.splu, scipy.sparse.csr_matrix)] * 8, got
+"""
+
+
+def test_threads_racing_on_the_first_access_all_see_the_module():
+    proc = subprocess.run(
+        [sys.executable, "-c", RACE_PROBE],
+        capture_output=True, text=True, env=fresh_env(), cwd=ROOT, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr

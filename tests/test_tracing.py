@@ -1,14 +1,20 @@
 """The benchmark tracer (perfbench/tracing.py) wraps pdclab functions by name
 from outside the package; every name it wraps must exist, and undoing the
-instrumentation must leave pdclab exactly as it was."""
+instrumentation must leave pdclab exactly as it was, also when it is installed
+before the first solver call has loaded scipy."""
 
 import importlib.util
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pdclab
 from pdclab import analytic, cli, dynamics, hilbert, meanfield, metrology
 
-TRACING = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
+ROOT = Path(__file__).resolve().parent.parent
+TRACING = ROOT / "perfbench" / "tracing.py"
 NAMESPACES = (pdclab, analytic, cli, dynamics, hilbert, meanfield, metrology)
 
 
@@ -39,3 +45,45 @@ def test_tracer_targets_exist_and_undo_restores_every_function():
     after = snapshot()
     assert after.keys() == before.keys()
     assert [key for key in before if after[key] is not before[key]] == []
+
+
+# A fresh interpreter: the tracer wraps dynamics.spla, the deferred reference
+# to scipy.sparse.linalg, before any solver call has imported it.
+COLD_PROBE = """
+import importlib.util, json, sys
+from pdclab import dynamics
+
+cold = "scipy.sparse.linalg" not in sys.modules
+spec = importlib.util.spec_from_file_location("perfbench_tracing", {tracing!r})
+tracing = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(tracing)
+spla = dynamics.spla
+tracer = tracing.Tracer()
+undo = tracing.instrument(tracer)
+params = dynamics.SystemParams(g=0.2, lambda_a=1.0, gamma_a=10.0, gamma_b=1.0)
+dynamics.steady_state(dynamics.build_reduced_model(params, 24))
+undo()
+print(json.dumps({{
+    "cold": cold,
+    "calls": dict(tracer.calls()),
+    "fill": tracer.counts["dynamics.lu_fill_nnz"],
+    "restored": dynamics.spla is spla,
+}}))
+"""
+
+
+def test_tracer_installed_before_scipy_loads_counts_one_lu_per_steady_state():
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", COLD_PROBE.format(tracing=str(TRACING))],
+        capture_output=True, text=True, env=env, cwd=ROOT,
+    )
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout.splitlines()[-1])
+    assert result["cold"]
+    # a certified steady state factorizes its trace block once
+    assert result["calls"]["dynamics.steady_state"] == 1
+    assert result["calls"]["dynamics.lu_factor"] == 1
+    assert result["fill"] > 0
+    assert result["restored"]
