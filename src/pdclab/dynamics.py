@@ -13,30 +13,32 @@ The dissipator convention is fixed throughout as
     rho_dot = -i[H, rho] + sum_c gamma_c (2 c rho c^dag - c^dag c rho - rho c^dag c)
 
 so a decaying amplitude obeys d<c>/dt = -gamma_c <c> and a one-photon Fock
-population decays as exp(-2 gamma t). Every Liouvillian solver here (steady
-state, spectra, open evolution) works on the real generator T^H L T in a
-Hermitian-operator basis (_real_generator), so the states it returns are
-Hermitian by construction. The basis (_hermitian_basis) puts the phase
-(1 + i)/2 on the level pairs whose signal Fock numbers differ by an odd
-count; that diagonalizes the weak symmetry rho -> U rho^T U^dag,
-U = exp(i pi n_b / 2), of both model builders, so the invariant blocks of
-T^H L T (_blocks) split the coherences of odd signal-number difference in
-two. steady_state factorizes one trace-row system: on the trace block
-alone, the block of T^H L T that holds the diagonal coordinates, when the
-channel operators certify an irreducible semigroup and hence a
-one-dimensional kernel (_cyclic_dimension: the common kernel of the strictly
-upper-triangular channels is the vacuum, and the vacuum's cyclic subspace
-under K = -iH - sum_c gamma_c c^dag c and the channels is the whole Hilbert
-space; Baumgartner & Narnhofer, J. Phys. A 41, 395303 (2008); Evans, CMP 54,
-293 (1977); Frigerio, CMP 63, 269 (1978)), and on the whole of T^H L T
-otherwise. Each solver's accuracy is a module constant, not a per-call
-option: steady_state accepts a residual up to _RESIDUAL_TOL, and evolve_open
-checks trace (_TRACE_TOL) and, on small dimensions, positivity
-(_MIN_EIGENVALUE); violations raise instead of propagating silently. The
-three-level model is the reduced one at d = 3 and evolves through
-evolve_open. Closed evolution applies exp(-iHt) exactly (expm_multiply);
-the package's one ODE integration is evolve_open's DOP853 route (_evolve_ode),
-at _ODE_RTOL and _ODE_ATOL.
+population decays as exp(-2 gamma t). The convention has one home, _no_jump,
+which forms the no-jump generator K = -iH - sum_{gamma_c > 0} gamma_c c^dag c,
+so that rho_dot = K rho + rho K^dag + sum_c 2 gamma_c c rho c^dag:
+liouvillian_matrix builds L from K and the jump terms, and _cyclic_dimension
+reads K as it is. Every Liouvillian solver here (steady state, spectra, open
+evolution) works on the real generator T^H L T in a Hermitian-operator basis
+(_real_generator), so the states it returns are Hermitian by construction. The
+basis (_hermitian_basis) puts the phase (1 + i)/2 on the level pairs whose
+signal Fock numbers differ by an odd count; that diagonalizes the weak
+symmetry rho -> U rho^T U^dag, U = exp(i pi n_b / 2), of both model builders,
+so the invariant blocks of T^H L T (_blocks) split the coherences of odd
+signal-number difference in two. steady_state factorizes one trace-row system:
+on the trace block alone, the block of T^H L T that holds the diagonal
+coordinates, when the channel operators certify an irreducible semigroup and
+hence a one-dimensional kernel (_cyclic_dimension: the common kernel of the
+strictly upper-triangular channels is the vacuum, and the vacuum's cyclic
+subspace under K and the channels is the whole Hilbert space; Baumgartner &
+Narnhofer, J. Phys. A 41, 395303 (2008); Evans, CMP 54, 293 (1977); Frigerio,
+CMP 63, 269 (1978)), and on the whole of T^H L T otherwise. Each solver's
+accuracy is a module constant, not a per-call option: steady_state accepts a
+residual up to _RESIDUAL_TOL, and evolve_open checks trace (_TRACE_TOL) and,
+on small dimensions, positivity (_MIN_EIGENVALUE); violations raise instead of
+propagating silently. The three-level model is the reduced one at d = 3 and
+evolves through evolve_open. Closed evolution applies exp(-iHt) exactly
+(expm_multiply); the package's one ODE integration is evolve_open's DOP853
+route (_evolve_ode), at _ODE_RTOL and _ODE_ATOL.
 """
 
 from __future__ import annotations
@@ -189,11 +191,17 @@ class LindbladModel:
     channels: list[tuple[float, Operator]]
 
     def __post_init__(self):
+        if not np.isfinite(self.hamiltonian.matrix).all():
+            raise ValueError("model Hamiltonian has non-finite entries")
         if not self.hamiltonian.is_hermitian():
             raise ValueError("model Hamiltonian is not Hermitian")
         for rate, c in self.channels:
+            if not math.isfinite(rate):
+                raise ValueError(f"channel rate must be finite, got {rate!r}")
             if rate < 0:
                 raise ValueError(f"channel rate {rate} is negative")
+            if not np.isfinite(c.matrix).all():
+                raise ValueError("channel operator has non-finite entries")
             if c.space != self.hamiltonian.space:
                 raise DimensionMismatchError("channel operator on a different space")
 
@@ -255,27 +263,31 @@ def build_reduced_model(params: SystemParams, d_b: int) -> LindbladModel:
     return LindbladModel(h, channels)
 
 
+def _no_jump(model: LindbladModel) -> np.ndarray:
+    """The dense no-jump generator K = -iH - sum_{rate > 0} rate c^dag c: the
+    one home of the dissipator convention (jump operators sqrt(2 rate) c)."""
+    k = -1j * model.hamiltonian.matrix
+    for rate, c in model.channels:
+        if rate > 0:
+            k = k - rate * (c.matrix.conj().T @ c.matrix)
+    return k
+
+
 def liouvillian_matrix(model: LindbladModel) -> sp.csr_matrix:
     """Vectorized generator acting on vec(rho) in column-major convention.
 
-    The dense Hamiltonian and collapse operators become CSR here.
-
-    vec(A rho B) = (B^T kron A) vec(rho), hence
-    L = -i(I kron H - H^T kron I)
-        + sum_r r (2 conj(c) kron c - I kron c^dag c - (c^dag c)^T kron I).
+    vec(A rho B) = (B^T kron A) vec(rho) and (K^dag)^T = conj(K), hence with
+    the no-jump generator K of _no_jump
+    L = I kron K + conj(K) kron I + sum_{rate > 0} 2 rate conj(c) kron c.
+    K and the collapse operators become CSR here.
     """
-    d = model.dim
-    ident = sp.identity(d, dtype=complex, format="csr")
-    h = sp.csr_matrix(model.hamiltonian.matrix)
-    lio = -1j * (sp.kron(ident, h) - sp.kron(h.T, ident))
+    ident = sp.identity(model.dim, dtype=complex, format="csr")
+    k = sp.csr_matrix(_no_jump(model))
+    lio = sp.kron(ident, k) + sp.kron(k.conj(), ident)
     for rate, cop in model.channels:
-        if rate == 0.0:
-            continue
-        c = sp.csr_matrix(cop.matrix)
-        n = (c.conj().T) @ c
-        lio = lio + rate * (
-            2.0 * sp.kron(c.conj(), c) - sp.kron(ident, n) - sp.kron(n.T, ident)
-        )
+        if rate > 0:
+            c = sp.csr_matrix(cop.matrix)
+            lio = lio + sp.kron((2.0 * rate) * c.conj(), c)
     return lio.tocsr()
 
 
@@ -518,33 +530,28 @@ def _cyclic_dimension(model: LindbladModel) -> int:
     common kernel vector of the strictly upper-triangular channels; 0 when
     there is no such channel or their common kernel is not one-dimensional.
 
-    Only channels of nonzero rate count. K = -iH - sum_c gamma_c c^dag c is
-    the no-jump generator of this module's dissipator convention (jump
-    operators sqrt(2 gamma_c) c). A subspace is invariant under the semigroup
-    exactly when K and every channel leave it invariant (Baumgartner &
-    Narnhofer, J. Phys. A 41, 395303 (2008)). The strictly upper-triangular
-    channels in the product Fock basis (a, b, b^2) generate a nilpotent
-    algebra, so every invariant subspace holds a common kernel vector of
-    theirs; when that kernel is one-dimensional it is the vacuum e_0, and
-    every invariant subspace holds the cyclic subspace of e_0. Dimension d
-    thus leaves no proper invariant subspace: the semigroup is irreducible,
-    and L has a one-dimensional kernel (Evans, CMP 54, 293 (1977); Frigerio,
-    CMP 63, 269 (1978)). The subspace grows by block Gram-Schmidt; a new
-    direction counts when its singular value exceeds _RANK_CUT times the
-    largest inf-norm of the generators.
+    Only channels of nonzero rate count; K is the no-jump generator
+    (_no_jump). A subspace is invariant under the semigroup exactly when K and
+    every channel leave it invariant (Baumgartner & Narnhofer, J. Phys. A 41,
+    395303 (2008)). The strictly upper-triangular channels in the product Fock
+    basis (a, b, b^2) generate a nilpotent algebra, so every invariant
+    subspace holds a common kernel vector of theirs; when that kernel is
+    one-dimensional it is the vacuum e_0, and every invariant subspace holds
+    the cyclic subspace of e_0. Dimension d thus leaves no proper invariant
+    subspace: the semigroup is irreducible, and L has a one-dimensional kernel
+    (Evans, CMP 54, 293 (1977); Frigerio, CMP 63, 269 (1978)). The subspace
+    grows by block Gram-Schmidt; a new direction counts when its singular
+    value exceeds _RANK_CUT times the largest inf-norm of the generators.
     """
-    channels = [(rate, c.matrix) for rate, c in model.channels if rate > 0]
-    lowering = [c for _, c in channels if not np.tril(c).any()]
+    channels = [c.matrix for rate, c in model.channels if rate > 0]
+    lowering = [c for c in channels if not np.tril(c).any()]
     if not lowering:
         return 0
     s = np.linalg.svd(np.vstack(lowering), compute_uv=False)
     if np.count_nonzero(s <= _RANK_CUT * s[0]) != 1:
         return 0
     d = model.dim
-    k = -1j * model.hamiltonian.matrix
-    for rate, c in channels:
-        k = k - rate * (c.conj().T @ c)
-    generators = [k] + [c for _, c in channels]
+    generators = [_no_jump(model)] + channels
     cut = _RANK_CUT * max(np.abs(g).sum(axis=1).max() for g in generators)
     q = np.eye(d, 1, dtype=complex)
     new = q
@@ -685,8 +692,11 @@ def auto_truncated_steady(
 ) -> tuple[SteadyStateResult, int]:
     """Raise the truncation until the top two Fock levels hold < _TOP_POP_TOL.
 
-    Returns the converged steady state together with the dimension used.
+    Returns the converged steady state together with the dimension used;
+    start_dim > max_dim raises ValueError before any solve.
     """
+    if start_dim > max_dim:
+        raise ValueError(f"start_dim {start_dim} exceeds max_dim {max_dim}")
     d = start_dim
     while True:
         result = steady_state(builder(d))

@@ -36,6 +36,7 @@ from pdclab.errors import (
 from pdclab.hilbert import (
     DensityMatrix,
     FockSpace,
+    Operator,
     StateVector,
     annihilation,
     coherent_state,
@@ -74,11 +75,38 @@ def test_system_params_validation():
         _ = SystemParams(g=0.3, lambda_a=1.0, gamma_a=0.0, gamma_b=1.0).kappa
 
 
-def test_liouvillian_action_matches_master_equation():
-    model = build_reduced_model(WORK, 8)
+def _with_complex_channels(model):
+    # a phase on each channel leaves the master equation as it is, but the
+    # channels become complex, so the conj of the jump term is tested
+    return LindbladModel(model.hamiltonian, [(rate, np.exp(0.7j) * c) for rate, c in model.channels])
+
+
+@pytest.mark.parametrize(
+    "model",
+    (
+        build_reduced_model(WORK, 8),
+        _with_complex_channels(build_reduced_model(WORK, 8)),
+        build_reduced_model(SystemParams(g=0.4, lambda_a=0.9, gamma_a=6.0, gamma_b=0.5, nbar=0.5), 8),
+        build_reduced_model(SystemParams(g=0.4, lambda_a=0.9, gamma_a=6.0, gamma_b=0.0), 8),
+        build_full_model(WORK, 3, 6),
+        build_full_model(SystemParams(g=0.4, lambda_a=0.9, gamma_a=6.0, gamma_b=0.5, nbar=0.5), 3, 6),
+    ),
+    ids=(
+        "reduced",
+        "reduced-complex-channels",
+        "reduced-thermal",
+        "reduced-gamma_b=0",
+        "full-3x6",
+        "full-3x6-thermal",
+    ),
+)
+def test_liouvillian_action_matches_master_equation(model):
+    # the per-term master equation is the reference for the no-jump form of L;
+    # at gamma_b = 0 the zero-rate channel must be skipped by L and K alike
+    d = model.dim
     lio = liouvillian_matrix(model)
     rng = np.random.default_rng(3)
-    x = rng.normal(size=(8, 8)) + 1j * rng.normal(size=(8, 8))
+    x = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
     rho = x @ x.conj().T
     rho /= np.trace(rho)
     h = model.hamiltonian.matrix
@@ -87,7 +115,7 @@ def test_liouvillian_action_matches_master_equation():
         cm = c.matrix
         cdc = cm.conj().T @ cm
         rhs += rate * (2 * cm @ rho @ cm.conj().T - cdc @ rho - rho @ cdc)
-    via_lio = (lio @ rho.flatten(order="F")).reshape((8, 8), order="F")
+    via_lio = (lio @ rho.flatten(order="F")).reshape((d, d), order="F")
     assert np.abs(via_lio - rhs).max() < 1e-12 * np.abs(rhs).max() + 1e-14
 
 
@@ -392,6 +420,28 @@ def test_adiabatic_elimination_gives_half_the_paper_two_photon_rate():
     assert all(abs(dev) > 0.5 for dev in shipped)
 
 
+@pytest.mark.parametrize("where", ("nan rate", "inf rate", "nan channel", "nan hamiltonian"))
+def test_lindblad_model_rejects_non_finite_input(where):
+    # no solver runs: each model must fail at construction
+    reduced = build_reduced_model(WORK, 8)
+    h, channels = reduced.hamiltonian, list(reduced.channels)
+    b = annihilation(FockSpace(8))
+    if where == "nan rate":
+        channels.append((math.nan, b))
+    elif where == "inf rate":
+        channels.append((math.inf, b))
+    elif where == "nan channel":
+        bad = b.matrix.copy()
+        bad[0, 1] = np.nan
+        channels.append((0.3, Operator(bad, b.space)))
+    else:
+        bad = h.matrix.copy()
+        bad[2, 0] = bad[0, 2] = np.nan
+        h = Operator(bad, h.space)
+    with pytest.raises(ValueError, match="finite"):
+        LindbladModel(h, channels)
+
+
 def _steady_occupation(model, dim):
     rho = steady_state(model).rho
     return expectation(number_operator(FockSpace(dim)), rho).real
@@ -406,6 +456,12 @@ def test_auto_truncated_steady_grows_until_tail_is_clean():
     result, dim = auto_truncated_steady(lambda d: build_reduced_model(p, d), start_dim=6)
     assert dim > 6
     assert top_level_population(result.rho) < 1e-8
+
+
+def test_auto_truncated_steady_rejects_a_start_above_the_cap():
+    p = SystemParams(g=0.3, lambda_a=4.0, gamma_a=6.0, gamma_b=0.5)
+    with pytest.raises(ValueError, match="exceeds max_dim"):
+        auto_truncated_steady(lambda d: build_reduced_model(p, d), start_dim=40, max_dim=24)
 
 
 def test_spectral_gap_converged_stable_under_growth():
