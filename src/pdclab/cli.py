@@ -2,12 +2,14 @@
 
 Configs are flat ``key = value`` text files with dotted keys (one scenario per
 file). Every task writes one CSV plus one JSON sidecar carrying the metadata
-(parameters, truncations, tolerances, schema version) and the comparison rows.
-Output is deterministic: no timestamps, fixed column order, rows sorted by the
-sweep value even when computed in parallel, floats at 17 significant digits.
+(parameters, truncation, schema version) and the comparison rows. Each
+comparison's tolerance is fixed by its task, not by the config, and is written
+in its row. Output is deterministic: no timestamps, fixed column order, rows
+sorted by the sweep value even when computed in parallel, floats at 17
+significant digits.
 
-Exit codes: 0 all comparisons pass, 1 a tolerance failed, 2 config error,
-3 solver failure.
+Exit codes: 0 all comparisons pass, 1 a tolerance failed, 2 config error or
+an output directory or file that cannot be written, 3 solver failure.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ import math
 import sys
 from collections.abc import Callable
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import MISSING, InitVar, asdict, dataclass, field, fields, replace
+from dataclasses import MISSING, asdict, dataclass, field, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -28,16 +30,15 @@ from .dynamics import SystemParams
 from .errors import ConfigError, PdclabError
 from .hilbert import expectation, number_operator
 
-SCHEMA_VERSION = 3
+SCHEMA_VERSION = 4
 
 _PARAM_FIELDS = tuple(f.name for f in fields(SystemParams))
 _REQUIRED_PARAMS = tuple(f.name for f in fields(SystemParams) if f.default is MISSING)
 
-_DEFAULTS = {
-    "truncation.signal_dim": 40,
-    "tolerances.rel": 1e-6,
-    "tolerances.floor": 1e-12,
-}
+_DEFAULTS = {"truncation.signal_dim": 40}
+
+# denominator floor of every rel_dev: below it the bound is absolute
+_REL_FLOOR = 1e-12
 
 OCCUPATION_GRID = (0.02, 0.05, 0.1, 0.2, 0.5)
 
@@ -49,12 +50,10 @@ class Scenario:
     tasks: list[str]
     sweep: tuple[str, tuple[float, ...]] | None
     signal_dim: int
-    rel_tol: float
-    floor: float
 
 
-def _rel_dev(reference: float, value: float, floor: float) -> float:
-    return abs(reference - value) / max(abs(reference), floor)
+def _rel_dev(reference: float, value: float) -> float:
+    return abs(reference - value) / max(abs(reference), _REL_FLOOR)
 
 
 @dataclass
@@ -64,11 +63,10 @@ class ComparisonRow:
     numeric: float
     rel_dev: float = field(init=False)
     passed: bool = field(init=False)
-    tolerance: float = 1e-6
-    floor: InitVar[float] = 1e-12  # denominator floor of rel_dev
+    tolerance: float
 
-    def __post_init__(self, floor: float):
-        self.rel_dev = _rel_dev(self.analytic, self.numeric, floor)
+    def __post_init__(self):
+        self.rel_dev = _rel_dev(self.analytic, self.numeric)
         self.passed = self.rel_dev < self.tolerance
 
 
@@ -124,9 +122,11 @@ def parse_config(path: str | Path) -> Scenario:
     tasks = [t.strip() for t in tasks_raw.split(",") if t.strip()]
     if not tasks:
         raise ConfigError("empty task list")
-    for t in tasks:
+    for i, t in enumerate(tasks):
         if t not in TASKS:
             raise ConfigError(f"unknown task {t!r} (choose from {', '.join(TASKS)})")
+        if t in tasks[:i]:
+            raise ConfigError(f"task {t!r} is listed twice")
 
     sweep = None
     if "sweep.parameter" in raw or "sweep.values" in raw:
@@ -145,17 +145,13 @@ def parse_config(path: str | Path) -> Scenario:
             raise ConfigError("sweep.values is empty")
         if any(not math.isfinite(v) for v in values):
             raise ConfigError("sweep.values must be finite")
+        if len(set(values)) != len(values):
+            raise ConfigError("sweep.values repeats a value")
         sweep = (sweep_param, values)
 
     def setting(key: str):
         return _parse_scalar(key, raw[key]) if key in raw else _DEFAULTS[key]
 
-    tolerances = {}
-    for key in ("tolerances.rel", "tolerances.floor"):
-        value = setting(key)
-        if not (math.isfinite(value) and value > 0):
-            raise ConfigError(f"{key} must be finite and > 0, got {value!r}")
-        tolerances[key] = value
     signal_dim = setting("truncation.signal_dim")
     if signal_dim < 1:  # FockSpace's domain
         raise ConfigError(f"truncation.signal_dim must be >= 1, got {signal_dim}")
@@ -170,8 +166,6 @@ def parse_config(path: str | Path) -> Scenario:
         tasks=tasks,
         sweep=sweep,
         signal_dim=signal_dim,
-        rel_tol=tolerances["tolerances.rel"],
-        floor=tolerances["tolerances.floor"],
     )
 
 
@@ -227,10 +221,10 @@ def _steady_moments(scenario: Scenario, value: float, p: SystemParams):
         max_dim=scenario.signal_dim,
     )
     numeric = expectation(number_operator(result.rho.space), result.rho).real
-    rel = _rel_dev(series, numeric, scenario.floor)
+    rel = _rel_dev(series, numeric)
     quantity = f"Nb_series_vs_liouville@{value:g}"
     return {"value": value, "Nb_series": series, "Nb_liouville": numeric, "dim": dim,
-            "rel_dev": rel, "comparison": (quantity, series, numeric, scenario.rel_tol)}
+            "rel_dev": rel, "comparison": (quantity, series, numeric, 1e-6)}
 
 
 def _qfi(scenario: Scenario, value: float, p: SystemParams):
@@ -243,10 +237,9 @@ def _qfi(scenario: Scenario, value: float, p: SystemParams):
 
     closed = analytic.qfi_gb0_closed(p)
     numeric = metrology.qfi_gaussian_family(fam, p.g).value
-    rel = _rel_dev(closed, numeric, scenario.floor)
-    tol = max(scenario.rel_tol, 1e-5)
+    rel = _rel_dev(closed, numeric)
     return {"value": value, "F_closed": closed, "F_gaussian": numeric, "rel_dev": rel,
-            "comparison": (f"qfi_gaussian_vs_closed@{value:g}", closed, numeric, tol)}
+            "comparison": (f"qfi_gaussian_vs_closed@{value:g}", closed, numeric, 1e-5)}
 
 
 def _uncertainty(scenario: Scenario, value: float, p: SystemParams):
@@ -257,13 +250,13 @@ def _uncertainty(scenario: Scenario, value: float, p: SystemParams):
         # the moment route first: at and above threshold it raises StabilityError
         other = meanfield.delta2_g_normal(p)
         closed = analytic.delta2_g("normal_phase", "photon", p)
-        quantity, tol = "delta2_g_printed_vs_moments", max(scenario.rel_tol, 1e-5)
+        quantity, tol = "delta2_g_printed_vs_moments", 1e-5
     else:
         # photon detection saturates the quantum Cramer-Rao bound at any kappa_e
         closed = analytic.delta2_g("gb0", "photon", p)
         other = 1.0 / analytic.qfi_gb0_closed(p)
         quantity, tol = "delta2_g_photon_vs_qcrb", 1e-10
-    rel = _rel_dev(closed, other, scenario.floor)
+    rel = _rel_dev(closed, other)
     return {"value": value, "delta2_closed": closed, "delta2_other": other,
             "rel_dev": rel, "comparison": (f"{quantity}@{value:g}", closed, other, tol)}
 
@@ -291,7 +284,7 @@ def _gap(scenario: Scenario, value: float, p: SystemParams):
 def _occupation(scenario: Scenario, g: float, p: SystemParams):
     nb_three = dynamics.three_level_occupation(p)
     nb_exact = analytic.moment_ss(1, 1, p).real
-    rel = _rel_dev(nb_exact, nb_three, scenario.floor)
+    rel = _rel_dev(nb_exact, nb_three)
     return {"g": g, "Nb_three_level": nb_three, "Nb_exact": nb_exact, "rel_dev": rel}
 
 
@@ -325,19 +318,17 @@ def _sensor(scenario: Scenario, g: float, p: SystemParams):
 def _sensor_rule(scenario: Scenario, table):
     p = scenario.params
     # delta2_lambda * Nb = lambda_a^2 holds identically; report the worst point
-    floor = scenario.floor
-    worst = max(
-        table, key=lambda row: _rel_dev(row["delta2_lambda"], row["delta2_vs_Nb"], floor)
-    )
+    worst = max(table, key=lambda row: _rel_dev(row["delta2_lambda"], row["delta2_vs_Nb"]))
     rows = [(f"sensor_identity_delta2_vs_Nb_route@g={worst['g']:g}",
              worst["delta2_lambda"], worst["delta2_vs_Nb"], 1e-12)]
     if p.kappa_e > 0:
-        best = min(table, key=lambda row: row["delta2_lambda"])
+        # delta2_lambda is convex in g > 0, so the true minimizer lies between
+        # the grid neighbours of the discrete argmin
+        i = min(range(len(table)), key=lambda j: table[j]["delta2_lambda"])
+        best = table[i]
         g_true = _sensor_optimum(p)
-        spacing = max(
-            abs(b["g"] - a["g"]) for a, b in zip(table, table[1:])
-        ) if len(table) > 1 else abs(best["g"])
-        tol = max(spacing / max(g_true, floor), scenario.rel_tol)
+        gaps = [abs(table[j]["g"] - best["g"]) for j in (i - 1, i + 1) if 0 <= j < len(table)]
+        tol = max(gaps, default=abs(best["g"])) / max(g_true, _REL_FLOOR)
         rows.append(("sensor_grid_argmin_vs_closed", g_true, best["g"], tol))
         # the optimum over g is the same at every point
         opt = table[0]["optimum"]
@@ -410,7 +401,7 @@ def _run_task(task: Task, scenario: Scenario, points, threads: int):
     table = _parallel(points, lambda pt: task.worker(scenario, *pt), threads)
     table.sort(key=lambda row: row[task.columns[0]])
     comparisons = task.rule(scenario, table)
-    return [ComparisonRow(*c, floor=scenario.floor) for c in comparisons], table
+    return [ComparisonRow(*c) for c in comparisons], table
 
 
 # --- output ----------------------------------------------------------------------
@@ -443,7 +434,6 @@ def write_json(path: Path, scenario: Scenario, task: str, columns, table, rows):
         "task": task,
         "params": {f: getattr(scenario.params, f) for f in _PARAM_FIELDS},
         "truncation": {"signal_dim": scenario.signal_dim},
-        "tolerances": {"rel": scenario.rel_tol, "floor": scenario.floor},
         "sweep": (
             {"parameter": scenario.sweep[0], "values": list(scenario.sweep[1])}
             if scenario.sweep
@@ -473,7 +463,12 @@ def report(rows: list[ComparisonRow]) -> str:
 # --- entry points -----------------------------------------------------------------
 
 def run(config_path: str, out_dir: str = ".", threads: int = 1) -> int:
-    """Compute every task, then write its files: a run that exits 2 or 3 writes none."""
+    """Compute every task, then write its files.
+
+    A config error (exit 2) or a solver failure (exit 3) writes no file; an
+    output directory or file that cannot be written exits 2 as well, and keeps
+    the files written before it.
+    """
     try:
         scenario = parse_config(config_path)
         # every task's points first, so a sweep a task cannot take fails
@@ -493,13 +488,17 @@ def run(config_path: str, out_dir: str = ".", threads: int = 1) -> int:
         return 3
 
     out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     all_rows: list[ComparisonRow] = []
-    for name, rows, table in results:
-        columns, stem = TASKS[name].columns, f"{scenario.name}_{name}"
-        write_csv(out / f"{stem}.csv", columns, table)
-        write_json(out / f"{stem}.json", scenario, name, columns, table, rows)
-        all_rows.extend(rows)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+        for name, rows, table in results:
+            columns, stem = TASKS[name].columns, f"{scenario.name}_{name}"
+            write_csv(out / f"{stem}.csv", columns, table)
+            write_json(out / f"{stem}.json", scenario, name, columns, table, rows)
+            all_rows.extend(rows)
+    except OSError as exc:
+        print(f"output error: {exc}", file=sys.stderr)
+        return 2
     print(report(all_rows))
     return 0 if all(r.passed for r in all_rows) else 1
 
@@ -538,6 +537,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     if args.command == "run":
+        if args.threads < 1:
+            parser.error(f"--threads must be >= 1, got {args.threads}")
         return run(args.config, args.out_dir, args.threads)
     if args.command == "list-tasks":
         return list_tasks()

@@ -2,6 +2,7 @@
 
 import csv
 import json
+import math
 import os
 import subprocess
 import sys
@@ -30,7 +31,6 @@ params.gamma_b = 1.0   # trailing comment
 sweep.parameter = g
 sweep.values = 0.02, 0.05, 0.1
 truncation.signal_dim = 20
-tolerances.rel = 1e-7
 """
 
 
@@ -53,15 +53,35 @@ def test_parse_config_round_trip(tmp_path):
     assert sc.params.gamma_b == 1.0
     assert sc.sweep == ("g", (0.02, 0.05, 0.1))
     assert sc.signal_dim == 20
-    assert sc.rel_tol == 1e-7
-    # untouched keys fall back to defaults
-    assert sc.floor == 1e-12
 
 
 def test_parse_config_rejects_removed_pump_dim(tmp_path):
     # no task builds the two-mode model, so the pump truncation is not a key
     path = write(tmp_path, GOOD + "truncation.pump_dim = 15\n")
     with pytest.raises(ConfigError, match="unknown config keys: truncation.pump_dim"):
+        parse_config(path)
+
+
+@pytest.mark.parametrize(
+    "key, value",
+    [
+        ("tolerances.floor", "1e-12"),
+        ("tolerances.floor", "0"),
+        ("tolerances.floor", "-1e-12"),
+        ("tolerances.floor", "nan"),
+        ("tolerances.floor", "inf"),
+        ("tolerances.floor", "tiny"),
+        ("tolerances.rel", "1e-6"),
+        ("tolerances.rel", "0.0"),
+        ("tolerances.rel", "-1e-6"),
+        ("tolerances.rel", "nan"),
+        ("tolerances.rel", "inf"),
+    ],
+)
+def test_parse_config_rejects_removed_tolerances(tmp_path, key, value):
+    # every comparison fixes its own tolerance: the config sets none, at any value
+    path = write(tmp_path, GOOD + f"{key} = {value}\n")
+    with pytest.raises(ConfigError, match=f"unknown config keys: {key}"):
         parse_config(path)
 
 
@@ -146,25 +166,6 @@ def test_run_rejects_non_finite_parameters(tmp_path, capsys, name, value):
     assert not out.exists()
 
 
-@pytest.mark.parametrize(
-    "key, value",
-    [
-        ("tolerances.floor", "0"),
-        ("tolerances.floor", "-1e-12"),
-        ("tolerances.floor", "nan"),
-        ("tolerances.floor", "inf"),
-        ("tolerances.rel", "0.0"),
-        ("tolerances.rel", "-1e-6"),
-        ("tolerances.rel", "nan"),
-        ("tolerances.rel", "inf"),
-    ],
-)
-def test_parse_config_rejects_invalid_tolerances(tmp_path, key, value):
-    text = GOOD.replace("tolerances.rel = 1e-7\n", "") + f"{key} = {value}\n"
-    with pytest.raises(ConfigError, match=f"{key} must be finite and > 0"):
-        parse_config(write(tmp_path, text))
-
-
 @pytest.mark.parametrize("dim", ("-5", "0"))
 def test_run_rejects_a_non_positive_signal_dim(tmp_path, capsys, dim):
     # meanfield never builds a Fock space, so only the parser can catch it
@@ -175,34 +176,25 @@ def test_run_rejects_a_non_positive_signal_dim(tmp_path, capsys, dim):
     assert not out.exists()
 
 
-def test_parse_config_rejects_non_numeric_tolerance(tmp_path):
-    path = write(tmp_path, GOOD + "tolerances.floor = tiny\n")
-    with pytest.raises(ConfigError, match="cannot parse numeric value for tolerances.floor"):
-        parse_config(path)
-
-
 def test_comparison_row_semantics():
     row = ComparisonRow("x", analytic=2.0, numeric=2.002, tolerance=1e-2)
     assert row.rel_dev == pytest.approx(1e-3)
     assert row.passed
     tight = ComparisonRow("x", analytic=2.0, numeric=2.002, tolerance=1e-4)
     assert not tight.passed
-    # zero reference: the floor keeps the ratio finite
+    # zero reference: the 1e-12 floor keeps the ratio finite
     null = ComparisonRow("x", analytic=0.0, numeric=1e-13, tolerance=1.0)
     assert null.rel_dev == pytest.approx(0.1)
-    # the floor bounds the denominator from below and can decide the verdict
+    # the floor bounds the denominator from below; above it the ratio is relative
     cases = [
-        # analytic, numeric, floor, rel_dev, passed
-        (0.0, 1e-9, 1e-12, 1e3, False),
-        (0.0, 1e-9, 1e-2, 1e-7, True),
-        (1e-4, 2e-4, 1e-12, 1.0, False),
-        (1e-4, 2e-4, 1e3, 1e-7, True),
-        (2.0, 2.002, 1.0, 1e-3, False),  # a reference above the floor is untouched
+        # analytic, numeric, rel_dev, passed
+        (0.0, 1e-9, 1e3, False),
+        (1e-4, 2e-4, 1.0, False),
     ]
-    for analytic, numeric, floor, rel_dev, passed in cases:
-        row = ComparisonRow("x", analytic, numeric, tolerance=1e-6, floor=floor)
-        assert row.rel_dev == pytest.approx(rel_dev), (analytic, numeric, floor)
-        assert row.passed is passed, (analytic, numeric, floor)
+    for analytic, numeric, rel_dev, passed in cases:
+        row = ComparisonRow("x", analytic, numeric, tolerance=1e-6)
+        assert row.rel_dev == pytest.approx(rel_dev), (analytic, numeric)
+        assert row.passed is passed, (analytic, numeric)
 
 
 def test_run_end_to_end_and_outputs(tmp_path, capsys):
@@ -225,7 +217,8 @@ def test_run_end_to_end_and_outputs(tmp_path, capsys):
     assert lines[2].startswith("0.050000000000000003,")
 
     payload = json.loads(json_path.read_text())
-    assert payload["schema_version"] == 3
+    assert payload["schema_version"] == 4
+    assert "tolerances" not in payload
     assert payload["task"] == "occupation"
     assert payload["scenario"] == "demo"
     assert payload["params"] == {
@@ -277,34 +270,47 @@ def test_cold_run_byte_identical_across_thread_counts(tmp_path):
 
 
 def test_run_exit_1_on_tolerance_failure(tmp_path, capsys):
-    # tolerances.rel must be > 0; no nonzero rel_dev passes 1e-300
+    # the three-level occupation is 4% off here: a fail against its 2% bound
     text = (
-        "name = tight\ntasks = steady_moments\n"
-        "params.g = 0.1\nparams.lambda_a = 0.01\n"
-        "params.gamma_a = 10.0\nparams.gamma_b = 1.0\n"
-        "truncation.signal_dim = 16\ntolerances.rel = 1e-300\n"
-    )
-    code = main(["run", str(write(tmp_path, text)), "--out-dir", str(tmp_path / "o")])
-    assert code == 1
-    assert "NO" in capsys.readouterr().out
-
-
-def test_run_tolerance_floor_reaches_verdict(tmp_path, capsys):
-    # the three-level occupation is 4% off here: a fail against the 2% bound,
-    # a pass once the floor turns it into an absolute bound on N_b << 1
-    text = (
-        "name = floor\ntasks = occupation\n"
+        "name = miss\ntasks = occupation\n"
         "params.g = 0.5\nparams.lambda_a = 2.0\n"
         "params.gamma_a = 10.0\nparams.gamma_b = 1.0\n"
         "sweep.parameter = g\nsweep.values = 0.5\n"
     )
-    relative = write(tmp_path, text, "relative.cfg")
-    absolute = write(tmp_path, text + "tolerances.floor = 1.0\n", "absolute.cfg")
-    assert main(["run", str(relative), "--out-dir", str(tmp_path / "r")]) == 1
-    assert main(["run", str(absolute), "--out-dir", str(tmp_path / "a")]) == 0
-    payload = json.loads((tmp_path / "a" / "floor_occupation.json").read_text())
-    assert payload["tolerances"]["floor"] == 1.0
-    assert all(c["pass"] for c in payload["comparisons"])
+    code = main(["run", str(write(tmp_path, text)), "--out-dir", str(tmp_path / "o")])
+    assert code == 1
+    assert "NO" in capsys.readouterr().out
+    payload = json.loads((tmp_path / "o" / "miss_occupation.json").read_text())
+    [miss] = [c for c in payload["comparisons"] if not c["pass"]]
+    assert miss["quantity"] == "occupation_Nb_three_level@g=0.5"
+    assert miss["tolerance"] == 0.02
+    assert 0.02 < miss["rel_dev"] < 0.1
+
+
+def test_run_sensor_argmin_bound_is_the_gap_next_to_the_argmin(tmp_path, monkeypatch):
+    # a delta2_lambda table whose smallest value sits at 0.5 g*: the grid
+    # neighbours 0.25 g* and 0.75 g* bound the argmin to 25%, so it misses
+    from pdclab import analytic
+
+    g_star = math.sqrt(10.0 * 0.1 / 2.0)  # sqrt(gamma_a kappa_e / 2)
+    real = analytic.lambda_sensor
+
+    def shifted(p):
+        _, _, opt = real(p)
+        d2 = 1.0 + (p.g / g_star - 0.5) ** 2
+        return d2, d2, opt
+
+    monkeypatch.setattr(analytic, "lambda_sensor", shifted)
+    text = "name = shifted\ntasks = sensor\n" + params_text(gamma_b=0.0, kappa_e=0.1)
+    code = main(["run", str(write(tmp_path, text)), "--out-dir", str(tmp_path / "o")])
+    assert code == 1
+    payload = json.loads((tmp_path / "o" / "shifted_sensor.json").read_text())
+    verdicts = {c["quantity"]: c for c in payload["comparisons"]}
+    argmin = verdicts.pop("sensor_grid_argmin_vs_closed")
+    assert argmin["numeric"] == pytest.approx(0.5 * g_star)
+    assert argmin["tolerance"] == pytest.approx(0.25)
+    assert not argmin["pass"]
+    assert all(c["pass"] for c in verdicts.values())
 
 
 def test_gap_reports_the_truncation_it_used(tmp_path):
@@ -355,6 +361,45 @@ def test_run_exit_2_on_config_error(tmp_path, capsys):
     with pytest.raises(SystemExit) as exc:
         main(["run", str(path), "--out-dir", str(tmp_path / "o"), "--no-strict"])
     assert exc.value.code == 2
+
+
+def test_run_exit_2_on_unusable_out_dir(tmp_path, capsys):
+    # an existing file where the output directory should be: one line, no traceback
+    blocker = tmp_path / "taken"
+    blocker.write_text("")
+    assert main(["run", str(write(tmp_path, GOOD)), "--out-dir", str(blocker)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("output error: ")
+    assert captured.err.count("\n") == 1
+    assert captured.out == ""
+    assert blocker.read_text() == ""
+
+
+@pytest.mark.parametrize(
+    "old, new, message",
+    [
+        ("tasks = occupation, gap", "tasks = occupation, gap, occupation",
+         "task 'occupation' is listed twice"),
+        ("sweep.values = 0.02, 0.05, 0.1", "sweep.values = 0.02, 0.05, 0.050",
+         "sweep.values repeats a value"),
+    ],
+    ids=["tasks", "sweep.values"],
+)
+def test_run_exit_2_on_repeated_entries(tmp_path, capsys, old, new, message):
+    out = tmp_path / "o"
+    assert main(["run", str(write(tmp_path, GOOD.replace(old, new))), "--out-dir", str(out)]) == 2
+    assert f"config error: {message}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("threads", ("0", "-3"))
+def test_run_rejects_a_thread_count_below_one(tmp_path, capsys, threads):
+    out = tmp_path / "o"
+    with pytest.raises(SystemExit) as exc:
+        main(["run", str(write(tmp_path, GOOD)), "--out-dir", str(out), "--threads", threads])
+    assert exc.value.code == 2
+    assert f"--threads must be >= 1, got {threads}" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_run_exit_2_on_non_integer_truncation(tmp_path, capsys):
@@ -582,7 +627,7 @@ def test_list_tasks_and_defaults(capsys):
     assert main(["print-defaults"]) == 0
     out = capsys.readouterr().out
     assert "params.g" in out and "truncation.signal_dim" in out
-    assert "pump_dim" not in out and "omega" not in out
+    assert "pump_dim" not in out and "omega" not in out and "tolerances" not in out
 
 
 def test_module_entry_point_runs():
