@@ -287,6 +287,30 @@ def test_run_exit_1_on_tolerance_failure(tmp_path, capsys):
     assert 0.02 < miss["rel_dev"] < 0.1
 
 
+def test_run_tolerance_floor_reaches_verdict(tmp_path, capsys):
+    # the 1e-12 floor sits far below N_b, so the 4% miss stays a relative
+    # verdict; the override that once made it an absolute bound is refused
+    text = (
+        "name = floor\ntasks = occupation\n"
+        "params.g = 0.5\nparams.lambda_a = 2.0\n"
+        "params.gamma_a = 10.0\nparams.gamma_b = 1.0\n"
+        "sweep.parameter = g\nsweep.values = 0.5\n"
+    )
+    relative = write(tmp_path, text, "relative.cfg")
+    absolute = write(tmp_path, text + "tolerances.floor = 1.0\n", "absolute.cfg")
+    assert main(["run", str(relative), "--out-dir", str(tmp_path / "r")]) == 1
+    payload = json.loads((tmp_path / "r" / "floor_occupation.json").read_text())
+    [miss] = [c for c in payload["comparisons"] if not c["pass"]]
+    assert 0.0 < miss["analytic"] < 1.0
+    assert miss["rel_dev"] == pytest.approx(
+        abs(miss["numeric"] - miss["analytic"]) / abs(miss["analytic"]), rel=1e-12
+    )
+    capsys.readouterr()
+    assert main(["run", str(absolute), "--out-dir", str(tmp_path / "a")]) == 2
+    assert "unknown config keys: tolerances.floor" in capsys.readouterr().err
+    assert not (tmp_path / "a").exists()
+
+
 def test_run_sensor_argmin_bound_is_the_gap_next_to_the_argmin(tmp_path, monkeypatch):
     # a delta2_lambda table whose smallest value sits at 0.5 g*: the grid
     # neighbours 0.25 g* and 0.75 g* bound the argmin to 25%, so it misses
