@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import cmath
 import math
+from collections.abc import Callable
 from dataclasses import astuple, dataclass
 
 from .dynamics import SystemParams
@@ -326,14 +327,38 @@ class SensorOptimum:
     value_at_stated_g: float
 
 
+def _golden_min(f: Callable[[float], float], lo: float, hi: float,
+                xatol: float) -> tuple[float, float]:
+    """(x, f(x)) at the minimum of a unimodal f on [lo, hi] by golden-section
+    search: the bracket shrinks by the golden ratio per evaluation, for as
+    many steps as take its width below xatol, and the better interior point
+    is returned."""
+    r = (math.sqrt(5.0) - 1.0) / 2.0
+    a, b = lo, hi
+    c, d = b - r * (b - a), a + r * (b - a)
+    fc, fd = f(c), f(d)
+    for _ in range(math.ceil(math.log((hi - lo) / xatol) / -math.log(r))):
+        if fc <= fd:  # the minimum lies in [a, d]
+            b, d, fd = d, c, fc
+            c = b - r * (b - a)
+            fc = f(c)
+        else:  # the minimum lies in [c, b]
+            a, c, fc = c, d, fd
+            d = a + r * (b - a)
+            fd = f(d)
+    return (c, fc) if fc <= fd else (d, fd)
+
+
 def lambda_sensor(params: SystemParams) -> tuple[float, float, SensorOptimum]:
     """Precision of the drive estimate at gamma_b = 0.
 
     delta^2 lambda_a = lambda_a (2g^2 + gamma_a kappa_e) / (2g), identically
-    lambda_a^2 / N_b. The optimum over g is found numerically; the quoted
-    optimal coupling sqrt(gamma_a kappa_e) is attached for comparison (it does
-    not minimize the formula; sqrt(gamma_a kappa_e / 2) does, and reproduces
-    the quoted minimum value).
+    lambda_a^2 / N_b. The optimum over g is found numerically, by
+    golden-section search (_golden_min) on the bracket
+    [1e-12, 10 sqrt(gamma_a kappa_e)] to 1e-12; the quoted optimal coupling
+    sqrt(gamma_a kappa_e) is attached for comparison (it does not minimize
+    the formula; sqrt(gamma_a kappa_e / 2) does, and reproduces the quoted
+    minimum value).
     """
     if params.gamma_b != 0:
         raise ValueError("sensor formulas hold only at gamma_b = 0")
@@ -356,17 +381,10 @@ def lambda_sensor(params: SystemParams) -> tuple[float, float, SensorOptimum]:
         # no interior optimum: the formula decreases without bound as g -> 0
         opt = SensorOptimum(0.0, 0.0, 0.0, 0.0, 0.0)
     else:
-        from scipy.optimize import minimize_scalar  # deferred: import pdclab skips scipy.optimize
-
-        res = minimize_scalar(
-            formula,
-            bounds=(1e-12, 10.0 * math.sqrt(ga * ke)),
-            method="bounded",
-            options={"xatol": 1e-12},
-        )
+        g_opt, value = _golden_min(formula, 1e-12, 10.0 * math.sqrt(ga * ke), 1e-12)
         opt = SensorOptimum(
-            g_opt=float(res.x),
-            value=float(res.fun),
+            g_opt=g_opt,
+            value=value,
             stated_g=stated_g,
             stated_value=stated_value,
             value_at_stated_g=formula(stated_g),

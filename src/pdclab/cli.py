@@ -19,7 +19,6 @@ import json
 import math
 import sys
 from collections.abc import Callable
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import MISSING, asdict, dataclass, field, fields, replace
 from pathlib import Path
 
@@ -89,7 +88,11 @@ def parse_config(path: str | Path) -> Scenario:
         raise ConfigError(f"config file not found: {path}")
     known_scalar = {f"params.{f}" for f in _PARAM_FIELDS} | set(_DEFAULTS)
     raw: dict[str, str] = {}
-    for lineno, line in enumerate(path.read_text().splitlines(), 1):
+    try:
+        text = path.read_text()
+    except OSError as exc:  # a directory, a file without read permission
+        raise ConfigError(f"cannot read config {path}: {exc.strerror or exc}") from None
+    for lineno, line in enumerate(text.splitlines(), 1):
         stripped = line.split("#", 1)[0].strip()
         if not stripped:
             continue
@@ -197,6 +200,9 @@ def _g_points(default_grid):
 def _parallel(points, worker, threads: int):
     if threads <= 1 or len(points) <= 1:
         return [worker(pt) for pt in points]
+    # imported here: concurrent.futures and the logging it loads cost ~4 ms
+    from concurrent.futures import ThreadPoolExecutor
+
     with ThreadPoolExecutor(max_workers=threads) as pool:
         return list(pool.map(worker, points))
 

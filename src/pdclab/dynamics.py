@@ -475,7 +475,7 @@ def _real_generator(lio: sp.csr_matrix,
     """
     t = _hermitian_basis(space)
     m = (t.conj().T @ lio @ t).tocsr()
-    norm = spla.norm(lio, np.inf)
+    norm = abs(lio).sum(axis=1).max()  # what spla.norm(lio, np.inf) evaluates
     bound = 1e-12 * norm
     imag = abs(m.imag).max()
     if imag > bound:
@@ -492,13 +492,29 @@ def _blocks(m: sp.csr_matrix) -> list[np.ndarray]:
     """Coordinate index sets of the invariant blocks of the real generator M.
 
     Each weakly connected component of M's sparsity pattern is an invariant
-    block; the sets are ordered by component label, each ascending.
+    block; the sets are ordered by their smallest coordinate, each ascending,
+    as scipy.sparse.csgraph.connected_components labels them. Each component
+    is labelled by its smallest coordinate in numpy alone: every entry
+    (i, j) whose labels differ hooks the larger label onto the smaller,
+    then pointer jumping sends every label to its root, until the two labels
+    of every entry agree. A label only ever falls to another coordinate of its
+    component, so each component ends on its minimum.
     """
-    from scipy.sparse.csgraph import connected_components
-
-    _, labels = connected_components(m, connection="weak")
-    sizes = np.bincount(labels)
-    return np.split(np.argsort(labels, kind="stable"), np.cumsum(sizes)[:-1])
+    rows = np.repeat(np.arange(m.shape[0]), np.diff(m.indptr))
+    labels = np.arange(m.shape[0])
+    while True:
+        lr, lc = labels[rows], labels[m.indices]
+        differ = lr != lc
+        if not differ.any():
+            break
+        np.minimum.at(labels, np.maximum(lr, lc)[differ], np.minimum(lr, lc)[differ])
+        while True:  # pointer jumping: labels[i] <= i, so the chains end at roots
+            up = labels[labels]
+            if np.array_equal(up, labels):
+                break
+            labels = up
+    order = np.argsort(labels, kind="stable")
+    return np.split(order, np.flatnonzero(np.diff(labels[order])) + 1)
 
 
 def _block_spectra(m: sp.csr_matrix) -> np.ndarray | None:

@@ -456,3 +456,24 @@ def test_lambda_sensor_undefined_at_zero_drive():
     p = SystemParams(g=0.1, lambda_a=0.0, gamma_a=10.0, gamma_b=0.0, kappa_e=0.1)
     with pytest.raises(ValueError, match="lambda_a != 0"):
         lambda_sensor(p)
+
+
+@pytest.mark.parametrize("lambda_a", (0.01, 1.0, 3.0))
+@pytest.mark.parametrize("gamma_a", (0.5, 2.0, 10.0))
+@pytest.mark.parametrize("kappa_e", (1e-6, 1e-3, 0.1, 10.0))
+def test_lambda_sensor_optimum_matches_scipy_bounded_minimizer(lambda_a, gamma_a, kappa_e):
+    # scipy's bounded Brent minimizer on the same bracket and xatol is the reference
+    from scipy.optimize import minimize_scalar
+
+    p = SystemParams(g=0.1, lambda_a=lambda_a, gamma_a=gamma_a, gamma_b=0.0, kappa_e=kappa_e)
+    opt = lambda_sensor(p)[2]
+    ref = minimize_scalar(
+        lambda g: lambda_a * (2 * g * g + gamma_a * kappa_e) / (2 * g),
+        bounds=(1e-12, 10.0 * math.sqrt(gamma_a * kappa_e)),
+        method="bounded",
+        options={"xatol": 1e-12},
+    )
+    assert opt.value == pytest.approx(ref.fun, rel=1e-13)
+    # the CLI's sensor_min_value_vs_stated bound
+    assert abs(opt.value - opt.stated_value) <= 1e-10 * abs(opt.stated_value)
+    assert opt.g_opt == pytest.approx(math.sqrt(gamma_a * kappa_e / 2.0), rel=1e-6)

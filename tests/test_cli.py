@@ -251,7 +251,7 @@ def test_run_byte_identical_across_thread_counts(tmp_path):
 
 def test_cold_run_byte_identical_across_thread_counts(tmp_path):
     # fresh interpreters, so that the pool's threads race on the first
-    # import of scipy's sparse stack and of scipy.optimize
+    # import of scipy.sparse
     cfg = CONFIGS / "sensor.cfg"
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
@@ -667,3 +667,16 @@ def test_module_entry_point_runs():
 def test_missing_config_file(tmp_path, capsys):
     assert main(["run", str(tmp_path / "absent.cfg")]) == 2
     assert "not found" in capsys.readouterr().err
+
+
+def test_unreadable_config_is_a_config_error(tmp_path, capsys):
+    # a directory where the config file should be: exit 2, one line, no out dir
+    out = tmp_path / "o"
+    assert main(["run", str(CONFIGS), "--out-dir", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("config error: cannot read config ")
+    assert captured.err.count("\n") == 1
+    assert captured.out == ""
+    assert not out.exists()
+    with pytest.raises(ConfigError, match="cannot read config"):
+        parse_config(CONFIGS)

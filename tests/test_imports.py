@@ -2,8 +2,9 @@
 the package goes unreferenced (no linter ships with the package), one
 function of the package calls solve_ivp, and import pdclab loads numpy but no
 scipy: no module of the package imports scipy at module level, each scipy
-subpackage loads on the first call that needs it, and configs/meanfield.cfg
-runs without scipy."""
+subpackage loads on the first call that needs it, configs/meanfield.cfg
+runs without scipy, and configs/normal.cfg and configs/sensor.cfg on
+scipy.sparse alone."""
 
 import ast
 import inspect
@@ -18,6 +19,7 @@ import pytest
 
 import pdclab
 from pdclab import errors
+from pdclab.cli import parse_config
 
 ROOT = Path(__file__).resolve().parent.parent
 # the package's __init__ imports names only to re-export them
@@ -244,7 +246,8 @@ import json, sys
 import pdclab.cli
 from pdclab.analytic import lambda_sensor
 from pdclab.dynamics import (
-    SystemParams, build_full_model, build_reduced_model, evolve_open, steady_state,
+    SystemParams, build_full_model, build_reduced_model, evolve_open, spectral_gap,
+    steady_state,
 )
 from pdclab.hilbert import (
     FockSpace, coherent_state, density_from_state, expectation, fock_state,
@@ -260,15 +263,16 @@ def step(value):
 TRACKED = {tracked!r}
 step(sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy.")))
 step(abs(coherent_state(1.5 - 0.5j, FockSpace(40)).amplitudes[0]) ** 2)
+step(lambda_sensor(SystemParams(g=0.2, lambda_a=1.0, gamma_a=2.0, gamma_b=0.0, kappa_e=0.05))[2].g_opt)
 p = SystemParams(g=0.2, lambda_a=1.0, gamma_a=10.0, gamma_b=1.0, nbar=0.5)
+reduced = build_reduced_model(p, 16)
+step(spectral_gap(reduced))
 lyapunov = fluct_moments_lyapunov(build_W(p, steady_solutions(p)[0]), p).n_fluct
 step(abs(lyapunov / fluct_moments_analytic(p).n_fluct - 1))
-reduced = build_reduced_model(p, 16)
 n_ss = expectation(number_operator(reduced.space), steady_state(reduced).rho).real
 step(n_ss)
 vac = density_from_state(fock_state(0, FockSpace(16)))
 step(abs(expectation(number_operator(reduced.space), evolve_open(reduced, vac, 60.0)).real - n_ss))
-step(lambda_sensor(SystemParams(g=0.2, lambda_a=1.0, gamma_a=2.0, gamma_b=0.0, kappa_e=0.05))[2].g_opt)
 full = build_full_model(SystemParams(g=0.2, lambda_a=0.01, gamma_a=10.0, gamma_b=1.0), 4, 8)
 vac = tensor_state(fock_state(0, FockSpace(4)), fock_state(0, FockSpace(8)))
 step(evolve_open(full, density_from_state(vac), 2.0).matrix.trace().real)
@@ -288,36 +292,41 @@ def test_import_pdclab_defers_and_each_deferred_path_still_works():
     )
     assert proc.returncode == 0, proc.stderr
     steps = [json.loads(line) for line in proc.stdout.splitlines()]
-    (loaded, every_scipy), (special, vacuum), (lyapunov, rel_dev) = steps[:3]
-    (steady, n_ss), (blocks, drift), (optimize, g_opt), (integrate, trace) = steps[3:]
+    (loaded, every_scipy), (special, vacuum), (optimize, g_opt), (sparse, gap) = steps[:4]
+    (lyapunov, rel_dev), (steady, n_ss), (blocks, drift), (integrate, trace) = steps[4:]
     # import pdclab.cli loads no scipy module at all
     assert loaded == [] and every_scipy == []
     # coherent_state's tail check is numpy alone: |<0|alpha>|^2 = exp(-|alpha|^2)
     assert special == []
     assert vacuum == pytest.approx(math.exp(-2.5), rel=1e-12)
-    # fluct_moments_lyapunov's solve_sylvester loads scipy.linalg and nothing sparse
-    assert lyapunov == ["scipy.linalg"]
+    # lambda_sensor's golden-section search finds the optimum coupling
+    # sqrt(gamma_a kappa_e / 2) with no scipy at all
+    assert optimize == []
+    assert g_opt == pytest.approx(math.sqrt(2.0 * 0.05 / 2), rel=1e-6)
+    # the first spectral_gap loads scipy.sparse and no other subpackage: its
+    # block partition and ||L||_inf are numpy on the sparse arrays
+    assert sparse == ["scipy.sparse"]
+    assert gap > 0
+    # fluct_moments_lyapunov's solve_sylvester adds scipy.linalg alone
+    assert lyapunov == ["scipy.linalg", "scipy.sparse"]
     assert rel_dev < 1e-10  # the closed form, numpy alone
-    # the first steady_state loads the sparse stack and no other subpackage
-    assert steady == ["scipy.linalg", "scipy.sparse", "scipy.sparse.csgraph", "scipy.sparse.linalg"]
+    # the first steady_state adds the sparse LU (scipy.sparse.linalg), no csgraph
+    assert steady == ["scipy.linalg", "scipy.sparse", "scipy.sparse.linalg"]
     assert n_ss > 0
     # evolve_open's block route (expm from scipy.linalg) relaxes onto the steady state
     assert blocks == steady
     assert drift < 1e-6
-    # minimize_scalar finds the optimum coupling sqrt(gamma_a kappa_e / 2)
-    assert "scipy.optimize" in optimize and "scipy.integrate" not in optimize
-    assert g_opt == pytest.approx(math.sqrt(2.0 * 0.05 / 2), rel=1e-6)
     # criterion 11's full 4x8 model at t = 2 takes the DOP853 route
     assert "scipy.integrate" in integrate
     assert trace == pytest.approx(1.0, abs=1e-9)
 
 
-# `python -m pdclab.cli run configs/meanfield.cfg`, then the scipy modules it
+# `python -m pdclab.cli run configs/<name>.cfg`, then the scipy modules it
 # left in sys.modules (-X importtime does not list modules that
 # importlib.import_module loads, so it cannot see the deferred references)
-MEANFIELD_RUN = """
+CONFIG_RUN = """
 import json, runpy, sys
-sys.argv = ["pdclab", "run", "configs/meanfield.cfg", "--out-dir", {out!r}]
+sys.argv = ["pdclab", "run", "configs/{name}.cfg", "--out-dir", {out!r}]
 try:
     runpy.run_module("pdclab.cli", run_name="__main__", alter_sys=True)
 except SystemExit as done:
@@ -326,18 +335,37 @@ print(json.dumps([code, sorted(m for m in sys.modules if m == "scipy" or m.start
 """
 
 
-def test_meanfield_config_runs_without_scipy(tmp_path):
+def run_config(name: str, out: Path) -> list[str]:
+    """Run a shipped config in a fresh interpreter; the scipy modules it loaded."""
     proc = subprocess.run(
-        [sys.executable, "-c", MEANFIELD_RUN.format(out=str(tmp_path))],
+        [sys.executable, "-c", CONFIG_RUN.format(name=name, out=str(out))],
         capture_output=True, text=True, env=fresh_env(), cwd=ROOT,
     )
     assert proc.returncode == 0, proc.stderr
     code, scipy_modules = json.loads(proc.stdout.splitlines()[-1])
     assert code == 0
-    assert scipy_modules == []
+    return scipy_modules
+
+
+def test_meanfield_config_runs_without_scipy(tmp_path):
+    assert run_config("meanfield", tmp_path) == []
     assert sorted(p.name for p in tmp_path.iterdir()) == [
         "meanfield_meanfield.csv", "meanfield_meanfield.json",
     ]
+
+
+@pytest.mark.parametrize("name", ("normal", "sensor"))
+def test_gap_configs_run_on_scipy_sparse_alone(name, tmp_path):
+    # their spectral gaps need scipy.sparse; nothing loads the LU, csgraph,
+    # the dense linear algebra or the optimizer
+    scipy_modules = run_config(name, tmp_path)
+    assert "scipy.sparse" in scipy_modules
+    assert not {
+        "scipy.linalg", "scipy.sparse.linalg", "scipy.sparse.csgraph",
+        "scipy.optimize", "scipy.special",
+    } & set(scipy_modules)
+    tasks = parse_config(ROOT / "configs" / f"{name}.cfg").tasks
+    assert len(list(tmp_path.iterdir())) == 2 * len(tasks)
 
 
 # Threads that race on the first access through a deferred reference: a

@@ -10,7 +10,9 @@ functional and compared the two states; that probe, and the complex vec(rho)
 trace-row solve before the real one, are kept here as test-local references.
 Kernel counts and spectral gaps come from real block spectra; the
 whole-matrix complex eigensolve they replaced is the test-local reference for
-both.
+both. The blocks come from a numpy partition of M's pattern, held to
+scipy.sparse.csgraph.connected_components, and ||L||_inf to
+scipy.sparse.linalg.norm.
 """
 
 from functools import partial
@@ -35,7 +37,9 @@ from pdclab.dynamics import (
     steady_state,
 )
 from pdclab.errors import ResidualError, SteadyStateDegenerateError
-from pdclab.hilbert import FockSpace, annihilation, embed, expectation, number_operator
+from pdclab.hilbert import (
+    FockSpace, Operator, annihilation, embed, expectation, number_operator,
+)
 
 _DENSE_COUNTS: dict[tuple, int] = {}
 
@@ -386,6 +390,71 @@ def test_kernel_dimension_by_blocks_equals_dense_count(model, blocks, kernel_dim
     assert _block_kernel_count(lio, model.space) == _dense_kernel_count(lio) == kernel_dim
 
 
+def _csgraph_blocks(m) -> list[np.ndarray]:
+    """The partition _blocks replaced: scipy's weakly connected components,
+    each an ascending index set, in label order."""
+    _, labels = connected_components(m, connection="weak")
+    sizes = np.bincount(labels)
+    return np.split(np.argsort(labels, kind="stable"), np.cumsum(sizes)[:-1])
+
+
+def _assert_same_partition(m):
+    got, ref = dynamics._blocks(m), _csgraph_blocks(m)
+    assert len(got) == len(ref)
+    for mine, theirs in zip(got, ref):
+        assert np.array_equal(mine, theirs)
+
+
+@pytest.mark.parametrize(
+    "model",
+    [
+        build_reduced_model(UNIQUE, 12),
+        build_reduced_model(SystemParams(g=0.2, lambda_a=0.5, gamma_a=4.0, gamma_b=0.5, nbar=0.5), 12),
+        build_reduced_model(SystemParams(g=0.2, lambda_a=0.5, gamma_a=4.0, gamma_b=0.0, kappa_e=0.05), 12),
+        build_full_model(SystemParams(g=0.3, lambda_a=0.4, gamma_a=1.0, gamma_b=0.5), 3, 8),
+        build_full_model(SystemParams(g=0.3, lambda_a=0.4, gamma_a=1.0, gamma_b=0.5, nbar=0.5), 3, 6),
+        build_full_model(SystemParams(g=0.0, lambda_a=0.4, gamma_a=1.0, gamma_b=0.5), 3, 6),
+    ],
+    ids=["reduced-cold", "reduced-thermal", "reduced-gb0", "full-cold", "full-thermal", "full-g0"],
+)
+def test_blocks_and_norm_match_the_scipy_routes(model):
+    # _blocks against connected_components, ||L||_inf against spla.norm, bit for bit
+    lio = liouvillian_matrix(model)
+    _, m, norm = _real_generator(lio, model.space)
+    _assert_same_partition(m)
+    assert norm == spla.norm(lio, np.inf)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_blocks_match_connected_components_on_random_patterns(seed):
+    # sparse non-symmetric patterns with isolated coordinates, one of them 0
+    rng = np.random.default_rng(seed)
+    n = 300
+    a = sp.random(n, n, density=rng.uniform(0.002, 0.01), random_state=rng, format="lil")
+    isolated = rng.choice(n, size=20, replace=False)
+    a[isolated, :] = 0
+    a[:, isolated] = 0
+    a[0, :] = a[:, 0] = 0
+    a = a.tocsr()
+    a.eliminate_zeros()
+    blocks = dynamics._blocks(a)
+    assert 20 < len(blocks) < n
+    _assert_same_partition(a)
+
+
+def test_blocks_of_a_zero_matrix_are_single_coordinates():
+    zero = sp.csr_matrix((7, 7))
+    _assert_same_partition(zero)
+    assert [b.tolist() for b in dynamics._blocks(zero)] == [[k] for k in range(7)]
+
+
+def test_zero_liouvillian_has_no_spectral_gap():
+    # no channel and H = 0: every eigenvalue is a zero mode
+    model = LindbladModel(Operator(np.zeros((3, 3)), FockSpace(3)), [])
+    with pytest.raises(ValueError, match="no decaying modes"):
+        spectral_gap(model)
+
+
 def _dense_spectrum(lio) -> tuple[float, int]:
     """(gap, zero-mode count) from one complex eigensolve of the whole dense L."""
     ev = np.linalg.eigvals(lio.toarray())
@@ -499,7 +568,9 @@ def test_singular_solve_raises_whatever_the_kernel_count(monkeypatch):
 
 def test_one_real_generator_and_one_norm_per_solver_call(monkeypatch):
     # the degenerate branch counts zero modes on the generator and ||L||_inf
-    # the solve already built; spectral_gap builds each once as well
+    # the solve already built; spectral_gap builds each once as well.
+    # _real_generator computes ||L||_inf itself, from scipy.sparse alone, so
+    # one generator is one norm and no solver asks spla.norm for it
     params = SystemParams(g=0.2, lambda_a=0.5, gamma_a=4.0, gamma_b=0.0, kappa_e=0.05)
     degenerate = build_reduced_model(params, 8)
     kernel_dim = _dense_kernel_count(liouvillian_matrix(degenerate))
@@ -519,10 +590,10 @@ def test_one_real_generator_and_one_norm_per_solver_call(monkeypatch):
     with pytest.raises(SteadyStateDegenerateError) as err:
         steady_state(degenerate)
     assert err.value.kernel_dim == kernel_dim == 2
-    assert calls == {"generator": 1, "inf_norm": 1}
+    assert calls == {"generator": 1, "inf_norm": 0}
     calls.update(generator=0, inf_norm=0)
     spectral_gap(build_reduced_model(UNIQUE, 8))
-    assert calls == {"generator": 1, "inf_norm": 1}
+    assert calls == {"generator": 1, "inf_norm": 0}
 
 
 @pytest.mark.filterwarnings("error")
