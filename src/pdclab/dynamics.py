@@ -475,7 +475,7 @@ def _real_generator(lio: sp.csr_matrix,
     """
     t = _hermitian_basis(space)
     m = (t.conj().T @ lio @ t).tocsr()
-    norm = abs(lio).sum(axis=1).max()  # what spla.norm(lio, np.inf) evaluates
+    norm = abs(lio).sum(axis=1).max()
     bound = 1e-12 * norm
     imag = abs(m.imag).max()
     if imag > bound:

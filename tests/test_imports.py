@@ -265,10 +265,10 @@ step(sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy.")))
 step(abs(coherent_state(1.5 - 0.5j, FockSpace(40)).amplitudes[0]) ** 2)
 step(lambda_sensor(SystemParams(g=0.2, lambda_a=1.0, gamma_a=2.0, gamma_b=0.0, kappa_e=0.05))[2].g_opt)
 p = SystemParams(g=0.2, lambda_a=1.0, gamma_a=10.0, gamma_b=1.0, nbar=0.5)
-reduced = build_reduced_model(p, 16)
-step(spectral_gap(reduced))
 lyapunov = fluct_moments_lyapunov(build_W(p, steady_solutions(p)[0]), p).n_fluct
 step(abs(lyapunov / fluct_moments_analytic(p).n_fluct - 1))
+reduced = build_reduced_model(p, 16)
+step(spectral_gap(reduced))
 n_ss = expectation(number_operator(reduced.space), steady_state(reduced).rho).real
 step(n_ss)
 vac = density_from_state(fock_state(0, FockSpace(16)))
@@ -292,8 +292,8 @@ def test_import_pdclab_defers_and_each_deferred_path_still_works():
     )
     assert proc.returncode == 0, proc.stderr
     steps = [json.loads(line) for line in proc.stdout.splitlines()]
-    (loaded, every_scipy), (special, vacuum), (optimize, g_opt), (sparse, gap) = steps[:4]
-    (lyapunov, rel_dev), (steady, n_ss), (blocks, drift), (integrate, trace) = steps[4:]
+    (loaded, every_scipy), (special, vacuum), (optimize, g_opt), (lyapunov, rel_dev) = steps[:4]
+    (sparse, gap), (steady, n_ss), (blocks, drift), (integrate, trace) = steps[4:]
     # import pdclab.cli loads no scipy module at all
     assert loaded == [] and every_scipy == []
     # coherent_state's tail check is numpy alone: |<0|alpha>|^2 = exp(-|alpha|^2)
@@ -303,13 +303,13 @@ def test_import_pdclab_defers_and_each_deferred_path_still_works():
     # sqrt(gamma_a kappa_e / 2) with no scipy at all
     assert optimize == []
     assert g_opt == pytest.approx(math.sqrt(2.0 * 0.05 / 2), rel=1e-6)
-    # the first spectral_gap loads scipy.sparse and no other subpackage: its
-    # block partition and ||L||_inf are numpy on the sparse arrays
-    assert sparse == ["scipy.sparse"]
-    assert gap > 0
-    # fluct_moments_lyapunov's solve_sylvester adds scipy.linalg alone
-    assert lyapunov == ["scipy.linalg", "scipy.sparse"]
+    # fluct_moments_lyapunov's solve_sylvester loads scipy.linalg and nothing sparse
+    assert lyapunov == ["scipy.linalg"]
     assert rel_dev < 1e-10  # the closed form, numpy alone
+    # the first spectral_gap adds scipy.sparse and no other subpackage: its
+    # block partition and ||L||_inf are numpy on the sparse arrays
+    assert sparse == ["scipy.linalg", "scipy.sparse"]
+    assert gap > 0
     # the first steady_state adds the sparse LU (scipy.sparse.linalg), no csgraph
     assert steady == ["scipy.linalg", "scipy.sparse", "scipy.sparse.linalg"]
     assert n_ss > 0

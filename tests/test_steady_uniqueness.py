@@ -568,32 +568,42 @@ def test_singular_solve_raises_whatever_the_kernel_count(monkeypatch):
 
 def test_one_real_generator_and_one_norm_per_solver_call(monkeypatch):
     # the degenerate branch counts zero modes on the generator and ||L||_inf
-    # the solve already built; spectral_gap builds each once as well.
-    # _real_generator computes ||L||_inf itself, from scipy.sparse alone, so
-    # one generator is one norm and no solver asks spla.norm for it
+    # the solve already built; spectral_gap builds each once as well. Every
+    # ||L||_inf, inline or through spla.norm, starts from abs(L): count the
+    # abs() taken of each Liouvillian the solvers build
     params = SystemParams(g=0.2, lambda_a=0.5, gamma_a=4.0, gamma_b=0.0, kappa_e=0.05)
     degenerate = build_reduced_model(params, 8)
     kernel_dim = _dense_kernel_count(liouvillian_matrix(degenerate))
     calls = {"generator": 0, "inf_norm": 0}
-    real_generator, real_norm = dynamics._real_generator, spla.norm
+    built: list = []
+    real_generator, real_liouvillian = dynamics._real_generator, dynamics.liouvillian_matrix
+    matrix_type = type(liouvillian_matrix(degenerate))
+    real_abs = matrix_type.__abs__
 
     def counting_generator(lio, space):
         calls["generator"] += 1
         return real_generator(lio, space)
 
-    def counting_norm(x, ord=None, **kwargs):
-        calls["inf_norm"] += ord == np.inf
-        return real_norm(x, ord, **kwargs)
+    def recording_liouvillian(model):
+        built.append(real_liouvillian(model))
+        return built[-1]
+
+    def counting_abs(x):
+        calls["inf_norm"] += any(x is lio for lio in built)
+        return real_abs(x)
 
     monkeypatch.setattr(dynamics, "_real_generator", counting_generator)
-    monkeypatch.setattr(spla, "norm", counting_norm)
+    monkeypatch.setattr(dynamics, "liouvillian_matrix", recording_liouvillian)
+    monkeypatch.setattr(matrix_type, "__abs__", counting_abs)
     with pytest.raises(SteadyStateDegenerateError) as err:
         steady_state(degenerate)
     assert err.value.kernel_dim == kernel_dim == 2
-    assert calls == {"generator": 1, "inf_norm": 0}
+    assert len(built) == 1
+    assert calls == {"generator": 1, "inf_norm": 1}
     calls.update(generator=0, inf_norm=0)
     spectral_gap(build_reduced_model(UNIQUE, 8))
-    assert calls == {"generator": 1, "inf_norm": 0}
+    assert len(built) == 2
+    assert calls == {"generator": 1, "inf_norm": 1}
 
 
 @pytest.mark.filterwarnings("error")
