@@ -16,22 +16,25 @@ so a decaying amplitude obeys d<c>/dt = -gamma_c <c> and a one-photon Fock
 population decays as exp(-2 gamma t). The convention has one home, _no_jump,
 which forms the no-jump generator K = -iH - sum_{gamma_c > 0} gamma_c c^dag c,
 so that rho_dot = K rho + rho K^dag + sum_c 2 gamma_c c rho c^dag:
-liouvillian_matrix builds L from K and the jump terms, and _cyclic_dimension
-reads K as it is. Every Liouvillian solver here (steady state, spectra, open
-evolution) works on the real generator T^H L T in a Hermitian-operator basis
-(_real_generator), so the states it returns are Hermitian by construction. The
-basis (_hermitian_basis) puts the phase (1 + i)/2 on the level pairs whose
-signal Fock numbers differ by an odd count; that diagonalizes the weak
-symmetry rho -> U rho^T U^dag, U = exp(i pi n_b / 2), of both model builders,
-so the invariant blocks of T^H L T (_blocks) split the coherences of odd
-signal-number difference in two. steady_state factorizes one trace-row system:
-on the trace block alone, the block of T^H L T that holds the diagonal
-coordinates, when the channel operators certify an irreducible semigroup and
+liouvillian_matrix builds L from K and the jump terms as a scipy.sparse
+matrix, _shift_form reads the same terms as shifted diagonals of L, and
+_cyclic_dimension reads K as it is. Every Liouvillian solver here (steady
+state, spectra, open evolution) works on the real generator M = T^H L T in a
+Hermitian-operator basis, which _real_generator assembles in numpy from the
+shifted diagonals, so the states it returns are Hermitian by construction and
+spectral_gap loads no scipy module. The basis's one hook, _pair_phases, puts
+the phase (1 + i)/2 on the level pairs whose signal Fock numbers differ by an
+odd count; that diagonalizes the weak symmetry rho -> U rho^T U^dag,
+U = exp(i pi n_b / 2), of both model builders, so the invariant blocks of M
+(_blocks) split the coherences of odd signal-number difference in two.
+steady_state factorizes one trace-row system: on the trace block alone, the
+block of M that holds the diagonal coordinates, when the channel operators
+certify an irreducible semigroup and
 hence a one-dimensional kernel (_cyclic_dimension: the common kernel of the
 strictly upper-triangular channels is the vacuum, and the vacuum's cyclic
 subspace under K and the channels is the whole Hilbert space; Baumgartner &
 Narnhofer, J. Phys. A 41, 395303 (2008); Evans, CMP 54, 293 (1977); Frigerio,
-CMP 63, 269 (1978)), and on the whole of T^H L T otherwise. Each solver's
+CMP 63, 269 (1978)), and on the whole of M otherwise. Each solver's
 accuracy is a module constant, not a per-call option: steady_state accepts a
 residual up to _RESIDUAL_TOL, and evolve_open checks trace (_TRACE_TOL) and,
 on small dimensions, positivity (_MIN_EIGENVALUE); violations raise instead of
@@ -46,7 +49,7 @@ from __future__ import annotations
 import importlib
 import math
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -127,6 +130,11 @@ _EXPM_RATIO = 4.0
 # a smallest eigenvalue of at least _MIN_EIGENVALUE.
 _ODE_RTOL, _ODE_ATOL = 1e-10, 1e-12
 _TRACE_TOL, _MIN_EIGENVALUE = 1e-8, -1e-7
+
+# _real_generator assembles M a run of positions at a time, about _CHUNK
+# position-shift slots per run, so that its temporaries stay small enough for
+# the allocator to reuse rather than page in afresh.
+_CHUNK = 8192
 
 # steady_state accepts a residual max|L vec(rho)| up to _RESIDUAL_TOL * max(1, ||L||_inf).
 _RESIDUAL_TOL = 1e-10
@@ -279,7 +287,8 @@ def liouvillian_matrix(model: LindbladModel) -> sp.csr_matrix:
     vec(A rho B) = (B^T kron A) vec(rho) and (K^dag)^T = conj(K), hence with
     the no-jump generator K of _no_jump
     L = I kron K + conj(K) kron I + sum_{rate > 0} 2 rate conj(c) kron c.
-    K and the collapse operators become CSR here.
+    K and the collapse operators become CSR here. The solvers do not build this
+    matrix: they read L from the same terms as shifted diagonals (_shift_form).
     """
     ident = sp.identity(model.dim, dtype=complex, format="csr")
     k = sp.csr_matrix(_no_jump(model))
@@ -291,12 +300,318 @@ def liouvillian_matrix(model: LindbladModel) -> sp.csr_matrix:
     return lio.tocsr()
 
 
-def _vec(rho: np.ndarray) -> np.ndarray:
-    return rho.reshape(-1, order="F")
+def _diagonals(a: np.ndarray) -> dict[int, np.ndarray]:
+    """The diagonals of a square matrix that hold a nonzero entry, by ascending
+    offset o: v[m] = a[m, m + o], zero where m + o leaves the matrix."""
+    d = a.shape[0]
+    rows, cols = np.nonzero(a)
+    found = {}
+    for o in np.unique(cols - rows).tolist():
+        v = np.zeros(d, dtype=complex)
+        diagonal = np.diagonal(a, o)
+        v[max(0, -o):max(0, -o) + diagonal.size] = diagonal
+        found[o] = v
+    return found
 
 
-def _unvec(v: np.ndarray, d: int) -> np.ndarray:
-    return v.reshape((d, d), order="F")
+class _ShiftForm(NamedTuple):
+    """L as shifted diagonals: (L rho)[m, n] = sum_s w[s, m, n] rho[m + a_s, n + b_s]
+    with (a_s, b_s) = shifts[s], ordered by (b, a) as the columns of a row of
+    liouvillian_matrix. w[s] vanishes where the target leaves the space."""
+
+    shifts: np.ndarray
+    w: np.ndarray
+
+    def apply(self, rho: np.ndarray) -> np.ndarray:
+        """L rho, the shifts summed in their order."""
+        d = rho.shape[0]
+        pad = int(np.abs(self.shifts).max(initial=0))
+        padded = np.zeros((d + 2 * pad, d + 2 * pad), dtype=complex)
+        padded[pad:pad + d, pad:pad + d] = rho
+        out = np.zeros((d, d), dtype=complex)
+        for (a, b), w in zip(self.shifts.tolist(), self.w):
+            out += w * padded[pad + a:pad + a + d, pad + b:pad + b + d]
+        return out
+
+    def inf_norm(self) -> float:
+        """||L||_inf, summed as scipy.sparse sums the rows of liouvillian_matrix:
+        the nonzero |entries| of each row in column order, by np.add.reduceat."""
+        count, d = self.w.shape[:2]
+        mag = np.abs(self.w).reshape(count, d * d).T
+        nonzero = mag != 0
+        per_row = np.count_nonzero(nonzero, axis=1)
+        if not per_row.any():
+            return 0.0
+        starts = (np.cumsum(per_row) - per_row)[per_row > 0]
+        return float(np.add.reduceat(mag[nonzero], starts).max())
+
+
+def _shift_form(model: LindbladModel) -> _ShiftForm:
+    """The terms of liouvillian_matrix as shifted diagonals, each shift's terms
+    summed in that order: offset o of K gives the shift (o, 0) from I kron K and
+    (0, o) from conj(K) kron I, and the offsets o1, o2 of a channel c give
+    (o1, o2), w[m, n] = 2 rate conj(c[n, n + o2]) c[m, m + o1]. Every shift
+    (a, b) comes with its mirror (b, a)."""
+    d = model.dim
+    k = _diagonals(_no_jump(model))
+    terms = [((o, 0), v[:, None]) for o, v in k.items()]
+    terms += [((0, o), v.conj()) for o, v in k.items()]
+    for rate, c in model.channels:
+        if rate > 0:
+            diagonals = _diagonals(c.matrix)
+            for o2, v2 in diagonals.items():
+                left = (2.0 * rate) * v2.conj()
+                terms += [((o1, o2), left * v1[:, None]) for o1, v1 in diagonals.items()]
+    shifts = sorted({s for s, _ in terms}, key=lambda s: (s[1], s[0]))
+    index = {s: i for i, s in enumerate(shifts)}
+    w = np.zeros((len(shifts), d, d), dtype=complex)
+    for s, term in terms:
+        w[index[s]] += term
+    return _ShiftForm(np.array(shifts, dtype=np.intp).reshape(-1, 2), w)
+
+
+def _pair_phases(space: Space) -> np.ndarray:
+    """The phase c of each level pair m < n, in np.triu_indices order.
+
+    The real coordinates of a Hermitian rho are rho[k, k], then two per pair:
+    those of the Hermitian basis matrices c E_mn + conj(c) E_nm and
+    i c E_mn + conj(i c) E_nm. The phase is c = 1/sqrt(2), the coordinates
+    sqrt(2) Re rho[m, n] and sqrt(2) Im rho[m, n], unless the signal Fock
+    numbers of m and n differ by an odd count: then c = (1 + i)/2. The signal
+    mode is the last factor of a TensorSpace, or the whole FockSpace.
+
+    The phase makes the coordinates eigenvectors, eigenvalues +-1, of
+    S(rho) = U rho^T U^dag with U = exp(i pi n_b / 2). Both model builders
+    commute with S (U H^T U^dag = -H, and U conj(c) U^dag is c up to a phase
+    for every channel c), so the entries of the real generator between the two
+    S-sectors cancel to exact zeros and _blocks splits the coherences of odd
+    signal-number difference in two. For a model without the symmetry the
+    basis is as orthonormal and Hermitian, only the blocks do not split.
+    """
+    d = space.dim
+    d_s = space.factors[-1].dim if isinstance(space, TensorSpace) else d
+    m, n = np.triu_indices(d, 1)
+    odd = (m % d_s + n % d_s) % 2 == 1
+    return np.where(odd, 0.5 + 0.5j, math.sqrt(0.5))
+
+
+def _coordinates(rho: np.ndarray, space: Space) -> np.ndarray:
+    """The real coordinates x of rho (_pair_phases); of its Hermitian part when
+    rho is not Hermitian."""
+    d = space.dim
+    c = _pair_phases(space)
+    t = np.stack([c, 1j * c], axis=1)
+    m, n = np.triu_indices(d, 1)
+    x = np.empty(d * d)
+    x[:d] = rho.diagonal().real
+    x[d:] = (t.conj() * rho[m, n, None] + t * rho[n, m, None]).real.ravel()
+    return x
+
+
+def _density(x: np.ndarray, space: Space) -> np.ndarray:
+    """The Hermitian matrix whose real coordinates (_pair_phases) are x."""
+    d = space.dim
+    c = _pair_phases(space)
+    m, n = np.triu_indices(d, 1)
+    pairs = x[d:].reshape(-1, 2)
+    upper = c * pairs[:, 0] + (1j * c) * pairs[:, 1]
+    rho = np.diag(x[:d].astype(complex))
+    rho[m, n] = upper
+    rho[n, m] = upper.conj()
+    return rho
+
+
+class _Csr(NamedTuple):
+    """A real square matrix as CSR arrays, numpy alone."""
+
+    indptr: np.ndarray
+    indices: np.ndarray
+    data: np.ndarray
+
+    @property
+    def shape(self) -> tuple[int, int]:
+        return self.indptr.size - 1, self.indptr.size - 1
+
+    @property
+    def nnz(self) -> int:
+        return self.data.size
+
+    def block(self, idx: np.ndarray) -> _Csr:
+        """The matrix on an invariant block idx, in the block's coordinates."""
+        local = np.empty(self.shape[0], dtype=np.intp)
+        local[idx] = np.arange(idx.size)
+        counts = self.indptr[idx + 1] - self.indptr[idx]
+        indptr = np.concatenate([[0], np.cumsum(counts)])
+        picked = np.arange(indptr[-1]) + np.repeat(self.indptr[idx] - indptr[:-1], counts)
+        return _Csr(indptr, local[self.indices[picked]], self.data[picked])
+
+    def toarray(self) -> np.ndarray:
+        a = np.zeros(self.shape)
+        a[np.repeat(np.arange(self.shape[0]), np.diff(self.indptr)), self.indices] = self.data
+        return a
+
+
+def _real_generator(model: LindbladModel) -> tuple[_ShiftForm, _Csr, float]:
+    """L as shifted diagonals (_shift_form), the real generator M and ||L||_inf.
+
+    With T the unitary from the real coordinates of _pair_phases to vec(rho),
+    vec(rho) = T x turns the master equation into dx/dt = M x, M = T^H L T.
+    M is read from the shifted diagonals without forming L or T: row i of M
+    belongs to a position (m, n), m <= n, and T^H takes L there and at the
+    mirror (n, m). A Lindbladian preserves Hermiticity, which ties the two:
+    w[(b, a), n, m] = conj(w[(a, b), m, n]). That is what makes M real; a
+    breach above 1e-12 ||L||_inf raises ResidualError.
+
+    M is the real part of the sparse product (T^H L) T as scipy.sparse forms
+    it from liouvillian_matrix, bit for bit and in its order. Each entry is a
+    sum of at most two products at each of the two stages, evaluated as that
+    product evaluates it; entries that cancel to exact zeros, among them those
+    between the sectors of _pair_phases' symmetry, are dropped, so _blocks
+    sees the split. The product lists a row's columns in reverse order of
+    first touch, so a row of M lists its coordinate groups (a diagonal
+    coordinate, or a pair's two) by the last column of L, in the order the
+    product meets them, that reaches the group with a nonzero entry of T^H L,
+    each pair imaginary coordinate first. (Where scipy.sparse.kron stores the
+    dense blocks of a small, dense K with their zeros, those zeros reorder the
+    product's rows; M's entries are the same.) A position reaches the target
+    (m + a, n + b) by the shift (a, b); a pair reached as (k, l) and as (l, k)
+    merges the two.
+    """
+    lio = _shift_form(model)
+    shifts, w = lio
+    d, count = model.dim, len(shifts)
+    alpha, beta = shifts[:, 0], shifts[:, 1]
+    norm = lio.inf_norm()
+    codes = (alpha + d) * (4 * d) + (beta + d)
+    order = np.argsort(codes)
+
+    def find(a, b):
+        """The index of each shift (a, b), -1 where there is none."""
+        wanted = (a + d) * (4 * d) + (b + d)
+        at = np.searchsorted(codes[order], wanted).clip(max=max(count - 1, 0))
+        return np.where(codes[order][at] == wanted, order[at], -1)
+
+    mirror = find(beta, alpha)
+    # the shift that reaches a target's mirror from (m, m + delta)
+    delta = np.arange(d)
+    partner = find(beta[:, None] + delta, alpha[:, None] - delta)
+
+    # positions: the diagonal (k, k), then the pairs m < n, a run at a time
+    phases = _pair_phases(model.space)
+    pm, pn = np.triu_indices(d, 1)
+    rm, rn = np.concatenate([np.arange(d), pm]), np.concatenate([np.arange(d), pn])
+    phase = np.concatenate([np.ones(d, dtype=complex), phases])
+    runs = max(1, round(rm.size * count / _CHUNK))
+    bounds = np.linspace(0, rm.size, runs + 1).astype(int).tolist()
+    parts = [_generator_rows(lio, mirror, partner, np.append(phases, 1.0),
+                             rm[i:j], rn[i:j], phase[i:j]) for i, j in zip(bounds, bounds[1:])]
+    breach = max(part[0] for part in parts)
+    bound = 1e-12 * norm
+    if breach > bound:
+        raise ResidualError(
+            f"Liouvillian is not real in the Hermitian basis: it breaks Hermiticity "
+            f"by {breach:.3e}, above {bound:.3e}"
+        )
+    indptr = np.zeros(d * d + 1, dtype=np.intp)
+    np.cumsum(np.concatenate([part[1] for part in parts]), out=indptr[1:])
+    m = _Csr(indptr, np.concatenate([part[2] for part in parts]),
+             np.concatenate([part[3] for part in parts]))
+    return lio, m, norm
+
+
+def _generator_rows(lio: _ShiftForm, mirror: np.ndarray, partner: np.ndarray,
+                    target_phase: np.ndarray, rm: np.ndarray, rn: np.ndarray,
+                    phase: np.ndarray):
+    """The rows of M (_real_generator) at positions (rm, rn): the Hermiticity
+    breach there, each row's entry count, and the rows' columns and values.
+    mirror[s] is the shift (b, a) of shift s = (a, b), partner[s, delta] the
+    shift that reaches the mirror of s's target from (m, m + delta), and
+    target_phase the pair phases with a last entry 1 for a diagonal target."""
+    shifts, w = lio
+    d, count = w.shape[1], len(shifts)
+    alpha, beta = shifts[:, 0], shifts[:, 1]
+    diagonal = rm == rn
+    shift = np.arange(count)[:, None]
+    flat = w.reshape(-1)
+    at = flat[shift * (d * d) + (rm * d + rn)]
+    mirrored = flat[mirror[:, None] * (d * d) + (rn * d + rm)]
+    breach = np.abs(mirrored - at.conj()).max(initial=0.0)
+    mirrored[:, diagonal] = 0  # a diagonal coordinate has no mirror
+
+    tk, tl = rm + alpha[:, None], rn + beta[:, None]
+    inside = (tk >= 0) & (tk < d) & (tl >= 0) & (tl < d)
+    lo, hi = np.minimum(tk, tl), np.maximum(tk, tl)
+    pair = inside & (lo != hi)
+    target = np.where(pair, lo * (2 * d - lo - 1) // 2 + hi - lo - 1, target_phase.size - 1)
+    cols = np.where(pair, d + 2 * target, tk)
+    flip = tk > tl  # the target is the mirror (l, k) of its pair
+    c = target_phase[target]
+    np.conjugate(c, out=c, where=flip)
+    del tk, tl, lo, hi, target  # each stage releases its arrays before the next
+    partner = partner[:, rn - rm]
+    merged = np.nonzero(pair & (partner > shift))
+    other = partner[merged]
+    partners = (other, merged[1])
+
+    # T^H L for the real row of each position: at the target, the term of
+    # (m, n); at its mirror, the term of (n, m). The imaginary row is the same
+    # rotated by -i and by i.
+    up, down = phase.conj() * at, phase * mirrored
+    up_j, down_j, up_k, down_k = up[merged], down[merged], up[partners], down[partners]
+    up[merged], down[merged] = up_j + down_k, down_j + up_k
+
+    # Where the product meets each group's columns: a column of L's row
+    # (n, m) at the place of its shift, one of row (m, n) after all of those.
+    in_up = np.where(at != 0, count + shift, -1)
+    in_down = np.where(mirrored != 0, mirror[:, None], -1)
+    met = np.maximum(np.where(up != 0, in_up, -1), np.where(down != 0, in_down, -1))
+    key = np.where(pair, met, np.where(mirrored != 0, in_down, in_up))
+    key = np.stack([key, key])
+    met = np.where(mirrored[partners] != 0, in_down[partners], in_up[merged])
+    met_mirror = np.where(mirrored[merged] != 0, in_down[merged], in_up[partners])
+    for row, (a, b) in enumerate([(up[merged], down[merged]), (up_j - down_k, down_j - up_k)]):
+        key[row][merged] = np.maximum(np.where(a != 0, met, -1), np.where(b != 0, met_mirror, -1))
+    key[:, other, merged[1]] = -1  # merged into its partner's slot
+    key[1][:, diagonal] = -1  # a diagonal position has one row
+    del at, mirrored, partner, in_up, in_down, met, met_mirror
+
+    p, q = up * c, down * c.conj()
+    x, y = p.real + q.real, p.imag - q.imag
+    sign = np.where(flip, -1.0, 1.0)
+    # (column imaginary/real, row real/imaginary, slot, position)
+    values = np.empty((2, 2, count, rm.size))
+    values[0, 0], values[0, 1] = -sign * y, sign * x
+    values[1, 0], values[1, 1] = x, y
+    # merged, the imaginary row meets the mirror's term rotated the other way
+    p, q = (up_j - down_k) * c[merged], (down_j - up_k) * c[merged].conj()
+    values[0, 1][merged] = sign[merged] * (p.real + q.real)
+    values[1, 1][merged] = p.imag - q.imag
+    values[0] *= pair  # a diagonal coordinate is one column
+    del up, down, c, p, q, x, y, sign, flip
+
+    # Each row lists its groups by ascending key, each group's kept entries
+    # imaginary column first: a group's offset in its row counts the kept
+    # entries of the groups with smaller keys.
+    kept = (values != 0) & (key >= 0)
+    width = np.add(kept[0], kept[1], dtype=np.intp)
+    buckets = 2 * count + 1
+    key[key < 0] = buckets - 1
+    bucket = (np.arange(2)[:, None, None] * buckets + key) * rm.size + np.arange(rm.size)
+    before = np.zeros(2 * buckets * rm.size, dtype=np.intp)
+    before[bucket] = width
+    before = before.reshape(2, buckets, rm.size)
+    total = np.zeros((2, rm.size), dtype=np.intp)
+    for k in range(buckets):  # exclusive prefix sum over the keys
+        total, before[:, k] = total + before[:, k], total
+    starts = np.cumsum(total.T.ravel()) - total.T.ravel()
+    place = starts.reshape(-1, 2).T[:, None] + before.reshape(-1)[bucket]
+    indices, data = np.empty(total.sum(), dtype=np.intp), np.empty(total.sum())
+    for column, offset in enumerate([place, place + kept[0]]):
+        here = kept[column]
+        indices[offset[here]] = np.broadcast_to(cols + 1 - column, here.shape)[here]
+        data[offset[here]] = values[column][here]
+    rows = np.stack([np.ones(rm.size, dtype=bool), ~diagonal], axis=1).ravel()
+    return breach, total.T.ravel()[rows], indices, data
 
 
 def _check_time(t: float, backward: bool = False) -> None:
@@ -326,14 +641,14 @@ def evolve_closed(h: Operator, psi0: StateVector, t: float) -> StateVector:
     return StateVector(y / np.linalg.norm(y), psi0.space)
 
 
-def _evolve_blocks(m: sp.csr_matrix, blocks: list[np.ndarray], x0: np.ndarray,
+def _evolve_blocks(m: _Csr, blocks: list[np.ndarray], x0: np.ndarray,
                    t: float) -> np.ndarray:
     """x(t) = expm(t M) x0, one dense real exponential per invariant block of M."""
     from scipy.linalg import expm
 
     x = np.empty_like(x0)
     for idx in blocks:
-        x[idx] = expm(t * m[idx][:, idx].toarray()) @ x0[idx]
+        x[idx] = expm(t * m.block(idx).toarray()) @ x0[idx]
     return x
 
 
@@ -347,9 +662,11 @@ def solve_ivp(*args, **kwargs):
     return scipy_solve_ivp(*args, **kwargs)
 
 
-def _evolve_ode(m: sp.csr_matrix, x0: np.ndarray, t: float) -> np.ndarray:
-    """x(t) of dx/dt = M x by adaptive DOP853 at _ODE_RTOL and _ODE_ATOL."""
-    sol = solve_ivp(lambda _t, x: m @ x, (0.0, t), x0, method="DOP853",
+def _evolve_ode(m: _Csr, x0: np.ndarray, t: float) -> np.ndarray:
+    """x(t) of dx/dt = M x by adaptive DOP853 at _ODE_RTOL and _ODE_ATOL, on
+    M's arrays wrapped as a scipy.sparse matrix for the matrix-vector products."""
+    a = sp.csr_matrix((m.data, m.indices, m.indptr), shape=m.shape)
+    sol = solve_ivp(lambda _t, x: a @ x, (0.0, t), x0, method="DOP853",
                     rtol=_ODE_RTOL, atol=_ODE_ATOL)
     if sol.status != 0:
         raise IntegratorError(f"open evolution failed: {sol.message}")
@@ -376,8 +693,8 @@ def evolve_open(model: LindbladModel, rho0: DensityMatrix, t: float) -> DensityM
     if t == 0:
         return rho0
     d = model.dim
-    basis, m, norm = _real_generator(liouvillian_matrix(model), model.space)
-    x0 = (basis.conj().T @ _vec(rho0.matrix)).real
+    _, m, norm = _real_generator(model)
+    x0 = _coordinates(rho0.matrix, model.space)
     blocks = _blocks(m)
     sides = np.array([idx.size for idx in blocks], dtype=float)
     if (sides.max() <= _DENSE_EIG_MAX_SIDE
@@ -385,7 +702,7 @@ def evolve_open(model: LindbladModel, rho0: DensityMatrix, t: float) -> DensityM
         x = _evolve_blocks(m, blocks, x0, t)
     else:
         x = _evolve_ode(m, x0, t)
-    rho = _unvec(basis @ x, d)
+    rho = _density(x, model.space)
 
     if not np.isfinite(rho).all():
         raise IntegratorError("open evolution produced non-finite entries")
@@ -400,14 +717,14 @@ def evolve_open(model: LindbladModel, rho0: DensityMatrix, t: float) -> DensityM
     return DensityMatrix(rho, rho0.space)
 
 
-def _trace_row_system(m: sp.csr_matrix, d: int):
+def _trace_row_system(m: _Csr, d: int):
     """Replace row 0 of the real generator M with the trace functional, ones
     on the d diagonal coordinates; the rhs selects trace = 1."""
-    coo = m.tocoo()
-    keep = coo.row != 0
-    rows = np.concatenate([coo.row[keep], np.zeros(d, dtype=coo.row.dtype)])
-    cols = np.concatenate([coo.col[keep], np.arange(d)])
-    data = np.concatenate([coo.data[keep], np.ones(d)])
+    rows = np.repeat(np.arange(m.shape[0]), np.diff(m.indptr))
+    first = m.indptr[1]  # row 0's entries come first
+    rows = np.concatenate([rows[first:], np.zeros(d, dtype=rows.dtype)])
+    cols = np.concatenate([m.indices[first:], np.arange(d)])
+    data = np.concatenate([m.data[first:], np.ones(d)])
     a = sp.csc_matrix((data, (rows, cols)), shape=m.shape)
     b = np.zeros(m.shape[0])
     b[0] = 1.0
@@ -427,68 +744,7 @@ def _condition_number(a: sp.csc_matrix, lu) -> float:
     return spla.norm(a, 1) * spla.onenormest(inv, t=1)
 
 
-def _hermitian_basis(space: Space) -> sp.csc_matrix:
-    """Unitary T from real Hermitian-basis coordinates to column-major vec(rho).
-
-    The coordinates are rho[k, k], then two per level pair m < n; column j of
-    T is vec of the Hermitian basis matrix E_kk, c E_mn + conj(c) E_nm or
-    i c E_mn + conj(i c) E_nm. The phase is c = 1/sqrt(2), the coordinates
-    sqrt(2) Re rho[m, n] and sqrt(2) Im rho[m, n], unless the signal Fock
-    numbers of m and n differ by an odd count: then c = (1 + i)/2. The signal
-    mode is the last factor of a TensorSpace, or the whole FockSpace.
-
-    The phase makes the coordinates eigenvectors, eigenvalues +-1, of
-    S(rho) = U rho^T U^dag with U = exp(i pi n_b / 2). Both model builders
-    commute with S (U H^T U^dag = -H, and U conj(c) U^dag is c up to a phase
-    for every channel c), so the entries of T^H L T between the two
-    S-sectors cancel to exact zeros and _blocks splits the coherences of odd
-    signal-number difference in two. For a model without the symmetry the
-    basis is as orthonormal and Hermitian, only the blocks do not split.
-    """
-    d = space.dim
-    d_s = space.factors[-1].dim if isinstance(space, TensorSpace) else d
-    m, n = np.triu_indices(d, 1)
-    odd = (m % d_s + n % d_s) % 2 == 1
-    upper, lower = m + n * d, n + m * d
-    re = d + 2 * np.arange(m.size)
-    h = math.sqrt(0.5)
-    rows = np.concatenate([np.arange(d) * (d + 1), upper, lower, upper, lower])
-    cols = np.concatenate([np.arange(d), re, re, re + 1, re + 1])
-    data = np.concatenate([
-        np.ones(d),
-        np.where(odd, 0.5 + 0.5j, h), np.where(odd, 0.5 - 0.5j, h),
-        np.where(odd, -0.5 + 0.5j, 1j * h), np.where(odd, -0.5 - 0.5j, -1j * h),
-    ])
-    return sp.csc_matrix((data, (rows, cols)), shape=(d * d, d * d))
-
-
-def _real_generator(lio: sp.csr_matrix,
-                    space: Space) -> tuple[sp.csc_matrix, sp.csr_matrix, float]:
-    """T = _hermitian_basis(space), the real generator M = T^H L T and ||L||_inf.
-
-    A Lindbladian preserves Hermiticity, so M is real in any orthonormal
-    Hermitian basis; its imaginary part must be rounding, at most
-    1e-12 ||L||_inf, else ResidualError. With vec(rho) = T x, the master
-    equation reads dx/dt = M x. Entries that cancel to exact zeros, among
-    them those between the sectors of _hermitian_basis's symmetry, are
-    dropped from M's sparsity pattern, so _blocks sees the split.
-    """
-    t = _hermitian_basis(space)
-    m = (t.conj().T @ lio @ t).tocsr()
-    norm = abs(lio).sum(axis=1).max()
-    bound = 1e-12 * norm
-    imag = abs(m.imag).max()
-    if imag > bound:
-        raise ResidualError(
-            f"Liouvillian is not real in the Hermitian basis: imaginary part "
-            f"{imag:.3e} exceeds {bound:.3e}"
-        )
-    m = m.real
-    m.eliminate_zeros()
-    return t, m, norm
-
-
-def _blocks(m: sp.csr_matrix) -> list[np.ndarray]:
+def _blocks(m: _Csr) -> list[np.ndarray]:
     """Coordinate index sets of the invariant blocks of the real generator M.
 
     Each weakly connected component of M's sparsity pattern is an invariant
@@ -517,7 +773,7 @@ def _blocks(m: sp.csr_matrix) -> list[np.ndarray]:
     return np.split(order, np.flatnonzero(np.diff(labels[order])) + 1)
 
 
-def _block_spectra(m: sp.csr_matrix) -> np.ndarray | None:
+def _block_spectra(m: _Csr) -> np.ndarray | None:
     """Eigenvalues of L from its real generator M (_real_generator), one real
     invariant block (_blocks) at a time.
 
@@ -528,10 +784,10 @@ def _block_spectra(m: sp.csr_matrix) -> np.ndarray | None:
     blocks = _blocks(m)
     if max(idx.size for idx in blocks) > _DENSE_EIG_MAX_SIDE:
         return None
-    return np.concatenate([np.linalg.eigvals(m[idx][:, idx].toarray()) for idx in blocks])
+    return np.concatenate([np.linalg.eigvals(m.block(idx).toarray()) for idx in blocks])
 
 
-def _kernel_dimension(m: sp.csr_matrix, norm: float) -> int | None:
+def _kernel_dimension(m: _Csr, norm: float) -> int | None:
     """Count the zero modes of L (see _ZERO_MODE_CUT) from the block spectra of
     its real generator M, given norm = ||L||_inf, or None when a block is too
     large to eigensolve."""
@@ -581,14 +837,14 @@ def _cyclic_dimension(model: LindbladModel) -> int:
     return q.shape[1]
 
 
-def _trace_block(m: sp.csr_matrix, d: int) -> np.ndarray | None:
+def _trace_block(m: _Csr, d: int) -> np.ndarray | None:
     """Coordinates of the invariant block of M (_blocks) that holds all d
     diagonal coordinates, or None when they are split across blocks."""
     block = next(idx for idx in _blocks(m) if idx[0] == 0)
     return block if np.array_equal(block[:d], np.arange(d)) else None
 
 
-def _solve_trace_row(m: sp.csr_matrix, d: int) -> np.ndarray | None:
+def _solve_trace_row(m: _Csr, d: int) -> np.ndarray | None:
     """x with (M x)_i = 0 for i > 0 and trace 1 on the first d coordinates,
     from one LU of _trace_row_system(m, d) and one step of iterative
     refinement; None when that system is singular: an exactly zero pivot, or
@@ -605,18 +861,19 @@ def _solve_trace_row(m: sp.csr_matrix, d: int) -> np.ndarray | None:
     return None
 
 
-def _clean_density(v: np.ndarray, d: int) -> np.ndarray:
-    rho = _unvec(v, d)
+def _clean_density(x: np.ndarray, space: Space) -> np.ndarray:
+    rho = _density(x, space)
     return rho / np.trace(rho).real
 
 
 def steady_state(model: LindbladModel) -> SteadyStateResult:
     """Steady state from the Liouvillian null space with trace normalization.
 
-    Row 0 of the real generator M = T^H L T (_real_generator), or of one of
-    its invariant blocks, is replaced by the trace functional, ones on the d
+    Row 0 of the real generator M (_real_generator), or of one of its
+    invariant blocks, is replaced by the trace functional, ones on the d
     diagonal coordinates, and the resulting real matrix A is factorized once
-    (_solve_trace_row); rho = unvec(T x) is then Hermitian by construction.
+    (_solve_trace_row); rho, the matrix of the solution's coordinates, is then
+    Hermitian by construction.
     When the channels certify an irreducible semigroup (_cyclic_dimension
     reaches d; Baumgartner & Narnhofer 2008, Evans 1977, Frigerio 1978), the
     kernel of L is one-dimensional and lies in the trace block, the block of
@@ -630,21 +887,21 @@ def steady_state(model: LindbladModel) -> SteadyStateResult:
     singularity test of LAPACK xGESVX and MATLAB. A singular A raises
     SteadyStateDegenerateError, whose message names the system (trace block
     or whole, and its side) and which carries the count of L's zero modes, or
-    None when L is too large to count them. A residual max|L vec(rho)| above
-    _RESIDUAL_TOL * max(1, ||L||_inf) raises ResidualError.
+    None when L is too large to count them. A residual max|L vec(rho)|, from
+    the shifted diagonals of L, above _RESIDUAL_TOL * max(1, ||L||_inf) raises
+    ResidualError.
     """
     if not any(rate > 0 for rate, _ in model.channels):
         raise ValueError("steady_state needs at least one dissipative channel")
     d = model.dim
-    lio = liouvillian_matrix(model)
-    basis, m, norm = _real_generator(lio, model.space)
+    lio, m, norm = _real_generator(model)
     block = _trace_block(m, d) if _cyclic_dimension(model) == d else None
     if block is None:
         system = f"the whole trace-row system (side {m.shape[0]})"
         x = _solve_trace_row(m, d)
     else:
         system = f"the trace-row system of the trace block (side {block.size})"
-        x_block, x = _solve_trace_row(m[block][:, block], d), None
+        x_block, x = _solve_trace_row(m.block(block), d), None
         if x_block is not None:  # the other blocks hold no part of the kernel
             x = np.zeros(m.shape[0])
             x[block] = x_block
@@ -657,8 +914,8 @@ def steady_state(model: LindbladModel) -> SteadyStateResult:
             kernel_dim=kdim,
         )
 
-    rho = _clean_density(basis @ x, d)
-    residual = float(np.abs(lio @ _vec(rho)).max())
+    rho = _clean_density(x, model.space)
+    residual = float(np.abs(lio.apply(rho)).max())
     bound = _RESIDUAL_TOL * max(1.0, norm)
     if residual > bound:
         raise ResidualError(f"steady-state residual {residual:.3e} exceeds {bound:.3e}")
@@ -669,9 +926,9 @@ def spectral_gap(model: LindbladModel) -> float:
     """Smallest nonzero decay rate: -max{Re z : z in spec(L), Re z < -eps}.
 
     eps = _ZERO_MODE_CUT * ||L||_inf, the zero-mode cut of _kernel_dimension;
-    the spectrum comes from _block_spectra.
+    the spectrum comes from _block_spectra. numpy alone: no scipy module loads.
     """
-    _, m, norm = _real_generator(liouvillian_matrix(model), model.space)
+    _, m, norm = _real_generator(model)
     ev = _block_spectra(m)
     if ev is None:
         raise ValueError(

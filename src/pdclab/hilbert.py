@@ -7,10 +7,15 @@ that dimension mismatches are caught at the boundary instead of deep inside a
 solver.
 
 Storage has one rule: states, density matrices and operators on a space of
-dim n are dense complex arrays. Solvers convert them to CSR where they need
-sparse products: dynamics.liouvillian_matrix for the superoperator, whose side
-is n^2, dynamics.evolve_closed for the Hamiltonian it exponentiates, and
-dynamics.build_full_model for the cubic terms of its Hamiltonian.
+dim n are dense complex arrays. The Liouvillian solvers read the superoperator,
+of side n^2, as shifted diagonals of these arrays and assemble its real
+generator as numpy CSR arrays (dynamics._real_generator). Conversions to
+scipy.sparse CSR happen where sparse products or factorizations need them:
+dynamics.liouvillian_matrix, which builds the superoperator for callers
+outside the solvers, dynamics.evolve_closed for the Hamiltonian it
+exponentiates, dynamics.build_full_model for the cubic terms of its
+Hamiltonian, and the sparse LU and ODE matrix-vector products of
+dynamics.steady_state and dynamics.evolve_open.
 """
 
 from __future__ import annotations

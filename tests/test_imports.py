@@ -2,9 +2,9 @@
 the package goes unreferenced (no linter ships with the package), one
 function of the package calls solve_ivp, and import pdclab loads numpy but no
 scipy: no module of the package imports scipy at module level, each scipy
-subpackage loads on the first call that needs it, configs/meanfield.cfg
-runs without scipy, and configs/normal.cfg and configs/sensor.cfg on
-scipy.sparse alone."""
+subpackage loads on the first call that needs it, spectral_gap loads none, and
+configs/meanfield.cfg, configs/normal.cfg and configs/sensor.cfg run without
+scipy."""
 
 import ast
 import inspect
@@ -293,7 +293,7 @@ def test_import_pdclab_defers_and_each_deferred_path_still_works():
     assert proc.returncode == 0, proc.stderr
     steps = [json.loads(line) for line in proc.stdout.splitlines()]
     (loaded, every_scipy), (special, vacuum), (optimize, g_opt), (lyapunov, rel_dev) = steps[:4]
-    (sparse, gap), (steady, n_ss), (blocks, drift), (integrate, trace) = steps[4:]
+    (gap_modules, gap), (steady, n_ss), (blocks, drift), (integrate, trace) = steps[4:]
     # import pdclab.cli loads no scipy module at all
     assert loaded == [] and every_scipy == []
     # coherent_state's tail check is numpy alone: |<0|alpha>|^2 = exp(-|alpha|^2)
@@ -306,11 +306,12 @@ def test_import_pdclab_defers_and_each_deferred_path_still_works():
     # fluct_moments_lyapunov's solve_sylvester loads scipy.linalg and nothing sparse
     assert lyapunov == ["scipy.linalg"]
     assert rel_dev < 1e-10  # the closed form, numpy alone
-    # the first spectral_gap adds scipy.sparse and no other subpackage: its
-    # block partition and ||L||_inf are numpy on the sparse arrays
-    assert sparse == ["scipy.linalg", "scipy.sparse"]
+    # the first spectral_gap adds no scipy subpackage: the real generator, its
+    # blocks, ||L||_inf and the dense eigensolves are numpy
+    assert gap_modules == lyapunov
     assert gap > 0
-    # the first steady_state adds the sparse LU (scipy.sparse.linalg), no csgraph
+    # the first steady_state adds scipy.sparse and its LU (scipy.sparse.linalg),
+    # no csgraph
     assert steady == ["scipy.linalg", "scipy.sparse", "scipy.sparse.linalg"]
     assert n_ss > 0
     # evolve_open's block route (expm from scipy.linalg) relaxes onto the steady state
@@ -355,15 +356,9 @@ def test_meanfield_config_runs_without_scipy(tmp_path):
 
 
 @pytest.mark.parametrize("name", ("normal", "sensor"))
-def test_gap_configs_run_on_scipy_sparse_alone(name, tmp_path):
-    # their spectral gaps need scipy.sparse; nothing loads the LU, csgraph,
-    # the dense linear algebra or the optimizer
-    scipy_modules = run_config(name, tmp_path)
-    assert "scipy.sparse" in scipy_modules
-    assert not {
-        "scipy.linalg", "scipy.sparse.linalg", "scipy.sparse.csgraph",
-        "scipy.optimize", "scipy.special",
-    } & set(scipy_modules)
+def test_gap_configs_run_without_scipy(name, tmp_path):
+    # their spectral gaps are numpy alone, as is everything else they run
+    assert run_config(name, tmp_path) == []
     tasks = parse_config(ROOT / "configs" / f"{name}.cfg").tasks
     assert len(list(tmp_path.iterdir())) == 2 * len(tasks)
 

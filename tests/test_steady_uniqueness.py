@@ -1,7 +1,7 @@
 """Uniqueness of the Liouvillian steady state: one LU, its rcond, and kernel counts.
 
 `steady_state` decides uniqueness from the condition estimate of the one
-trace-row LU it builds on the real generator T^H L T: on the trace block
+trace-row LU it builds on the real generator M: on the trace block
 alone when the channel operators certify an irreducible semigroup, on the
 whole generator otherwise; the whole-matrix path stays reachable by refusing
 the certificate and is the reference of the trace-block path. The slow path
@@ -27,19 +27,21 @@ from pdclab import dynamics
 from pdclab.dynamics import (
     LindbladModel,
     SystemParams,
-    _hermitian_basis,
     _kernel_dimension,
     _real_generator,
     build_full_model,
     build_reduced_model,
+    evolve_open,
     liouvillian_matrix,
     spectral_gap,
     steady_state,
 )
 from pdclab.errors import ResidualError, SteadyStateDegenerateError
 from pdclab.hilbert import (
-    FockSpace, Operator, annihilation, embed, expectation, number_operator,
+    FockSpace, Operator, annihilation, density_from_state, embed, expectation, fock_state,
+    number_operator,
 )
+from test_real_generator import hermitian_basis
 
 _DENSE_COUNTS: dict[tuple, int] = {}
 
@@ -51,10 +53,15 @@ def _zero_modes(block: np.ndarray, scale: float) -> int:
     return int(np.sum(np.abs(ev.real) <= 1e-10 * scale))
 
 
-def _block_kernel_count(lio, space) -> int | None:
+def _block_kernel_count(model) -> int | None:
     """_kernel_dimension on the real generator and norm that steady_state builds."""
-    _, m, norm = _real_generator(lio, space)
+    _, m, norm = _real_generator(model)
     return _kernel_dimension(m, norm)
+
+
+def _as_scipy(m) -> sp.csr_matrix:
+    """A CSR matrix, numpy arrays or scipy.sparse, as scipy.sparse."""
+    return sp.csr_matrix((m.data, m.indices, m.indptr), shape=m.shape)
 
 
 def _dense_kernel_count(lio) -> int:
@@ -184,8 +191,8 @@ def _near_decoupled_grid():
 def _trace_block_side(model) -> int:
     """Side of the weakly connected component of the real generator that
     holds coordinate 0, the diagonal rho[0, 0]."""
-    _, m, _ = _real_generator(liouvillian_matrix(model), model.space)
-    labels = connected_components(m, connection="weak")[1]
+    _, m, _ = _real_generator(model)
+    labels = connected_components(_as_scipy(m), connection="weak")[1]
     return int(np.count_nonzero(labels == labels[0]))
 
 
@@ -382,18 +389,18 @@ def test_kernel_dimension_by_blocks_equals_dense_count(model, blocks, kernel_dim
     # blocks: (components of L, components of the real T^H L T), which splits
     # finer: at gamma_b > 0 the phased basis splits the odd coherences in two
     lio = liouvillian_matrix(model)
-    t = _hermitian_basis(model.space)
+    t = hermitian_basis(model.space)
     real = (t.conj().T @ lio @ t).real
     real.eliminate_zeros()
     assert connected_components(abs(lio), connection="weak")[0] == blocks[0]
     assert connected_components(real, connection="weak")[0] == blocks[1]
-    assert _block_kernel_count(lio, model.space) == _dense_kernel_count(lio) == kernel_dim
+    assert _block_kernel_count(model) == _dense_kernel_count(lio) == kernel_dim
 
 
 def _csgraph_blocks(m) -> list[np.ndarray]:
     """The partition _blocks replaced: scipy's weakly connected components,
     each an ascending index set, in label order."""
-    _, labels = connected_components(m, connection="weak")
+    _, labels = connected_components(_as_scipy(m), connection="weak")
     sizes = np.bincount(labels)
     return np.split(np.argsort(labels, kind="stable"), np.cumsum(sizes)[:-1])
 
@@ -419,10 +426,9 @@ def _assert_same_partition(m):
 )
 def test_blocks_and_norm_match_the_scipy_routes(model):
     # _blocks against connected_components, ||L||_inf against spla.norm, bit for bit
-    lio = liouvillian_matrix(model)
-    _, m, norm = _real_generator(lio, model.space)
+    _, m, norm = _real_generator(model)
     _assert_same_partition(m)
-    assert norm == spla.norm(lio, np.inf)
+    assert norm == spla.norm(liouvillian_matrix(model), np.inf)
 
 
 @pytest.mark.parametrize("seed", range(6))
@@ -490,7 +496,7 @@ def test_block_spectra_match_the_whole_matrix_eigensolve():
         gap, kernel_dim = _dense_spectrum(lio)
         floor = 100 * np.finfo(float).eps * spla.norm(lio, np.inf)
         assert spectral_gap(model) == pytest.approx(gap, rel=1e-10, abs=floor), label
-        assert _block_kernel_count(lio, model.space) == kernel_dim, label
+        assert _block_kernel_count(model) == kernel_dim, label
         counts.add(kernel_dim)
     assert counts == {1, 2, 4}  # unique and degenerate kernels are both met
 
@@ -506,7 +512,7 @@ def test_block_spectra_match_the_whole_matrix_eigensolve():
 )
 def test_hermitian_basis_is_unitary_and_makes_the_liouvillian_real(model):
     lio = liouvillian_matrix(model)
-    t = _hermitian_basis(model.space)
+    t = hermitian_basis(model.space)
     assert np.diff(t.indptr).max() == 2  # two entries per off-diagonal column
     assert np.abs((t.conj().T @ t).toarray() - np.eye(lio.shape[0])).max() < 1e-15
     m = (t.conj().T @ lio @ t).toarray()
@@ -517,11 +523,34 @@ def test_hermitian_basis_is_unitary_and_makes_the_liouvillian_real(model):
     assert np.abs(back - lio.toarray()).max() <= 1e-14 * scale
 
 
-def test_block_spectra_reject_a_generator_that_breaks_hermiticity():
-    # rho -> i rho is no Lindbladian: T^H L T = i I is purely imaginary
-    lio = sp.identity(16, dtype=complex, format="csr") * 1j
-    with pytest.raises(ResidualError, match="not real in the Hermitian basis"):
-        _real_generator(lio, FockSpace(4))
+def test_block_spectra_reject_a_generator_that_breaks_hermiticity(monkeypatch):
+    """M is read from the upper triangle of L, which takes L to preserve
+    Hermiticity: w[(b, a), n, m] = conj(w[(a, b), m, n]) within 1e-12 ||L||_inf.
+
+    A LindbladModel cannot break that: L rho = K rho + rho K^dag + the jumps
+    preserves Hermiticity for any K, so an anti-Hermitian part of H at the
+    _HERMITIAN_TOL edge enters as a damping and every solver accepts it (as
+    did T^H L T, whose imaginary part stays exactly zero there). A breach of
+    the assembly is caught by every solver: with rho -> i L rho patched into
+    the shifted diagonals, spectral_gap, steady_state and evolve_open raise.
+    """
+    space = FockSpace(4)
+    b = annihilation(space)
+    a = np.random.default_rng(0).normal(size=(4, 4, 2)) @ [1.0, 1j]
+    skew = 5e-11j * (a + a.conj().T) / np.abs(a + a.conj().T).max()
+    h = Operator((b + b.dag()).matrix * 0.3 + skew, space)
+    assert np.abs(h.matrix - h.matrix.conj().T).max() == pytest.approx(1e-10, rel=1e-12)
+    model = LindbladModel(h, [(1e-3, b)])
+    assert spectral_gap(model) == pytest.approx(1e-3, rel=1e-6)
+    assert steady_state(model).residual < 1e-10
+
+    shift_form = dynamics._shift_form
+    monkeypatch.setattr(dynamics, "_shift_form",
+                        lambda model: shift_form(model)._replace(w=1j * shift_form(model).w))
+    vacuum = density_from_state(fock_state(0, space))
+    for solve in (spectral_gap, steady_state, lambda model: evolve_open(model, vacuum, 1.0)):
+        with pytest.raises(ResidualError, match="not real in the Hermitian basis"):
+            solve(model)
 
 
 def test_dense_cap_bounds_the_largest_real_block(monkeypatch):
@@ -529,7 +558,7 @@ def test_dense_cap_bounds_the_largest_real_block(monkeypatch):
     # within the cap of 2048; d = 90 has one of 2070
     params = SystemParams(g=0.2, lambda_a=0.5, gamma_a=4.0, gamma_b=0.5)
     model = build_reduced_model(params, 90)
-    assert _block_kernel_count(liouvillian_matrix(model), model.space) is None
+    assert _block_kernel_count(model) is None
     with pytest.raises(ValueError, match="block longer than 2048"):
         spectral_gap(model)
     # d = 89 still counts; its four dense eigensolves take about 14 s, so a
@@ -541,9 +570,8 @@ def test_dense_cap_bounds_the_largest_real_block(monkeypatch):
         return np.zeros(a.shape[0])
 
     model = build_reduced_model(params, 89)
-    lio = liouvillian_matrix(model)
     monkeypatch.setattr(np.linalg, "eigvals", recorded)
-    assert _block_kernel_count(lio, model.space) == 89 * 89
+    assert _block_kernel_count(model) == 89 * 89
     assert sorted(sides) == [1936, 1980, 1980, 2025]
 
 
@@ -568,42 +596,43 @@ def test_singular_solve_raises_whatever_the_kernel_count(monkeypatch):
 
 def test_one_real_generator_and_one_norm_per_solver_call(monkeypatch):
     # the degenerate branch counts zero modes on the generator and ||L||_inf
-    # the solve already built; spectral_gap builds each once as well. Every
-    # ||L||_inf, inline or through spla.norm, starts from abs(L): count the
-    # abs() taken of each Liouvillian the solvers build
+    # the solve already built; spectral_gap builds each once as well, and no
+    # solver forms the complex Liouvillian matrix
     params = SystemParams(g=0.2, lambda_a=0.5, gamma_a=4.0, gamma_b=0.0, kappa_e=0.05)
     degenerate = build_reduced_model(params, 8)
     kernel_dim = _dense_kernel_count(liouvillian_matrix(degenerate))
-    calls = {"generator": 0, "inf_norm": 0}
-    built: list = []
-    real_generator, real_liouvillian = dynamics._real_generator, dynamics.liouvillian_matrix
-    matrix_type = type(liouvillian_matrix(degenerate))
-    real_abs = matrix_type.__abs__
+    built, norms, counted = [], [], []
+    real_generator, real_kernel_dimension = dynamics._real_generator, dynamics._kernel_dimension
 
-    def counting_generator(lio, space):
-        calls["generator"] += 1
-        return real_generator(lio, space)
-
-    def recording_liouvillian(model):
-        built.append(real_liouvillian(model))
+    def recording_generator(model):
+        built.append(real_generator(model))
         return built[-1]
 
-    def counting_abs(x):
-        calls["inf_norm"] += any(x is lio for lio in built)
-        return real_abs(x)
+    def recording_norm(shift_form):
+        norms.append(real_norm(shift_form))
+        return norms[-1]
 
-    monkeypatch.setattr(dynamics, "_real_generator", counting_generator)
-    monkeypatch.setattr(dynamics, "liouvillian_matrix", recording_liouvillian)
-    monkeypatch.setattr(matrix_type, "__abs__", counting_abs)
+    def recording_kernel_dimension(m, norm):
+        counted.append((m, norm))
+        return real_kernel_dimension(m, norm)
+
+    def refused(model):
+        raise AssertionError("a solver built the complex Liouvillian")
+
+    real_norm = dynamics._ShiftForm.inf_norm
+    monkeypatch.setattr(dynamics, "_real_generator", recording_generator)
+    monkeypatch.setattr(dynamics._ShiftForm, "inf_norm", recording_norm)
+    monkeypatch.setattr(dynamics, "_kernel_dimension", recording_kernel_dimension)
+    monkeypatch.setattr(dynamics, "liouvillian_matrix", refused)
     with pytest.raises(SteadyStateDegenerateError) as err:
         steady_state(degenerate)
     assert err.value.kernel_dim == kernel_dim == 2
-    assert len(built) == 1
-    assert calls == {"generator": 1, "inf_norm": 1}
-    calls.update(generator=0, inf_norm=0)
+    assert len(built) == len(norms) == len(counted) == 1
+    (_, m, norm), = built
+    (counted_m, counted_norm), = counted
+    assert counted_m is m and counted_norm == norm and norms == [norm]
     spectral_gap(build_reduced_model(UNIQUE, 8))
-    assert len(built) == 2
-    assert calls == {"generator": 1, "inf_norm": 1}
+    assert len(built) == len(norms) == 2
 
 
 @pytest.mark.filterwarnings("error")
@@ -617,8 +646,8 @@ def test_condition_estimate_of_a_large_model_warns_nothing():
 def test_residual_above_tol_raises(monkeypatch):
     clean = dynamics._clean_density
 
-    def perturbed(x, d):
-        rho = clean(x, d)
+    def perturbed(x, space):
+        rho = clean(x, space)
         rho[0, 0] += 1e-6
         rho[1, 1] -= 1e-6
         return rho

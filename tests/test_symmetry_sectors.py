@@ -1,19 +1,18 @@
 """The phased Hermitian basis and the blocks of the real generator it splits.
 
-`_hermitian_basis` puts the phase (1 + i)/2 on the level pairs whose signal
-Fock numbers differ by an odd count. In that basis the weak symmetry
+`_pair_phases` puts the phase (1 + i)/2 on the level pairs whose signal Fock
+numbers differ by an odd count. In that basis the weak symmetry
 S(rho) = U rho^T U^dag, U = exp(i pi n_b / 2), of both model builders is
-diagonal with entries +-1, so the real generator T^H L T has exact zeros
-between its two sectors and `_blocks` finds them. The unphased basis it
-replaced (every pair at 1/sqrt(2), coordinates sqrt(2) Re and sqrt(2) Im of
-rho[m, n]) is kept here as the test-local reference.
+diagonal with entries +-1, so the real generator M has exact zeros between
+its two sectors and `_blocks` finds them. The unphased basis it replaced
+(every pair at 1/sqrt(2), coordinates sqrt(2) Re and sqrt(2) Im of rho[m, n])
+is kept here as the test-local reference, patched in through the one hook.
 """
 
 import math
 
 import numpy as np
 import pytest
-import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from pdclab import dynamics
@@ -21,7 +20,6 @@ from pdclab.dynamics import (
     LindbladModel,
     SystemParams,
     _blocks,
-    _hermitian_basis,
     _kernel_dimension,
     _real_generator,
     build_full_model,
@@ -33,32 +31,25 @@ from pdclab.dynamics import (
 )
 from pdclab.errors import SteadyStateDegenerateError
 from pdclab.hilbert import DensityMatrix, FockSpace, TensorSpace, annihilation
+from test_real_generator import hermitian_basis
 
 
-def _plain_hermitian_basis(d: int) -> sp.csc_matrix:
+def _plain_phases(space) -> np.ndarray:
     """The unphased basis: E_kk, (E_mn + E_nm)/sqrt(2), i(E_mn - E_nm)/sqrt(2)."""
-    m, n = np.triu_indices(d, 1)
-    upper, lower = m + n * d, n + m * d
-    re = d + 2 * np.arange(m.size)
-    h = math.sqrt(0.5)
-    rows = np.concatenate([np.arange(d) * (d + 1), upper, lower, upper, lower])
-    cols = np.concatenate([np.arange(d), re, re, re + 1, re + 1])
-    data = np.concatenate([np.ones(d), np.full(2 * m.size, h),
-                           np.full(m.size, 1j * h), np.full(m.size, -1j * h)])
-    return sp.csc_matrix((data, (rows, cols)), shape=(d * d, d * d))
+    d = space.dim
+    return np.full(d * (d - 1) // 2, math.sqrt(0.5), dtype=complex)
 
 
 @pytest.fixture
 def plain_basis(monkeypatch):
     """Run the solvers on the unphased basis."""
     def use():
-        monkeypatch.setattr(dynamics, "_hermitian_basis",
-                            lambda space: _plain_hermitian_basis(space.dim))
+        monkeypatch.setattr(dynamics, "_pair_phases", _plain_phases)
     return use
 
 
 def _block_sides(model) -> list[int]:
-    _, m, _ = _real_generator(liouvillian_matrix(model), model.space)
+    _, m, _ = _real_generator(model)
     return sorted(idx.size for idx in _blocks(m))
 
 
@@ -104,7 +95,7 @@ def test_the_phased_basis_diagonalizes_the_symmetry(model):
     i, j = np.indices((d, d))
     s = np.zeros((d * d, d * d), dtype=complex)
     s[(i + j * d).ravel(), (j + i * d).ravel()] = np.outer(u, u.conj()).ravel()
-    t = _hermitian_basis(space).toarray()
+    t = hermitian_basis(space).toarray()
     sym = t.conj().T @ s @ t
     signs = np.sign(np.diag(sym).real)
     assert np.abs(sym - np.diag(signs)).max() <= 1e-15
@@ -135,7 +126,7 @@ def _comparison_grid():
 
 def _solver_outputs(model):
     """(gap, zero-mode count, steady rho or kernel dimension, rho(t = 40))."""
-    _, m, norm = _real_generator(liouvillian_matrix(model), model.space)
+    _, m, norm = _real_generator(model)
     try:
         steady = steady_state(model).rho.matrix
     except SteadyStateDegenerateError as err:
