@@ -18,7 +18,7 @@ which forms the no-jump generator K = -iH - sum_{gamma_c > 0} gamma_c c^dag c,
 so that rho_dot = K rho + rho K^dag + sum_c 2 gamma_c c rho c^dag:
 liouvillian_matrix builds L from K and the jump terms as a scipy.sparse
 matrix, _shift_form reads the same terms as shifted diagonals of L, and
-_cyclic_dimension reads K as it is. Every Liouvillian solver here (steady
+_cyclic_dimension reads K (model._k). Every Liouvillian solver here (steady
 state, spectra, open evolution) works on the real generator M = T^H L T in a
 Hermitian-operator basis, which _real_generator assembles in numpy from the
 shifted diagonals, so the states it returns are Hermitian by construction and
@@ -28,13 +28,12 @@ odd count; that diagonalizes the weak symmetry rho -> U rho^T U^dag,
 U = exp(i pi n_b / 2), of both model builders, so the invariant blocks of M
 (_blocks) split the coherences of odd signal-number difference in two.
 steady_state factorizes one trace-row system: on the trace block alone, the
-block of M that holds the diagonal coordinates, when the channel operators
-certify an irreducible semigroup and
-hence a one-dimensional kernel (_cyclic_dimension: the common kernel of the
-strictly upper-triangular channels is the vacuum, and the vacuum's cyclic
-subspace under K and the channels is the whole Hilbert space; Baumgartner &
-Narnhofer, J. Phys. A 41, 395303 (2008); Evans, CMP 54, 293 (1977); Frigerio,
-CMP 63, 269 (1978)), and on the whole of M otherwise. Each solver's
+block of M that holds the diagonal coordinates, when the channels certify an
+irreducible semigroup and hence a one-dimensional kernel (_cyclic_dimension:
+the common kernel of the strictly upper-triangular channels is the vacuum,
+whose Krylov space under K plus the channels, from one Hessenberg reduction,
+is the whole Hilbert space; Baumgartner & Narnhofer 2008), and on the whole
+of M otherwise, which is all that a refused certificate costs. Each solver's
 accuracy is a module constant, not a per-call option: steady_state accepts a
 residual up to _RESIDUAL_TOL, and evolve_open checks trace (_TRACE_TOL) and,
 on small dimensions, positivity (_MIN_EIGENVALUE); violations raise instead of
@@ -49,6 +48,7 @@ from __future__ import annotations
 import importlib
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -139,9 +139,9 @@ _CHUNK = 8192
 # steady_state accepts a residual max|L vec(rho)| up to _RESIDUAL_TOL * max(1, ||L||_inf).
 _RESIDUAL_TOL = 1e-10
 
-# _cyclic_dimension keeps a new direction when its singular value exceeds
-# _RANK_CUT times the largest inf-norm of the generators; the same relative
-# cut decides the dimension of the channels' common kernel.
+# _cyclic_dimension's Krylov space ends at a Hessenberg subdiagonal entry at
+# or below _RANK_CUT times the largest inf-norm of K and the channels; the same
+# relative cut decides the dimension of the channels' common kernel.
 _RANK_CUT = 1e-10
 
 # An eigenvalue z of L is a zero mode when |Re z| <= _ZERO_MODE_CUT * ||L||_inf.
@@ -193,7 +193,7 @@ class SystemParams:
 
 @dataclass
 class LindbladModel:
-    """Hamiltonian plus (rate, collapse operator) channels."""
+    """Hamiltonian plus (rate, collapse operator) channels; treated as immutable."""
 
     hamiltonian: Operator
     channels: list[tuple[float, Operator]]
@@ -220,6 +220,10 @@ class LindbladModel:
     @property
     def dim(self) -> int:
         return self.hamiltonian.dim
+
+    @cached_property
+    def _k(self) -> np.ndarray:  # K of _no_jump, formed once per model
+        return _no_jump(self)
 
 
 @dataclass
@@ -306,7 +310,7 @@ def _diagonals(a: np.ndarray) -> dict[int, np.ndarray]:
     d = a.shape[0]
     rows, cols = np.nonzero(a)
     found = {}
-    for o in np.unique(cols - rows).tolist():
+    for o in (np.flatnonzero(np.bincount(cols - rows + d, minlength=2 * d)) - d).tolist():
         v = np.zeros(d, dtype=complex)
         diagonal = np.diagonal(a, o)
         v[max(0, -o):max(0, -o) + diagonal.size] = diagonal
@@ -353,7 +357,7 @@ def _shift_form(model: LindbladModel) -> _ShiftForm:
     (o1, o2), w[m, n] = 2 rate conj(c[n, n + o2]) c[m, m + o1]. Every shift
     (a, b) comes with its mirror (b, a)."""
     d = model.dim
-    k = _diagonals(_no_jump(model))
+    k = _diagonals(model._k)
     terms = [((o, 0), v[:, None]) for o, v in k.items()]
     terms += [((0, o), v.conj()) for o, v in k.items()]
     for rate, c in model.channels:
@@ -798,23 +802,28 @@ def _kernel_dimension(m: _Csr, norm: float) -> int | None:
 
 
 def _cyclic_dimension(model: LindbladModel) -> int:
-    """Dimension of the subspace that K and the channels generate from the
-    common kernel vector of the strictly upper-triangular channels; 0 when
-    there is no such channel or their common kernel is not one-dimensional.
+    """Dimension of the Krylov space of G = K + sum_c c from the common kernel
+    vector of the strictly upper-triangular channels; 0 when there is no such
+    channel or their common kernel is not one-dimensional.
 
-    Only channels of nonzero rate count; K is the no-jump generator
-    (_no_jump). A subspace is invariant under the semigroup exactly when K and
-    every channel leave it invariant (Baumgartner & Narnhofer, J. Phys. A 41,
-    395303 (2008)). The strictly upper-triangular channels in the product Fock
-    basis (a, b, b^2) generate a nilpotent algebra, so every invariant
-    subspace holds a common kernel vector of theirs; when that kernel is
-    one-dimensional it is the vacuum e_0, and every invariant subspace holds
-    the cyclic subspace of e_0. Dimension d thus leaves no proper invariant
-    subspace: the semigroup is irreducible, and L has a one-dimensional kernel
-    (Evans, CMP 54, 293 (1977); Frigerio, CMP 63, 269 (1978)). The subspace
-    grows by block Gram-Schmidt; a new direction counts when its singular
-    value exceeds _RANK_CUT times the largest inf-norm of the generators.
+    K is _no_jump's, and the channels of nonzero rate enter G unweighted. A
+    subspace is invariant under the semigroup exactly when K and every channel
+    leave it invariant (Baumgartner & Narnhofer, J. Phys. A 41, 395303 (2008)).
+    The strictly upper-triangular channels in the product Fock basis
+    (a, b, b^2) generate a nilpotent algebra, so every invariant subspace holds
+    a common kernel vector of theirs; when that kernel is one-dimensional it is
+    the vacuum e_0, and every invariant subspace holds its Krylov space under
+    G. Dimension d thus leaves no proper invariant subspace: the semigroup is
+    irreducible, and L has a one-dimensional kernel (Evans, CMP 54, 293 (1977);
+    Frigerio, CMP 63, 269 (1978)); a smaller one only sends steady_state to the
+    whole of M. scipy.linalg.hessenberg neither permutes nor scales G, so
+    H = Q^H G Q keeps Q e_0 = e_0 and runs Arnoldi on G from e_0 (Golub & Van
+    Loan, Matrix Computations, 7.4): the Krylov space ends at the first
+    |H[k + 1, k]| <= _RANK_CUT times the largest inf-norm of K and the
+    channels, at dimension k + 1.
     """
+    from scipy.linalg import hessenberg
+
     channels = [c.matrix for rate, c in model.channels if rate > 0]
     lowering = [c for c in channels if not np.tril(c).any()]
     if not lowering:
@@ -822,19 +831,11 @@ def _cyclic_dimension(model: LindbladModel) -> int:
     s = np.linalg.svd(np.vstack(lowering), compute_uv=False)
     if np.count_nonzero(s <= _RANK_CUT * s[0]) != 1:
         return 0
-    d = model.dim
-    generators = [_no_jump(model)] + channels
+    generators = [model._k] + channels
     cut = _RANK_CUT * max(np.abs(g).sum(axis=1).max() for g in generators)
-    q = np.eye(d, 1, dtype=complex)
-    new = q
-    while new.shape[1] and q.shape[1] < d:
-        w = np.hstack([g @ new for g in generators])
-        for _ in range(2):  # classical Gram-Schmidt, repeated once for orthogonality
-            w -= q @ (q.conj().T @ w)
-        u, s, _ = np.linalg.svd(w, full_matrices=False)
-        new = u[:, s > cut]
-        q = np.hstack([q, new])
-    return q.shape[1]
+    h = hessenberg(sum(generators), overwrite_a=True, check_finite=False)
+    ends = np.abs(np.diagonal(h, -1)) <= cut
+    return int(ends.argmax()) + 1 if ends.any() else model.dim
 
 
 def _trace_block(m: _Csr, d: int) -> np.ndarray | None:
@@ -875,10 +876,9 @@ def steady_state(model: LindbladModel) -> SteadyStateResult:
     (_solve_trace_row); rho, the matrix of the solution's coordinates, is then
     Hermitian by construction.
     When the channels certify an irreducible semigroup (_cyclic_dimension
-    reaches d; Baumgartner & Narnhofer 2008, Evans 1977, Frigerio 1978), the
-    kernel of L is one-dimensional and lies in the trace block, the block of
-    M that holds the diagonal coordinates (_trace_block), and A is built on
-    that block alone; the other blocks are nonsingular and stay zero.
+    reaches d), L has a one-dimensional kernel in the trace block, the block
+    of M that holds the diagonal coordinates (_trace_block), and A is built
+    on that block alone; the other blocks are nonsingular and stay zero.
     Otherwise (gamma_b = 0, g = 0 in the full model, no triangular channel)
     A is built on the whole of M, which is nonsingular exactly when the
     kernel of L is one-dimensional. Either way the kernel counts as

@@ -4,7 +4,7 @@ function of the package calls solve_ivp, and import pdclab loads numpy but no
 scipy: no module of the package imports scipy at module level, each scipy
 subpackage loads on the first call that needs it, spectral_gap loads none, and
 configs/meanfield.cfg, configs/normal.cfg and configs/sensor.cfg run without
-scipy."""
+scipy; the last two, gap-only runs, load no numpy.ma either."""
 
 import ast
 import inspect
@@ -361,6 +361,20 @@ def test_gap_configs_run_without_scipy(name, tmp_path):
     assert run_config(name, tmp_path) == []
     tasks = parse_config(ROOT / "configs" / f"{name}.cfg").tasks
     assert len(list(tmp_path.iterdir())) == 2 * len(tasks)
+
+
+@pytest.mark.parametrize("name", ("normal", "sensor"))
+def test_gap_configs_load_no_numpy_ma(name, tmp_path):
+    # np.unique imports numpy.ma on its first call, 9-21 ms of a fresh run;
+    # a gap-only run reaches neither
+    script = CONFIG_RUN.format(name=name, out=str(tmp_path)) + 'print("numpy.ma" in sys.modules)\n'
+    proc = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, env=fresh_env(), cwd=ROOT,
+    )
+    assert proc.returncode == 0, proc.stderr
+    *_, scipy_modules, numpy_ma = proc.stdout.splitlines()
+    assert json.loads(scipy_modules) == [0, []]
+    assert numpy_ma == "False"
 
 
 # Threads that race on the first access through a deferred reference: a
