@@ -21,8 +21,9 @@ matrix, _shift_form reads the same terms as shifted diagonals of L, and
 _cyclic_dimension reads K (model._k). Every Liouvillian solver here (steady
 state, spectra, open evolution) works on the real generator M = T^H L T in a
 Hermitian-operator basis, which _real_generator assembles in numpy from the
-shifted diagonals, so the states it returns are Hermitian by construction and
-spectral_gap loads no scipy module. The basis's one hook, _pair_phases, puts
+shifted diagonals as CSR arrays, each row in ascending column order, so the
+states it returns are Hermitian by construction and spectral_gap loads no
+scipy module. The basis's one hook, _pair_phases, puts
 the phase (1 + i)/2 on the level pairs whose signal Fock numbers differ by an
 odd count; that diagonalizes the weak symmetry rho -> U rho^T U^dag,
 U = exp(i pi n_b / 2), of both model builders, so the invariant blocks of M
@@ -291,8 +292,10 @@ def liouvillian_matrix(model: LindbladModel) -> sp.csr_matrix:
     vec(A rho B) = (B^T kron A) vec(rho) and (K^dag)^T = conj(K), hence with
     the no-jump generator K of _no_jump
     L = I kron K + conj(K) kron I + sum_{rate > 0} 2 rate conj(c) kron c.
-    K and the collapse operators become CSR here. The solvers do not build this
-    matrix: they read L from the same terms as shifted diagonals (_shift_form).
+    K and the collapse operators become CSR here, and L stores no zero (kron
+    keeps those of the dense blocks of a small, dense K). The solvers do not
+    build this matrix: they read L from the same terms as shifted diagonals
+    (_shift_form).
     """
     ident = sp.identity(model.dim, dtype=complex, format="csr")
     k = sp.csr_matrix(_no_jump(model))
@@ -301,7 +304,9 @@ def liouvillian_matrix(model: LindbladModel) -> sp.csr_matrix:
         if rate > 0:
             c = sp.csr_matrix(cop.matrix)
             lio = lio + sp.kron((2.0 * rate) * c.conj(), c)
-    return lio.tocsr()
+    lio = lio.tocsr()
+    lio.eliminate_zeros()
+    return lio
 
 
 def _diagonals(a: np.ndarray) -> dict[int, np.ndarray]:
@@ -466,18 +471,12 @@ def _real_generator(model: LindbladModel) -> tuple[_ShiftForm, _Csr, float]:
     w[(b, a), n, m] = conj(w[(a, b), m, n]). That is what makes M real; a
     breach above 1e-12 ||L||_inf raises ResidualError.
 
-    M is the real part of the sparse product (T^H L) T as scipy.sparse forms
-    it from liouvillian_matrix, bit for bit and in its order. Each entry is a
-    sum of at most two products at each of the two stages, evaluated as that
-    product evaluates it; entries that cancel to exact zeros, among them those
-    between the sectors of _pair_phases' symmetry, are dropped, so _blocks
-    sees the split. The product lists a row's columns in reverse order of
-    first touch, so a row of M lists its coordinate groups (a diagonal
-    coordinate, or a pair's two) by the last column of L, in the order the
-    product meets them, that reaches the group with a nonzero entry of T^H L,
-    each pair imaginary coordinate first. (Where scipy.sparse.kron stores the
-    dense blocks of a small, dense K with their zeros, those zeros reorder the
-    product's rows; M's entries are the same.) A position reaches the target
+    M is Re(T^H L T) with T^H L T formed from liouvillian_matrix, on the model
+    builders bit for bit: each entry is a sum of at most two products at each
+    of the two stages, evaluated as the sparse product (T^H L) T evaluates it.
+    Entries that cancel to exact zeros, among them those between the sectors of
+    _pair_phases' symmetry, are dropped, so _blocks sees the split. Each row
+    lists its columns in ascending order. A position reaches the target
     (m + a, n + b) by the shift (a, b); a pair reached as (k, l) and as (l, k)
     merges the two.
     """
@@ -527,7 +526,8 @@ def _generator_rows(lio: _ShiftForm, mirror: np.ndarray, partner: np.ndarray,
                     target_phase: np.ndarray, rm: np.ndarray, rn: np.ndarray,
                     phase: np.ndarray):
     """The rows of M (_real_generator) at positions (rm, rn): the Hermiticity
-    breach there, each row's entry count, and the rows' columns and values.
+    breach there, each row's entry count, and the rows' columns, ascending in
+    each row, and values.
     mirror[s] is the shift (b, a) of shift s = (a, b), partner[s, delta] the
     shift that reaches the mirror of s's target from (m, m + delta), and
     target_phase the pair phases with a last entry 1 for a diagonal target."""
@@ -564,58 +564,36 @@ def _generator_rows(lio: _ShiftForm, mirror: np.ndarray, partner: np.ndarray,
     up_j, down_j, up_k, down_k = up[merged], down[merged], up[partners], down[partners]
     up[merged], down[merged] = up_j + down_k, down_j + up_k
 
-    # Where the product meets each group's columns: a column of L's row
-    # (n, m) at the place of its shift, one of row (m, n) after all of those.
-    in_up = np.where(at != 0, count + shift, -1)
-    in_down = np.where(mirrored != 0, mirror[:, None], -1)
-    met = np.maximum(np.where(up != 0, in_up, -1), np.where(down != 0, in_down, -1))
-    key = np.where(pair, met, np.where(mirrored != 0, in_down, in_up))
-    key = np.stack([key, key])
-    met = np.where(mirrored[partners] != 0, in_down[partners], in_up[merged])
-    met_mirror = np.where(mirrored[merged] != 0, in_down[merged], in_up[partners])
-    for row, (a, b) in enumerate([(up[merged], down[merged]), (up_j - down_k, down_j - up_k)]):
-        key[row][merged] = np.maximum(np.where(a != 0, met, -1), np.where(b != 0, met_mirror, -1))
-    key[:, other, merged[1]] = -1  # merged into its partner's slot
-    key[1][:, diagonal] = -1  # a diagonal position has one row
-    del at, mirrored, partner, in_up, in_down, met, met_mirror
-
     p, q = up * c, down * c.conj()
     x, y = p.real + q.real, p.imag - q.imag
     sign = np.where(flip, -1.0, 1.0)
-    # (column imaginary/real, row real/imaginary, slot, position)
+    # (column real/imaginary, row real/imaginary, slot, position)
     values = np.empty((2, 2, count, rm.size))
-    values[0, 0], values[0, 1] = -sign * y, sign * x
-    values[1, 0], values[1, 1] = x, y
+    values[1, 0], values[1, 1] = -sign * y, sign * x
+    values[0, 0], values[0, 1] = x, y
     # merged, the imaginary row meets the mirror's term rotated the other way
     p, q = (up_j - down_k) * c[merged], (down_j - up_k) * c[merged].conj()
-    values[0, 1][merged] = sign[merged] * (p.real + q.real)
-    values[1, 1][merged] = p.imag - q.imag
-    values[0] *= pair  # a diagonal coordinate is one column
-    del up, down, c, p, q, x, y, sign, flip
+    values[1, 1][merged] = sign[merged] * (p.real + q.real)
+    values[0, 1][merged] = p.imag - q.imag
+    values[1] *= pair  # a diagonal coordinate is one column
+    del at, mirrored, partner, up, down, c, p, q, x, y, sign, flip
 
-    # Each row lists its groups by ascending key, each group's kept entries
-    # imaginary column first: a group's offset in its row counts the kept
-    # entries of the groups with smaller keys.
-    kept = (values != 0) & (key >= 0)
-    width = np.add(kept[0], kept[1], dtype=np.intp)
-    buckets = 2 * count + 1
-    key[key < 0] = buckets - 1
-    bucket = (np.arange(2)[:, None, None] * buckets + key) * rm.size + np.arange(rm.size)
-    before = np.zeros(2 * buckets * rm.size, dtype=np.intp)
-    before[bucket] = width
-    before = before.reshape(2, buckets, rm.size)
-    total = np.zeros((2, rm.size), dtype=np.intp)
-    for k in range(buckets):  # exclusive prefix sum over the keys
-        total, before[:, k] = total + before[:, k], total
-    starts = np.cumsum(total.T.ravel()) - total.T.ravel()
-    place = starts.reshape(-1, 2).T[:, None] + before.reshape(-1)[bucket]
-    indices, data = np.empty(total.sum(), dtype=np.intp), np.empty(total.sum())
-    for column, offset in enumerate([place, place + kept[0]]):
-        here = kept[column]
-        indices[offset[here]] = np.broadcast_to(cols + 1 - column, here.shape)[here]
-        data[offset[here]] = values[column][here]
+    kept = values != 0
+    kept[:, :, other, merged[1]] = False  # merged into its partner's slot
+    kept[:, 1][..., diagonal] = False  # a diagonal position has one row
+    # Each row lists its slots by ascending column, a pair's real column first:
+    # entry holds the flat indices of values in (position, row, slot by column,
+    # column) order, then those of the kept entries alone.
+    size = count * rm.size
+    by_column = np.argsort(cols.T, axis=1) * rm.size + np.arange(rm.size)[:, None]
+    entry = by_column[:, None, :, None] + np.arange(2)[:, None, None] * size
+    entry = entry + np.arange(2) * (2 * size)
+    kept = kept.reshape(-1)[entry]
+    entry = entry[kept]
+    width = np.count_nonzero(kept, axis=(2, 3)).ravel()
     rows = np.stack([np.ones(rm.size, dtype=bool), ~diagonal], axis=1).ravel()
-    return breach, total.T.ravel()[rows], indices, data
+    indices = cols.reshape(-1)[entry % size] + entry // (2 * size)
+    return breach, width[rows], indices, values.reshape(-1)[entry]
 
 
 def _check_time(t: float, backward: bool = False) -> None:

@@ -130,6 +130,13 @@ def test_parse_config_sweep_errors(tmp_path):
                 "c.cfg",
             )
         )
+    with pytest.raises(ConfigError, match="sweep.values is empty"):
+        parse_config(write(tmp_path, base + "sweep.parameter = g\nsweep.values =\n", "d.cfg"))
+    for values in ("0.1, nan", "inf", "0.1 -inf"):
+        with pytest.raises(ConfigError, match="sweep.values must be finite"):
+            parse_config(
+                write(tmp_path, base + f"sweep.parameter = g\nsweep.values = {values}\n", "e.cfg")
+            )
 
 
 def test_parse_config_duplicate_key(tmp_path):
@@ -381,6 +388,15 @@ def test_run_exit_2_on_config_error(tmp_path, capsys):
     path = write(tmp_path, GOOD + "bogus.key = 1\n")
     assert main(["run", str(path), "--out-dir", str(tmp_path / "o")]) == 2
     assert "config error" in capsys.readouterr().err
+    for text, message in [
+        (GOOD + "sweep.values 0.1\n", "bad.cfg:14: expected 'key = value'"),
+        (GOOD.replace("occupation, gap", "occupation, gaps"), "unknown task 'gaps'"),
+    ]:
+        out = tmp_path / "o"
+        assert main(["run", str(write(tmp_path, text, "bad.cfg")), "--out-dir", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and message in err
+        assert not out.exists()
     # unknown keys are always rejected: there is no switch to let them through
     with pytest.raises(SystemExit) as exc:
         main(["run", str(path), "--out-dir", str(tmp_path / "o"), "--no-strict"])
@@ -454,6 +470,17 @@ def test_run_exit_3_on_solver_failure(tmp_path, capsys):
     code = main(["run", str(write(tmp_path, text)), "--out-dir", str(tmp_path / "o")])
     assert code == 3
     assert "solver failure" in capsys.readouterr().err
+    # a signal truncation too small for the drive: the top levels stay populated
+    text = (
+        "name = cramped\ntasks = steady_moments\n"
+        "params.g = 0.3\nparams.lambda_a = 4.0\n"
+        "params.gamma_a = 6.0\nparams.gamma_b = 0.5\n"
+        "truncation.signal_dim = 6\n"
+    )
+    out = tmp_path / "cramped"
+    assert main(["run", str(write(tmp_path, text)), "--out-dir", str(out)]) == 3
+    assert "solver failure: TruncationError: top-level population" in capsys.readouterr().err
+    assert not out.exists()
 
 
 SWEPT = (

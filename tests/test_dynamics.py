@@ -32,6 +32,7 @@ from pdclab.dynamics import (
 from pdclab.errors import (
     IntegratorError,
     SteadyStateDegenerateError,
+    TruncationError,
 )
 from pdclab.hilbert import (
     DensityMatrix,
@@ -319,21 +320,34 @@ def test_evolve_open_picks_the_route_by_cost(monkeypatch):
 
 
 def test_evolve_open_rejects_a_non_finite_result(monkeypatch):
-    model, rho0, t = _full_4x8_case()
+    def nan_everywhere(x, d):
+        x[:] = np.nan
 
-    def with_nan(coords):
-        def route(m, x0, *_):
-            x = x0.copy()
-            x[coords] = np.nan
-            return x
+    def nan_off_the_diagonal(x, d):
+        x[d] = np.nan  # sqrt(2) Re rho[0, 1]: the trace stays finite
 
-        return route
+    def trace_scaled(x, d):
+        x *= 1 + 1e-6
 
-    # every coordinate, then only sqrt(2) Re rho[0, 1], which leaves the trace finite
-    for coords in (slice(None), model.dim):
-        monkeypatch.setattr(dynamics, "_evolve_ode", with_nan(coords))
-        with pytest.raises(IntegratorError, match="non-finite"):
-            evolve_open(model, rho0, t)
+    def negative_level(x, d):
+        x[:] = 0.0
+        x[:2] = 1.5, -0.5  # trace 1, eigenvalue -0.5
+
+    corruptions = [(nan_everywhere, "non-finite"), (nan_off_the_diagonal, "non-finite"),
+                   (trace_scaled, "trace drift"), (negative_level, "positivity violated")]
+    # x0 as the route's result, corrupted; either route's result meets the guards
+    for route, (model, rho0, t) in [("_evolve_blocks", _criterion4_case()),
+                                    ("_evolve_ode", _full_4x8_case())]:
+        for corrupt, message in corruptions:
+            def corrupted(*args, corrupt=corrupt, d=model.dim):
+                x = args[-2].copy()  # x0 of (m, x0, t) and of (m, blocks, x0, t)
+                corrupt(x, d)
+                return x
+
+            monkeypatch.setattr(dynamics, route, corrupted)
+            with pytest.raises(IntegratorError, match=message):
+                evolve_open(model, rho0, t)
+        monkeypatch.undo()
 
 
 @pytest.mark.parametrize("t", (math.nan, math.inf, -math.inf, -5.0))
@@ -462,6 +476,20 @@ def test_auto_truncated_steady_rejects_a_start_above_the_cap():
     p = SystemParams(g=0.3, lambda_a=4.0, gamma_a=6.0, gamma_b=0.5)
     with pytest.raises(ValueError, match="exceeds max_dim"):
         auto_truncated_steady(lambda d: build_reduced_model(p, d), start_dim=40, max_dim=24)
+
+
+def test_auto_truncated_steady_raises_when_the_cap_leaves_the_top_populated():
+    # the drive of the test above still fills the top levels at d = 8
+    p = SystemParams(g=0.3, lambda_a=4.0, gamma_a=6.0, gamma_b=0.5)
+    with pytest.raises(TruncationError, match="still above 1e-08 at dim 8"):
+        auto_truncated_steady(lambda d: build_reduced_model(p, d), start_dim=6, max_dim=8)
+
+
+def test_spectral_gap_converged_raises_when_the_gap_moves():
+    # d = 4 against d = 8: the gap moves by about 23%, far above _GAP_REL_TOL
+    p = SystemParams(g=0.3, lambda_a=4.0, gamma_a=6.0, gamma_b=0.5)
+    with pytest.raises(TruncationError, match="grew from 4 to 8"):
+        spectral_gap_converged(lambda d: build_reduced_model(p, d), 4)
 
 
 def test_spectral_gap_converged_stable_under_growth():

@@ -2,16 +2,13 @@
 complex sparse product T^H L T it replaced.
 
 `_real_generator` reads L as shifted diagonals of K and the channels
-(`_shift_form`) and builds M in numpy without forming L or T. The slow path is
-kept here as the reference: L from the public `liouvillian_matrix`, T from the
-phases of the hook `_pair_phases`, M = Re(T^H L T) with exact zeros dropped.
-The two must share M's sparsity pattern, and hence its blocks, and the order
-of each row's columns, which sets the rounding of M x in evolve_open's ODE
-route; where L stores explicit zeros (scipy.sparse.kron keeps the dense
-blocks of a small, dense K), the product's order follows them and only the
-pattern is compared. M's entries and ||L||_inf agree to rounding (on the
-model builders bit for bit), and so does the residual max|L vec(rho)| that
-`steady_state` takes from the shifts.
+(`_shift_form`) and builds M in numpy without forming L or T, each row's
+columns in ascending order. The slow path is kept here as the reference: L
+from the public `liouvillian_matrix`, T from the phases of the hook
+`_pair_phases`, M = Re(T^H L T) with exact zeros dropped and each row sorted.
+The two must share M's sparsity pattern, and hence its blocks. M's entries and
+||L||_inf agree to rounding (on the model builders bit for bit), and so does
+the residual max|L vec(rho)| that `steady_state` takes from the shifts.
 """
 
 import math
@@ -52,25 +49,27 @@ def hermitian_basis(space) -> sp.csc_matrix:
 
 
 def slow_generator(lio, space) -> sp.csr_matrix:
-    """Re(T^H L T) with exact zeros dropped, each row's columns in the order
-    the sparse product leaves them."""
+    """Re(T^H L T) with exact zeros dropped, each row's columns sorted."""
     t = hermitian_basis(space)
     m = (t.conj().T @ lio @ t).tocsr().real
     m.eliminate_zeros()
+    m.sort_indices()
     return m
 
 
 def _comparable(model):
-    """The fast and the slow M as scipy.sparse matrices, and L: each row's
-    columns sorted when L stores explicit zeros."""
+    """The fast and the slow M as scipy.sparse matrices, and L."""
     _, m, _ = _real_generator(model)
     lio = liouvillian_matrix(model)
     fast = sp.csr_matrix((m.data, m.indices, m.indptr), shape=m.shape)
-    slow = slow_generator(lio, model.space)
-    if np.any(lio.data == 0):
-        fast.sort_indices()
-        slow.sort_indices()
-    return fast, slow, lio
+    return fast, slow_generator(lio, model.space), lio
+
+
+def _strictly_ascending(m) -> bool:
+    """Whether each row of the CSR arrays m lists its columns strictly ascending."""
+    row = np.repeat(np.arange(m.shape[0]), np.diff(m.indptr))
+    same_row = row[1:] == row[:-1]
+    return bool(np.all(np.diff(m.indices)[same_row] > 0))
 
 
 def _hand_built():
@@ -124,8 +123,9 @@ def test_assembly_matches_the_triple_product(label, model):
     shifted, m, norm = _real_generator(model)
     fast, slow, lio = _comparable(model)
     scale = spla.norm(lio, np.inf)
-    # the same pattern in the same order, hence the same blocks
+    # the same pattern, hence the same blocks, each row in ascending column order
     assert [b.tolist() for b in _blocks(m)] == [b.tolist() for b in _blocks(slow)]
+    assert _strictly_ascending(m)
     assert fast.shape == slow.shape
     assert np.array_equal(fast.indptr, slow.indptr)
     assert np.array_equal(fast.indices, slow.indices)
@@ -147,11 +147,12 @@ def test_assembly_is_bit_identical_on_the_model_builders():
         assert _real_generator(model)[2] == spla.norm(lio, np.inf), label
 
 
-def test_the_grid_meets_liouvillians_with_explicit_zeros():
-    # only these two compare patterns alone; the rest compare the order too
-    zeros = [label for label, model in BUILDERS + HAND_BUILT
-             if np.any(liouvillian_matrix(model).data == 0)]
-    assert zeros == ["reduced-3-thermal", "dense-6"]
+def test_no_liouvillian_on_the_grid_stores_a_zero():
+    # scipy.sparse.kron stores the dense blocks of a small, dense K (reduced-3-
+    # thermal, dense-6) with their zeros; liouvillian_matrix drops them
+    for label, model in BUILDERS + HAND_BUILT:
+        lio = liouvillian_matrix(model)
+        assert lio.format == "csr" and lio.nnz == lio.count_nonzero(), label
 
 
 @pytest.mark.parametrize("label, model", BUILDERS[:4] + HAND_BUILT,
