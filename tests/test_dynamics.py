@@ -347,7 +347,7 @@ def test_evolve_open_rejects_a_non_finite_result(monkeypatch):
             monkeypatch.setattr(dynamics, route, corrupted)
             with pytest.raises(IntegratorError, match=message):
                 evolve_open(model, rho0, t)
-        monkeypatch.undo()
+        monkeypatch.undo()  # the next case must meet its own route's corruption alone
 
 
 @pytest.mark.parametrize("t", (math.nan, math.inf, -math.inf, -5.0))
