@@ -28,20 +28,22 @@ the phase (1 + i)/2 on the level pairs whose signal Fock numbers differ by an
 odd count; that diagonalizes the weak symmetry rho -> U rho^T U^dag,
 U = exp(i pi n_b / 2), of both model builders, so the invariant blocks of M
 (_blocks) split the coherences of odd signal-number difference in two.
-steady_state factorizes one trace-row system: on the trace block alone, the
+steady_state solves one trace-row system: on the trace block alone, the
 block of M that holds the diagonal coordinates, when the channels certify an
 irreducible semigroup and hence a one-dimensional kernel (_cyclic_dimension:
 the common kernel of the strictly upper-triangular channels is the vacuum,
-whose Krylov space under K plus the channels, from one Hessenberg reduction,
-is the whole Hilbert space; Baumgartner & Narnhofer 2008), and on the whole
-of M otherwise, which is all that a refused certificate costs. Each solver's
-accuracy is a module constant, not a per-call option: steady_state accepts a
-residual up to _RESIDUAL_TOL, and evolve_open checks trace (_TRACE_TOL) and,
-on small dimensions, positivity (_MIN_EIGENVALUE); violations raise instead of
-propagating silently. The three-level model is the reduced one at d = 3 and
-evolves through evolve_open. Closed evolution applies exp(-iHt) exactly
-(expm_multiply); the package's one ODE integration is evolve_open's DOP853
-route (_evolve_ode), at _ODE_RTOL and _ODE_ATOL.
+whose Krylov space under K plus the channels, by numpy Arnoldi, is the whole
+Hilbert space; Baumgartner & Narnhofer 2008), and on the whole of M
+otherwise, which is all that a refused certificate costs. A system of side
+up to _DENSE_SOLVE_MAX_SIDE is solved dense in numpy, so a small model's
+steady_state loads no scipy module; a larger one takes one sparse LU. Each
+solver's accuracy is a module constant, not a per-call option: steady_state
+accepts a residual up to _RESIDUAL_TOL, and evolve_open checks trace
+(_TRACE_TOL) and, on small dimensions, positivity (_MIN_EIGENVALUE);
+violations raise instead of propagating silently. The three-level model is
+the reduced one at d = 3 and evolves through evolve_open. Closed evolution
+applies exp(-iHt) exactly (expm_multiply); the package's one ODE integration
+is evolve_open's DOP853 route (_evolve_ode), at _ODE_RTOL and _ODE_ATOL.
 """
 
 from __future__ import annotations
@@ -139,6 +141,12 @@ _CHUNK = 8192
 
 # steady_state accepts a residual max|L vec(rho)| up to _RESIDUAL_TOL * max(1, ||L||_inf).
 _RESIDUAL_TOL = 1e-10
+
+# _solve_trace_row solves a trace-row system of side at most
+# _DENSE_SOLVE_MAX_SIDE dense, in numpy, and a larger one by sparse LU: the
+# largest side at which the dense route is no slower than splu plus the
+# condition estimate (crossover table of BENCH_small_steady_numpy.json).
+_DENSE_SOLVE_MAX_SIDE = 156
 
 # _cyclic_dimension's Krylov space ends at a Hessenberg subdiagonal entry at
 # or below _RANK_CUT times the largest inf-norm of K and the channels; the same
@@ -794,14 +802,13 @@ def _cyclic_dimension(model: LindbladModel) -> int:
     G. Dimension d thus leaves no proper invariant subspace: the semigroup is
     irreducible, and L has a one-dimensional kernel (Evans, CMP 54, 293 (1977);
     Frigerio, CMP 63, 269 (1978)); a smaller one only sends steady_state to the
-    whole of M. scipy.linalg.hessenberg neither permutes nor scales G, so
-    H = Q^H G Q keeps Q e_0 = e_0 and runs Arnoldi on G from e_0 (Golub & Van
-    Loan, Matrix Computations, 7.4): the Krylov space ends at the first
-    |H[k + 1, k]| <= _RANK_CUT times the largest inf-norm of K and the
-    channels, at dimension k + 1.
+    whole of M. Arnoldi on G from e_0, each new vector orthogonalized by
+    classical Gram-Schmidt run twice, gives the subdiagonal h[k + 1, k] of the
+    Hessenberg form of G as the norm of what is left of G q_k (Golub & Van
+    Loan, Matrix Computations, 10.5): the Krylov space ends at the first
+    |h[k + 1, k]| <= _RANK_CUT times the largest inf-norm of K and the
+    channels, at dimension k + 1. numpy alone: no scipy module loads.
     """
-    from scipy.linalg import hessenberg
-
     channels = [c.matrix for rate, c in model.channels if rate > 0]
     lowering = [c for c in channels if not np.tril(c).any()]
     if not lowering:
@@ -811,9 +818,20 @@ def _cyclic_dimension(model: LindbladModel) -> int:
         return 0
     generators = [model._k] + channels
     cut = _RANK_CUT * max(np.abs(g).sum(axis=1).max() for g in generators)
-    h = hessenberg(sum(generators), overwrite_a=True, check_finite=False)
-    ends = np.abs(np.diagonal(h, -1)) <= cut
-    return int(ends.argmax()) + 1 if ends.any() else model.dim
+    g = sum(generators)
+    d = model.dim
+    q = np.zeros((d, d), dtype=complex)  # the Krylov basis, one vector per row
+    q[0, 0] = 1.0
+    for k in range(d - 1):
+        w = g @ q[k]
+        basis = q[:k + 1]
+        for _ in range(2):  # q_j^H w by conjugating the vector, not the basis
+            w -= (basis @ w.conj()).conj() @ basis
+        h = np.linalg.norm(w)
+        if h <= cut:
+            return k + 1
+        q[k + 1] = w / h
+    return d
 
 
 def _trace_block(m: _Csr, d: int) -> np.ndarray | None:
@@ -824,10 +842,33 @@ def _trace_block(m: _Csr, d: int) -> np.ndarray | None:
 
 
 def _solve_trace_row(m: _Csr, d: int) -> np.ndarray | None:
-    """x with (M x)_i = 0 for i > 0 and trace 1 on the first d coordinates,
-    from one LU of _trace_row_system(m, d) and one step of iterative
-    refinement; None when that system is singular: an exactly zero pivot, or
-    cond1 * eps >= 1."""
+    """x with (M x)_i = 0 for i > 0 and trace 1 on the first d coordinates:
+    the solution of _trace_row_system(m, d), A x = e_0, after one step of
+    iterative refinement; None when A is singular: an exactly zero pivot, or
+    cond1 * eps >= 1.
+
+    A system of side at most _DENSE_SOLVE_MAX_SIDE is solved dense, in numpy:
+    x is column 0 of A^-1, and cond1 = ||A||_1 ||A^-1||_1 is exact. A larger
+    one takes one sparse LU (splu), and ||A^-1||_1 is the Hager-Higham estimate
+    (_condition_number), which never exceeds the exact value; the dense route
+    thus refuses at least what the sparse one would.
+    """
+    if m.shape[0] <= _DENSE_SOLVE_MAX_SIDE:
+        a = m.toarray()
+        a[0] = 0.0
+        a[0, :d] = 1.0
+        try:
+            inv = np.linalg.inv(a)
+        except np.linalg.LinAlgError:  # exactly singular pivot
+            return None
+        x = inv[:, 0].copy()
+        r = -(a @ x)
+        r[0] += 1.0
+        x += inv @ r
+        cond = np.linalg.norm(a, 1) * np.linalg.norm(inv, 1)
+        if np.all(np.isfinite(x)) and cond * np.finfo(float).eps < 1.0:
+            return x
+        return None
     a, b = _trace_row_system(m, d)
     try:
         lu = spla.splu(a)
@@ -851,8 +892,9 @@ def steady_state(model: LindbladModel) -> SteadyStateResult:
     Row 0 of the real generator M (_real_generator), or of one of its
     invariant blocks, is replaced by the trace functional, ones on the d
     diagonal coordinates, and the resulting real matrix A is factorized once
-    (_solve_trace_row); rho, the matrix of the solution's coordinates, is then
-    Hermitian by construction.
+    (_solve_trace_row): dense, by its inverse in numpy, when its side is at
+    most _DENSE_SOLVE_MAX_SIDE, and by one sparse LU otherwise; rho, the
+    matrix of the solution's coordinates, is then Hermitian by construction.
     When the channels certify an irreducible semigroup (_cyclic_dimension
     reaches d), L has a one-dimensional kernel in the trace block, the block
     of M that holds the diagonal coordinates (_trace_block), and A is built
@@ -862,7 +904,9 @@ def steady_state(model: LindbladModel) -> SteadyStateResult:
     kernel of L is one-dimensional. Either way the kernel counts as
     degenerate when the LU meets an exactly zero pivot or A is numerically
     singular: cond1(A) * eps >= 1, i.e. rcond <= machine epsilon, the
-    singularity test of LAPACK xGESVX and MATLAB. A singular A raises
+    singularity test of LAPACK xGESVX and MATLAB. cond1 is exact on the dense
+    route and the Hager-Higham estimate, never above the exact value, on the
+    sparse one. A singular A raises
     SteadyStateDegenerateError, whose message names the system (trace block
     or whole, and its side) and which carries the count of L's zero modes, or
     None when L is too large to count them. A residual max|L vec(rho)|, from

@@ -1,11 +1,13 @@
 """The steady-state uniqueness certificate, `dynamics._cyclic_dimension`.
 
-It counts the Krylov space of G = K + sum_c c from the vacuum with one
-Hessenberg reduction. The slow path it replaced grew the vacuum's cyclic
-subspace under K and every channel separately by block Gram-Schmidt; that loop
-is kept here as the test-local reference. The Krylov space of G lies inside
-that cyclic subspace, so the new count can never exceed the reference's; on
-the builders' models the two agree.
+It counts the Krylov space of G = K + sum_c c from the vacuum by numpy
+Arnoldi. Two replaced routes are kept here as test-local references. The
+first grew the vacuum's cyclic subspace under K and every channel separately
+by block Gram-Schmidt. The Krylov space of G lies inside that cyclic
+subspace, so the count can never exceed that reference's; on the builders'
+models the two agree. The second read the same Krylov space off one
+Householder Hessenberg reduction of G (scipy.linalg.hessenberg), whose
+subdiagonal magnitudes are Arnoldi's; the two counts agree.
 """
 
 import sys
@@ -29,20 +31,31 @@ from pdclab.hilbert import FockSpace, Operator, annihilation
 from test_steady_uniqueness import _dephasing_model, _full_grid, _grid
 
 
+def _gated_generators(model):
+    """K and the channels of nonzero rate, with the cut of _RANK_CUT times
+    their largest inf-norm; None when the certificate's gate refuses: no
+    strictly upper-triangular channel, or a common kernel of those channels
+    that is not one-dimensional."""
+    channels = [c.matrix for rate, c in model.channels if rate > 0]
+    lowering = [c for c in channels if not np.tril(c).any()]
+    if not lowering:
+        return None
+    s = np.linalg.svd(np.vstack(lowering), compute_uv=False)
+    if np.count_nonzero(s <= dynamics._RANK_CUT * s[0]) != 1:
+        return None
+    generators = [dynamics._no_jump(model)] + channels
+    return generators, dynamics._RANK_CUT * max(np.abs(g).sum(axis=1).max() for g in generators)
+
+
 def _gram_schmidt_dimension(model) -> int:
     """The replaced certificate: the vacuum's cyclic subspace under K and the
     channels of nonzero rate, grown by block Gram-Schmidt with a singular
     value cut of _RANK_CUT times the largest inf-norm of the generators."""
-    channels = [c.matrix for rate, c in model.channels if rate > 0]
-    lowering = [c for c in channels if not np.tril(c).any()]
-    if not lowering:
+    gated = _gated_generators(model)
+    if gated is None:
         return 0
-    s = np.linalg.svd(np.vstack(lowering), compute_uv=False)
-    if np.count_nonzero(s <= dynamics._RANK_CUT * s[0]) != 1:
-        return 0
+    generators, cut = gated
     d = model.dim
-    generators = [dynamics._no_jump(model)] + channels
-    cut = dynamics._RANK_CUT * max(np.abs(g).sum(axis=1).max() for g in generators)
     q = np.eye(d, 1, dtype=complex)
     new = q
     while new.shape[1] and q.shape[1] < d:
@@ -55,13 +68,41 @@ def _gram_schmidt_dimension(model) -> int:
     return q.shape[1]
 
 
+def _hessenberg_dimension(model) -> int:
+    """The replaced Hessenberg count: scipy.linalg.hessenberg neither permutes
+    nor scales G, so H = Q^H G Q keeps Q e_0 = e_0, and the Krylov space ends
+    at the first |H[k + 1, k]| at or below the certificate's cut."""
+    from scipy.linalg import hessenberg
+
+    gated = _gated_generators(model)
+    if gated is None:
+        return 0
+    generators, cut = gated
+    h = hessenberg(sum(generators), check_finite=False)
+    ends = np.abs(np.diagonal(h, -1)) <= cut
+    return int(ends.argmax()) + 1 if ends.any() else model.dim
+
+
+def _rotated(model: LindbladModel) -> LindbladModel:
+    """The model under a diagonal unitary U that fixes the vacuum: the same
+    certificate count, but K, the channels and the Krylov vectors of G become
+    complex, so that an inner product without its conjugate shows."""
+    u = np.exp(0.7j * np.arange(model.dim))
+
+    def rotate(op: Operator) -> Operator:
+        return Operator(u[:, None] * op.matrix * u.conj(), op.space)
+
+    return LindbladModel(rotate(model.hamiltonian),
+                         [(rate, rotate(c)) for rate, c in model.channels])
+
+
 def _refusals():
     yield "lossless", build_reduced_model(
         SystemParams(g=0.2, lambda_a=0.5, gamma_a=4.0, gamma_b=0.0, kappa_e=0.05), 16
     )
-    yield "uncoupled", build_full_model(
-        SystemParams(g=0.0, lambda_a=0.4, gamma_a=1.0, gamma_b=0.5), 4, 12
-    )
+    uncoupled = build_full_model(SystemParams(g=0.0, lambda_a=0.4, gamma_a=1.0, gamma_b=0.5), 4, 12)
+    yield "uncoupled", uncoupled
+    yield "uncoupled-rotated", _rotated(uncoupled)
     yield "dephasing", _dephasing_model(6)
 
 
@@ -72,18 +113,26 @@ def _large():
     yield "full-8x20", build_full_model(SystemParams(g=0.3, lambda_a=0.4, gamma_a=1.0, gamma_b=0.5), 8, 20)
 
 
-@pytest.mark.parametrize(
-    "models",
+CERTIFICATE_GRIDS = (
     [pytest.param(partial(_grid, d), id=str(d)) for d in (8, 16, 40)]
     + [pytest.param(partial(_full_grid, *dims), id=f"full-{dims[0]}x{dims[1]}")
        for dims in ((3, 8), (4, 10), (4, 12))]
-    + [pytest.param(_refusals, id="refusals"), pytest.param(_large, id="large")],
+    + [pytest.param(_refusals, id="refusals"), pytest.param(_large, id="large")]
 )
+
+
+@pytest.mark.parametrize("models", CERTIFICATE_GRIDS)
 def test_hessenberg_dimension_matches_block_gram_schmidt(models):
     dims = [(label, dynamics._cyclic_dimension(model), _gram_schmidt_dimension(model))
             for *label, model in models()]
     for label, new, reference in dims:
         assert new == reference, label
+
+
+@pytest.mark.parametrize("models", CERTIFICATE_GRIDS)
+def test_arnoldi_dimension_matches_the_hessenberg_reduction(models):
+    for *label, model in models():
+        assert dynamics._cyclic_dimension(model) == _hessenberg_dimension(model), label
 
 
 def _drawn_model(rng):
@@ -111,6 +160,7 @@ def test_seeded_builder_sweep_matches_block_gram_schmidt(seed):
         new, reference = dynamics._cyclic_dimension(model), _gram_schmidt_dimension(model)
         assert new <= reference, (params, model.dim)  # soundness
         assert new == reference, (params, model.dim)
+        assert new == _hessenberg_dimension(model), (params, model.dim)
         verdicts.add((new == model.dim, new == 0))
     # the draws certify some models and refuse others, with and without a
     # one-dimensional lowering kernel
@@ -123,7 +173,9 @@ def test_a_refused_model_costs_only_the_whole_matrix_lu(monkeypatch):
     the vacuum onto itself, so G's Krylov space is the vacuum alone, while
     b^dag^2 and b reach every level. The certificate then refuses, and
     steady_state answers with one LU of the whole generator: the same state as
-    the trace block gives, which the block Gram-Schmidt route certified."""
+    the trace block gives, which the block Gram-Schmidt route certified. Both
+    systems are below the dense route's cap, so the cap is 0 here: each is
+    one sparse LU."""
     space = FockSpace(8)
     b = annihilation(space)
     b2 = b @ b
@@ -138,6 +190,7 @@ def test_a_refused_model_costs_only_the_whole_matrix_lu(monkeypatch):
 
     real_splu = spla.splu
     monkeypatch.setattr(spla, "splu", counting_splu)
+    monkeypatch.setattr(dynamics, "_DENSE_SOLVE_MAX_SIDE", 0)
     whole = steady_state(model).rho.matrix
     assert sides == [64]
     monkeypatch.setattr(dynamics, "_cyclic_dimension", lambda model: model.dim)

@@ -2,9 +2,9 @@
 the package goes unreferenced (no linter ships with the package), one
 function of the package calls solve_ivp, and import pdclab loads numpy but no
 scipy: no module of the package imports scipy at module level, each scipy
-subpackage loads on the first call that needs it, spectral_gap loads none, and
-configs/meanfield.cfg, configs/normal.cfg and configs/sensor.cfg run without
-scipy; the last two, gap-only runs, load no numpy.ma either."""
+subpackage loads on the first call that needs it, spectral_gap and a small
+steady_state load none, and every shipped config runs without scipy; all but
+configs/meanfield.cfg are also held to load no numpy.ma."""
 
 import ast
 import inspect
@@ -310,9 +310,9 @@ def test_import_pdclab_defers_and_each_deferred_path_still_works():
     # blocks, ||L||_inf and the dense eigensolves are numpy
     assert gap_modules == lyapunov
     assert gap > 0
-    # the first steady_state adds scipy.sparse and its LU (scipy.sparse.linalg),
-    # no csgraph
-    assert steady == ["scipy.linalg", "scipy.sparse", "scipy.sparse.linalg"]
+    # nor does the first steady_state at d = 16: its certificate is numpy
+    # Arnoldi, and its trace block (side 72) is solved dense
+    assert steady == lyapunov
     assert n_ss > 0
     # evolve_open's block route (expm from scipy.linalg) relaxes onto the steady state
     assert blocks == steady
@@ -320,6 +320,31 @@ def test_import_pdclab_defers_and_each_deferred_path_still_works():
     # criterion 11's full 4x8 model at t = 2 takes the DOP853 route
     assert "scipy.integrate" in integrate
     assert trace == pytest.approx(1.0, abs=1e-9)
+
+
+# A steady state whose trace-row system lies above the dense route's cap, as
+# the first solver call of a fresh interpreter
+SPARSE_PROBE = """
+import json, sys
+from pdclab.dynamics import _DENSE_SOLVE_MAX_SIDE, SystemParams, build_reduced_model, steady_state
+params = SystemParams(g=0.2, lambda_a=1.0, gamma_a=10.0, gamma_b=1.0, nbar=0.5)
+rho = steady_state(build_reduced_model(params, 32)).rho
+print(json.dumps([_DENSE_SOLVE_MAX_SIDE, sorted(m for m in {tracked!r} if m in sys.modules),
+                  rho.matrix.trace().real]))
+"""
+
+
+def test_a_steady_state_above_the_dense_cap_loads_the_sparse_lu():
+    proc = subprocess.run(
+        [sys.executable, "-c", SPARSE_PROBE.format(tracked=TRACKED)],
+        capture_output=True, text=True, env=fresh_env(), cwd=ROOT,
+    )
+    assert proc.returncode == 0, proc.stderr
+    cap, loaded, trace = json.loads(proc.stdout.splitlines()[-1])
+    assert cap < 272  # the side of the trace block at d = 32
+    # splu, norm(A, 1) and onenormest; scipy.sparse.linalg brings scipy.linalg
+    assert loaded == ["scipy.linalg", "scipy.sparse", "scipy.sparse.linalg"]
+    assert trace == pytest.approx(1.0, abs=1e-12)
 
 
 # `python -m pdclab.cli run configs/<name>.cfg`, then the scipy modules it
@@ -355,18 +380,20 @@ def test_meanfield_config_runs_without_scipy(tmp_path):
     ]
 
 
-@pytest.mark.parametrize("name", ("normal", "sensor"))
+@pytest.mark.parametrize("name", ("normal", "occupation", "sensor"))
 def test_gap_configs_run_without_scipy(name, tmp_path):
-    # their spectral gaps are numpy alone, as is everything else they run
+    # their spectral gaps and occupation.cfg's d = 24 steady states (trace
+    # blocks of side 156, solved dense) are numpy alone, as is everything
+    # else they run
     assert run_config(name, tmp_path) == []
     tasks = parse_config(ROOT / "configs" / f"{name}.cfg").tasks
     assert len(list(tmp_path.iterdir())) == 2 * len(tasks)
 
 
-@pytest.mark.parametrize("name", ("normal", "sensor"))
+@pytest.mark.parametrize("name", ("normal", "occupation", "sensor"))
 def test_gap_configs_load_no_numpy_ma(name, tmp_path):
-    # np.unique imports numpy.ma on its first call, 9-21 ms of a fresh run;
-    # a gap-only run reaches neither
+    # np.unique imports numpy.ma on its first call, 9-21 ms of a fresh run, and
+    # so does the first import of scipy.sparse; these runs reach neither
     script = CONFIG_RUN.format(name=name, out=str(tmp_path)) + 'print("numpy.ma" in sys.modules)\n'
     proc = subprocess.run(
         [sys.executable, "-c", script], capture_output=True, text=True, env=fresh_env(), cwd=ROOT,

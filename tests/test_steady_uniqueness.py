@@ -220,7 +220,10 @@ def test_one_lu_agrees_with_the_random_row_probe(grid, monkeypatch):
     """Same verdicts and kernel dimensions as the probe; rho agrees with the
     complex trace-row solve to within that solve's own cond1 * eps. A unique
     steady state costs one LU: of the trace block's side when the channels
-    certify the model, of the whole generator's side otherwise.
+    certify the model, of the whole generator's side otherwise. The cap of
+    the dense route is 0 here, so every system takes the sparse LU that this
+    test observes; test_dense_route_matches_the_sparse_route holds the dense
+    route to it.
 
     gamma_b runs from the degenerate manifold (0) through 1e-10 to 1. The grid
     leaves out gamma_b ~ 1e-14: there the probe's verdict is rounding noise, as
@@ -242,6 +245,7 @@ def test_one_lu_agrees_with_the_random_row_probe(grid, monkeypatch):
         splu_calls.clear()
         with monkeypatch.context() as patch:
             patch.setattr(spla, "splu", counting_splu)
+            patch.setattr(dynamics, "_DENSE_SOLVE_MAX_SIDE", 0)
             try:
                 result = steady_state(model)
             except SteadyStateDegenerateError as exc:
@@ -267,7 +271,12 @@ def test_one_lu_agrees_with_the_random_row_probe(grid, monkeypatch):
 def test_trace_block_path_matches_the_whole_matrix_path(grid, monkeypatch):
     """Each certified model gives the same verdict, kernel_dim and, within
     1e-12, rho on the trace block as on the whole generator, the path that a
-    refused certificate takes. Uncertified models take that path already."""
+    refused certificate takes. Uncertified models take that path already.
+    Both paths run through the sparse LU (the dense route's cap is 0): at the
+    default cap a dense trace block differs from the whole M by conditioning,
+    1.1e-10 and 1.6e-9 at gamma_b = 1e-10 for d = 8 and 16, and
+    test_dense_route_matches_the_sparse_route bounds each route's share of
+    that by cond1 * eps."""
 
     def solve(model):
         try:
@@ -275,6 +284,7 @@ def test_trace_block_path_matches_the_whole_matrix_path(grid, monkeypatch):
         except SteadyStateDegenerateError as exc:
             return ("degenerate", exc.kernel_dim), None
 
+    monkeypatch.setattr(dynamics, "_DENSE_SOLVE_MAX_SIDE", 0)
     certified = 0
     for gamma_b, nbar, model in grid():
         if not _certified(model):
@@ -288,6 +298,54 @@ def test_trace_block_path_matches_the_whole_matrix_path(grid, monkeypatch):
         if rho is not None:
             assert np.abs(rho - whole_rho).max() <= 1e-12, (gamma_b, nbar)
     assert certified
+
+
+def _trace_row_matrix(model) -> np.ndarray:
+    """The dense trace-row matrix A that steady_state solves: on the trace
+    block when the channels certify the model, on the whole generator
+    otherwise."""
+    d = model.dim
+    _, m, _ = _real_generator(model)
+    block = dynamics._trace_block(m, d) if _certified(model) else None
+    a = (m if block is None else m.block(block)).toarray()
+    a[0] = 0.0
+    a[0, :d] = 1.0
+    return a
+
+
+@pytest.mark.parametrize(
+    "grid",
+    [pytest.param(partial(_grid, d), id=str(d)) for d in (8, 16)]
+    + [pytest.param(partial(_full_grid, 3, 8), id="full-3x8")],
+)
+def test_dense_route_matches_the_sparse_route(grid, monkeypatch):
+    """The dense trace-row solve against the sparse LU that it replaces up to
+    _DENSE_SOLVE_MAX_SIDE, each system forced onto one route and then the
+    other by the cap: the same verdict and kernel_dim, and rho within
+    cond1 * eps, cond1 the exact 1-norm condition number of the solved
+    system. The grids run from gamma_b = 0 through 1e-10 to 1, cold and
+    thermal."""
+
+    def solve(model, cap):
+        with monkeypatch.context() as patch:
+            patch.setattr(dynamics, "_DENSE_SOLVE_MAX_SIDE", cap)
+            try:
+                return ("unique", 1), steady_state(model).rho.matrix
+            except SteadyStateDegenerateError as exc:
+                return ("degenerate", exc.kernel_dim), None
+
+    verdicts = set()
+    for gamma_b, nbar, model in grid():
+        verdict, rho = solve(model, model.dim**2)
+        sparse_verdict, sparse_rho = solve(model, 0)
+        assert verdict == sparse_verdict, (gamma_b, nbar)
+        verdicts.add(verdict[0])
+        if rho is not None:
+            a = _trace_row_matrix(model)
+            cond = np.linalg.norm(a, 1) * np.linalg.norm(np.linalg.inv(a), 1)
+            dev = np.abs(rho - sparse_rho).max()
+            assert dev <= cond * np.finfo(float).eps, (gamma_b, nbar, dev, cond)
+    assert "unique" in verdicts
 
 
 @pytest.mark.parametrize(
@@ -316,7 +374,8 @@ def test_certificate_refusals_take_the_whole_matrix_path(monkeypatch):
     at gamma_b = 0; at g = 0 the pump's coherent state times the signal vacuum
     is unique but not full rank, and the cyclic subspace of the vacuum is the
     pump's 4 levels of 48; a lone dephasing channel is not triangular. Each
-    model is answered by one LU of the whole generator."""
+    model is answered by one LU of the whole generator, the sparse one with
+    the dense route's cap at 0."""
     splu_sides = []
 
     def counting_splu(a, *args, **kwargs):
@@ -325,6 +384,7 @@ def test_certificate_refusals_take_the_whole_matrix_path(monkeypatch):
 
     real_splu = spla.splu
     monkeypatch.setattr(spla, "splu", counting_splu)
+    monkeypatch.setattr(dynamics, "_DENSE_SOLVE_MAX_SIDE", 0)
     lossless = build_reduced_model(
         SystemParams(g=0.2, lambda_a=0.5, gamma_a=4.0, gamma_b=0.0, kappa_e=0.05), 16
     )
@@ -577,7 +637,10 @@ def test_dense_cap_bounds_the_largest_real_block(monkeypatch):
 
 def test_singular_solve_raises_whatever_the_kernel_count(monkeypatch):
     # a singular trace-row system has no fallback, even when the count finds
-    # a single zero mode; the message names the system that was singular
+    # a single zero mode; the message names the system that was singular.
+    # The sparse LU's condition estimate is patched, so the dense route's cap
+    # is 0
+    monkeypatch.setattr(dynamics, "_DENSE_SOLVE_MAX_SIDE", 0)
     monkeypatch.setattr(dynamics, "_condition_number", lambda a, lu: np.inf)
     monkeypatch.setattr(dynamics, "_kernel_dimension", lambda m, norm: 1)
     model = build_reduced_model(UNIQUE, 8)

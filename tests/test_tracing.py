@@ -61,13 +61,16 @@ spla = dynamics.spla
 tracer = tracing.Tracer()
 undo = tracing.instrument(tracer)
 params = dynamics.SystemParams(g=0.2, lambda_a=1.0, gamma_a=10.0, gamma_b=1.0)
-dynamics.steady_state(dynamics.build_reduced_model(params, 24))
+# d = 32: the trace block's side 272 lies above the dense route's cap, so the
+# solve takes the sparse LU that the tracer wraps
+dynamics.steady_state(dynamics.build_reduced_model(params, 32))
 undo()
 print(json.dumps({{
     "cold": cold,
     "calls": dict(tracer.calls()),
     "fill": tracer.counts["dynamics.lu_fill_nnz"],
     "restored": dynamics.spla is spla,
+    "cap": dynamics._DENSE_SOLVE_MAX_SIDE,
 }}))
 """
 
@@ -82,6 +85,7 @@ def test_tracer_installed_before_scipy_loads_counts_one_lu_per_steady_state():
     assert proc.returncode == 0, proc.stderr
     result = json.loads(proc.stdout.splitlines()[-1])
     assert result["cold"]
+    assert result["cap"] < 272  # the trace block of the probe's model
     # a certified steady state factorizes its trace block once
     assert result["calls"]["dynamics.steady_state"] == 1
     assert result["calls"]["dynamics.lu_factor"] == 1
