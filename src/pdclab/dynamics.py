@@ -34,9 +34,9 @@ irreducible semigroup and hence a one-dimensional kernel (_cyclic_dimension:
 the common kernel of the strictly upper-triangular channels is the vacuum,
 whose Krylov space under K plus the channels, by numpy Arnoldi, is the whole
 Hilbert space; Baumgartner & Narnhofer 2008), and on the whole of M
-otherwise, which is all that a refused certificate costs. A system of side
-up to _DENSE_SOLVE_MAX_SIDE is solved dense in numpy, so a small model's
-steady_state loads no scipy module; a larger one takes one sparse LU. Each
+otherwise, which is all that a refused certificate costs; _solve_trace_row
+says how the system is factorized and when it counts as singular. A small
+model's steady_state, like its build, loads no scipy module. Each
 solver's accuracy is a module constant, not a per-call option: steady_state
 accepts a residual up to _RESIDUAL_TOL, and evolve_open checks trace
 (_TRACE_TOL) and, on small dimensions, positivity (_MIN_EIGENVALUE);
@@ -254,13 +254,20 @@ def _signal_channels(params: SystemParams, b: Operator) -> list[tuple[float, Ope
 def build_full_model(params: SystemParams, d_a: int, d_b: int) -> LindbladModel:
     """Two-mode model: H = g(a b^dag^2 + a^dag b^2) + i lambda_a (a^dag - a)."""
     spaces = (FockSpace(d_a), FockSpace(d_b))
-    a = embed(annihilation(spaces[0]), 0, spaces)
-    b = embed(annihilation(spaces[1]), 1, spaces)
-    ad, bd = a.dag(), b.dag()
-    # the cubic terms as CSR products: O(nnz) instead of dense O(n^3), with
-    # the dense products' association and hence their values bit for bit
-    sa, sb, sad, sbd = (sp.csr_matrix(op.matrix) for op in (a, b, ad, bd))
-    pair = Operator((sa @ sbd @ sbd + sad @ sb @ sb).toarray(), a.space)
+    pump, signal = annihilation(spaces[0]), annihilation(spaces[1])
+    a, b = embed(pump, 0, spaces), embed(signal, 1, spaces)
+    ad = a.dag()
+    # the cubic terms in O(n^2): (a b^dag) b^dag is kron(a, b^dag) with each
+    # signal column m taken from column m + 1 times sqrt(m + 1), and
+    # (a^dag b) b the other way round; the dense products' association, and
+    # hence their values bit for bit
+    root = np.sqrt(np.arange(1, d_b, dtype=float))
+    raised = np.kron(pump.matrix, signal.dag().matrix).reshape(-1, d_a, d_b)
+    lowered = np.kron(pump.dag().matrix, signal.matrix).reshape(-1, d_a, d_b)
+    pair = np.zeros_like(raised)
+    pair[..., :-1] = raised[..., 1:] * root
+    pair[..., 1:] += lowered[..., :-1] * root
+    pair = Operator(pair.reshape(a.dim, a.dim), a.space)
     h = params.g * pair + (1j * params.lambda_a) * (ad - a)
     channels = [(params.gamma_a, a)] + _signal_channels(params, b)
     return LindbladModel(h, channels)
@@ -467,6 +474,10 @@ class _Csr(NamedTuple):
         a[np.repeat(np.arange(self.shape[0]), np.diff(self.indptr)), self.indices] = self.data
         return a
 
+    def scipy(self):
+        """The same arrays wrapped as a scipy.sparse CSR matrix."""
+        return sp.csr_matrix((self.data, self.indices, self.indptr), shape=self.shape)
+
 
 def _real_generator(model: LindbladModel) -> tuple[_ShiftForm, _Csr, float]:
     """L as shifted diagonals (_shift_form), the real generator M and ||L||_inf.
@@ -655,7 +666,7 @@ def solve_ivp(*args, **kwargs):
 def _evolve_ode(m: _Csr, x0: np.ndarray, t: float) -> np.ndarray:
     """x(t) of dx/dt = M x by adaptive DOP853 at _ODE_RTOL and _ODE_ATOL, on
     M's arrays wrapped as a scipy.sparse matrix for the matrix-vector products."""
-    a = sp.csr_matrix((m.data, m.indices, m.indptr), shape=m.shape)
+    a = m.scipy()
     sol = solve_ivp(lambda _t, x: a @ x, (0.0, t), x0, method="DOP853",
                     rtol=_ODE_RTOL, atol=_ODE_ATOL)
     if sol.status != 0:
@@ -705,33 +716,6 @@ def evolve_open(model: LindbladModel, rho0: DensityMatrix, t: float) -> DensityM
         if lo < _MIN_EIGENVALUE:
             raise IntegratorError(f"positivity violated: min eigenvalue {lo:.2e}")
     return DensityMatrix(rho, rho0.space)
-
-
-def _trace_row_system(m: _Csr, d: int):
-    """Replace row 0 of the real generator M with the trace functional, ones
-    on the d diagonal coordinates; the rhs selects trace = 1."""
-    rows = np.repeat(np.arange(m.shape[0]), np.diff(m.indptr))
-    first = m.indptr[1]  # row 0's entries come first
-    rows = np.concatenate([rows[first:], np.zeros(d, dtype=rows.dtype)])
-    cols = np.concatenate([m.indices[first:], np.arange(d)])
-    data = np.concatenate([m.data[first:], np.ones(d)])
-    a = sp.csc_matrix((data, (rows, cols)), shape=m.shape)
-    b = np.zeros(m.shape[0])
-    b[0] = 1.0
-    return a, b
-
-
-def _condition_number(a: sp.csc_matrix, lu) -> float:
-    """1-norm condition number ||A||_1 ||A^-1||_1 from the factorization of A.
-
-    ||A^-1||_1 is the single-column Hager-Higham estimate (the one LAPACK gecon
-    uses), applied through lu.solve and its transpose (A is real); with one
-    column the estimator draws no random vectors.
-    """
-    inv = spla.LinearOperator(
-        a.shape, matvec=lu.solve, rmatvec=lambda v: lu.solve(v, trans="T"), dtype=a.dtype
-    )
-    return spla.norm(a, 1) * spla.onenormest(inv, t=1)
 
 
 def _blocks(m: _Csr) -> list[np.ndarray]:
@@ -842,42 +826,49 @@ def _trace_block(m: _Csr, d: int) -> np.ndarray | None:
 
 
 def _solve_trace_row(m: _Csr, d: int) -> np.ndarray | None:
-    """x with (M x)_i = 0 for i > 0 and trace 1 on the first d coordinates:
-    the solution of _trace_row_system(m, d), A x = e_0, after one step of
-    iterative refinement; None when A is singular: an exactly zero pivot, or
-    cond1 * eps >= 1.
+    """x with (M x)_i = 0 for i > 0 and trace 1 on the first d coordinates, or
+    None when the trace-row system is singular.
 
-    A system of side at most _DENSE_SOLVE_MAX_SIDE is solved dense, in numpy:
-    x is column 0 of A^-1, and cond1 = ||A||_1 ||A^-1||_1 is exact. A larger
-    one takes one sparse LU (splu), and ||A^-1||_1 is the Hager-Higham estimate
-    (_condition_number), which never exceeds the exact value; the dense route
-    thus refuses at least what the sparse one would.
+    The trace-row matrix A is M with row 0 replaced by the trace functional,
+    ones on the d diagonal coordinates, so that A x = e_0. A of side at most
+    _DENSE_SOLVE_MAX_SIDE is inverted dense, in numpy, and ||A^-1||_1 is
+    exact; a larger one takes one sparse LU (splu), and ||A^-1||_1 is the
+    single-column Hager-Higham estimate through lu.solve and its transpose
+    (the one LAPACK gecon uses; Higham & Tisseur 2000), which draws no random
+    vectors and never exceeds the exact value, so the dense route refuses at
+    least what the sparse one would. Either way x takes one step of iterative
+    refinement, and A counts as singular when the factorization meets an
+    exactly zero pivot, x is not finite, or cond1(A) * eps >= 1 with
+    cond1(A) = ||A||_1 ||A^-1||_1: rcond at or below machine epsilon, the
+    singularity test of LAPACK xGESVX and MATLAB.
     """
-    if m.shape[0] <= _DENSE_SOLVE_MAX_SIDE:
-        a = m.toarray()
-        a[0] = 0.0
-        a[0, :d] = 1.0
+    first = m.indptr[1]  # row 0's entries come first
+    a = _Csr(np.concatenate([[0], m.indptr[1:] - first + d]),
+             np.concatenate([np.arange(d), m.indices[first:]]),
+             np.concatenate([np.ones(d), m.data[first:]]))
+    if a.shape[0] <= _DENSE_SOLVE_MAX_SIDE:
+        a = a.toarray()
         try:
             inv = np.linalg.inv(a)
         except np.linalg.LinAlgError:  # exactly singular pivot
             return None
-        x = inv[:, 0].copy()
-        r = -(a @ x)
-        r[0] += 1.0
-        x += inv @ r
-        cond = np.linalg.norm(a, 1) * np.linalg.norm(inv, 1)
-        if np.all(np.isfinite(x)) and cond * np.finfo(float).eps < 1.0:
-            return x
-        return None
-    a, b = _trace_row_system(m, d)
-    try:
-        lu = spla.splu(a)
-        x = lu.solve(b)
-        x += lu.solve(b - a @ x)
-        if np.all(np.isfinite(x)) and _condition_number(a, lu) * np.finfo(float).eps < 1.0:
-            return x
-    except RuntimeError:  # exactly singular pivot
-        pass
+        solve, inv_norm = inv.__matmul__, np.linalg.norm(inv, 1)
+    else:
+        a = a.scipy().tocsc()
+        try:
+            lu = spla.splu(a)
+        except RuntimeError:  # exactly singular pivot
+            return None
+        solve = lu.solve
+        inv_norm = spla.onenormest(spla.LinearOperator(
+            a.shape, matvec=lu.solve, rmatvec=lambda v: lu.solve(v, trans="T"), dtype=a.dtype
+        ), t=1)
+    e_0 = np.zeros(a.shape[0])
+    e_0[0] = 1.0
+    x = solve(e_0)
+    x += solve(e_0 - a @ x)
+    if np.all(np.isfinite(x)) and abs(a).sum(axis=0).max() * inv_norm * np.finfo(float).eps < 1.0:
+        return x
     return None
 
 
@@ -889,27 +880,18 @@ def _clean_density(x: np.ndarray, space: Space) -> np.ndarray:
 def steady_state(model: LindbladModel) -> SteadyStateResult:
     """Steady state from the Liouvillian null space with trace normalization.
 
-    Row 0 of the real generator M (_real_generator), or of one of its
-    invariant blocks, is replaced by the trace functional, ones on the d
-    diagonal coordinates, and the resulting real matrix A is factorized once
-    (_solve_trace_row): dense, by its inverse in numpy, when its side is at
-    most _DENSE_SOLVE_MAX_SIDE, and by one sparse LU otherwise; rho, the
-    matrix of the solution's coordinates, is then Hermitian by construction.
-    When the channels certify an irreducible semigroup (_cyclic_dimension
-    reaches d), L has a one-dimensional kernel in the trace block, the block
-    of M that holds the diagonal coordinates (_trace_block), and A is built
-    on that block alone; the other blocks are nonsingular and stay zero.
-    Otherwise (gamma_b = 0, g = 0 in the full model, no triangular channel)
-    A is built on the whole of M, which is nonsingular exactly when the
-    kernel of L is one-dimensional. Either way the kernel counts as
-    degenerate when the LU meets an exactly zero pivot or A is numerically
-    singular: cond1(A) * eps >= 1, i.e. rcond <= machine epsilon, the
-    singularity test of LAPACK xGESVX and MATLAB. cond1 is exact on the dense
-    route and the Hager-Higham estimate, never above the exact value, on the
-    sparse one. A singular A raises
-    SteadyStateDegenerateError, whose message names the system (trace block
-    or whole, and its side) and which carries the count of L's zero modes, or
-    None when L is too large to count them. A residual max|L vec(rho)|, from
+    The real coordinates of rho solve one trace-row system of the real
+    generator M (_real_generator; _solve_trace_row), so rho is Hermitian by
+    construction. When the channels certify an irreducible semigroup
+    (_cyclic_dimension reaches d), L has a one-dimensional kernel in the
+    trace block, the block of M that holds the diagonal coordinates
+    (_trace_block), and the system is built on that block alone; the other
+    blocks are nonsingular and stay zero. Otherwise (gamma_b = 0, g = 0 in
+    the full model, no triangular channel) it is built on the whole of M,
+    which is nonsingular exactly when the kernel of L is one-dimensional. A
+    singular system raises SteadyStateDegenerateError, whose message names
+    the system (trace block or whole, and its side) and which carries the
+    count of L's zero modes, or None when L is too large to count them. A residual max|L vec(rho)|, from
     the shifted diagonals of L, above _RESIDUAL_TOL * max(1, ||L||_inf) raises
     ResidualError.
     """

@@ -13,9 +13,9 @@ generator as numpy CSR arrays (dynamics._real_generator). Conversions to
 scipy.sparse CSR happen where sparse products or factorizations need them:
 dynamics.liouvillian_matrix, which builds the superoperator for callers
 outside the solvers, dynamics.evolve_closed for the Hamiltonian it
-exponentiates, dynamics.build_full_model for the cubic terms of its
-Hamiltonian, and the sparse LU and ODE matrix-vector products of
-dynamics.steady_state and dynamics.evolve_open.
+exponentiates, and dynamics._Csr.scipy for the sparse LU of
+dynamics.steady_state and the ODE matrix-vector products of
+dynamics.evolve_open.
 """
 
 from __future__ import annotations

@@ -166,6 +166,20 @@ def test_moment_ss_rejects_zero_coupling():
     p = SystemParams(g=0.0, lambda_a=1.0, gamma_a=1.0, gamma_b=1.0)
     with pytest.raises(ValueError, match="g > 0"):
         moment_ss(1, 1, p)
+    # g > 0 whose kappa = 2 g^2 / gamma_a underflows to 0, with kappa_e = 0
+    p = SystemParams(g=1e-200, lambda_a=1.0, gamma_a=1.0, gamma_b=1.0)
+    assert p.kappa == 0.0
+    with pytest.raises(ValueError, match="positive two-photon rate"):
+        moment_ss(1, 1, p)
+
+
+@pytest.mark.parametrize("l, k", [(-1, 1), (2, -2)])
+def test_moments_reject_negative_orders(l, k):
+    p = SystemParams(g=0.2, lambda_a=0.8, gamma_a=4.0, gamma_b=0.5)
+    with pytest.raises(ValueError, match="orders must be non-negative"):
+        moment_ss(l, k, p)
+    with pytest.raises(ValueError, match="orders must be non-negative"):
+        moment_gb0(l, k, replace(p, gamma_b=0.0))
 
 
 def test_moment_ss_rejects_thermal_bath():
@@ -394,8 +408,16 @@ def test_delta2_g_unknown_regime_raises():
         ("gb0", "homodyne", dict(kappa_e=0.1), "gamma_b = kappa_e = 0"),
         ("gb0", "photon", dict(gamma_b=1.5, kappa_e=0.1), "gamma_b = 0"),
         ("three_level", "qcrb", dict(gamma_b=0.5, nbar=0.4), "zero-temperature"),
+        ("gb0", "parity", dict(), "unknown observable 'parity'"),
+        ("three_level", "parity", dict(gamma_b=0.5), "unknown observable 'parity'"),
+        ("normal_phase", "homodyne", dict(gamma_b=0.5), "mean-field forms are for photon"),
+        ("critical", "qcrb", dict(gamma_b=0.5), "mean-field forms are for photon"),
+        # 2 g lambda_a = 0.32 above gamma_a gamma_b = 0.04
+        ("normal_phase", "photon", dict(gamma_b=0.01), "supercritical"),
     ],
-    ids=["gb0-gamma_b", "gb0-kappa_e", "gb0_kappa-gamma_b", "three_level-nbar"],
+    ids=["gb0-gamma_b", "gb0-kappa_e", "gb0_kappa-gamma_b", "three_level-nbar",
+         "gb0-observable", "three_level-observable", "normal_phase-observable",
+         "critical-observable", "normal_phase-supercritical"],
 )
 def test_delta2_g_rejects_params_outside_its_regime(regime, observable, params, reason):
     p = replace(SystemParams(g=0.2, lambda_a=0.8, gamma_a=4.0, gamma_b=0.0), **params)
@@ -449,6 +471,12 @@ def test_lambda_sensor_has_no_interior_optimum_without_intrinsic_loss():
 def test_lambda_sensor_requires_lossless_signal():
     with pytest.raises(ValueError):
         lambda_sensor(WORK)
+
+
+def test_lambda_sensor_requires_a_positive_coupling():
+    p = SystemParams(g=0.0, lambda_a=1.0, gamma_a=10.0, gamma_b=0.0, kappa_e=0.1)
+    with pytest.raises(ValueError, match="g > 0"):
+        lambda_sensor(p)
 
 
 def test_lambda_sensor_undefined_at_zero_drive():

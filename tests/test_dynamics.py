@@ -30,6 +30,7 @@ from pdclab.dynamics import (
     three_level_steady,
 )
 from pdclab.errors import (
+    DimensionMismatchError,
     IntegratorError,
     SteadyStateDegenerateError,
     TruncationError,
@@ -350,6 +351,32 @@ def test_evolve_open_rejects_a_non_finite_result(monkeypatch):
         monkeypatch.undo()  # the next case must meet its own route's corruption alone
 
 
+def test_evolve_open_raises_when_the_integration_fails(monkeypatch):
+    failed = SimpleNamespace(status=-1, message="Required step size is less than spacing")
+    monkeypatch.setattr(dynamics, "solve_ivp", lambda *args, **kwargs: failed)
+    with pytest.raises(IntegratorError, match="open evolution failed: Required step size"):
+        evolve_open(*_full_4x8_case())
+
+
+def test_evolutions_return_the_initial_state_at_zero_time():
+    model, rho0, _ = _criterion4_case()
+    assert evolve_open(model, rho0, 0.0) is rho0
+    psi0 = fock_state(1, FockSpace(4))
+    assert evolve_closed(number_operator(FockSpace(4)), psi0, 0.0) is psi0
+
+
+def test_evolutions_reject_a_state_on_another_space():
+    p = SystemParams(g=0.3, lambda_a=0.7, gamma_a=5.0, gamma_b=0.4, kappa_e=0.2)
+    model, psi0 = build_reduced_model(p, 3), fock_state(0, FockSpace(4))
+    rho0 = density_from_state(psi0)
+    with pytest.raises(DimensionMismatchError, match="model and state spaces differ"):
+        evolve_open(model, rho0, 0.5)
+    with pytest.raises(DimensionMismatchError, match="Hamiltonian and state spaces differ"):
+        evolve_closed(model.hamiltonian, psi0, 0.5)
+    with pytest.raises(DimensionMismatchError, match="dim-3 state"):
+        three_level_evolve(p, rho0, 0.5)
+
+
 @pytest.mark.parametrize("t", (math.nan, math.inf, -math.inf, -5.0))
 def test_evolutions_reject_invalid_times(t):
     p = SystemParams(g=0.3, lambda_a=0.7, gamma_a=5.0, gamma_b=0.4, kappa_e=0.2)
@@ -454,6 +481,36 @@ def test_lindblad_model_rejects_non_finite_input(where):
         h = Operator(bad, h.space)
     with pytest.raises(ValueError, match="finite"):
         LindbladModel(h, channels)
+
+
+@pytest.mark.parametrize("where", ("non-hermitian hamiltonian", "negative rate", "foreign channel"))
+def test_lindblad_model_rejects_a_malformed_model(where):
+    reduced = build_reduced_model(WORK, 8)
+    h, channels = reduced.hamiltonian, list(reduced.channels)
+    b = annihilation(FockSpace(8))
+    error = ValueError
+    if where == "non-hermitian hamiltonian":
+        h, message = Operator(h.matrix + b.matrix, h.space), "not Hermitian"
+    elif where == "negative rate":
+        channels.append((-0.3, b))
+        message = "is negative"
+    else:
+        channels.append((0.3, annihilation(FockSpace(9))))
+        error, message = DimensionMismatchError, "on a different space"
+    with pytest.raises(error, match=message):
+        LindbladModel(h, channels)
+
+
+def test_build_reduced_model_rejects_a_lossless_pump():
+    with pytest.raises(ValueError, match="adiabatic elimination undefined"):
+        build_reduced_model(SystemParams(g=0.3, lambda_a=0.7, gamma_a=0.0, gamma_b=0.4), 8)
+
+
+def test_steady_state_needs_a_dissipative_channel():
+    reduced = build_reduced_model(WORK, 8)
+    closed = LindbladModel(reduced.hamiltonian, [(0.0, c) for _, c in reduced.channels])
+    with pytest.raises(ValueError, match="at least one dissipative channel"):
+        steady_state(closed)
 
 
 def _steady_occupation(model, dim):

@@ -264,6 +264,9 @@ TRACKED = {tracked!r}
 step(sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy.")))
 step(abs(coherent_state(1.5 - 0.5j, FockSpace(40)).amplitudes[0]) ** 2)
 step(lambda_sensor(SystemParams(g=0.2, lambda_a=1.0, gamma_a=2.0, gamma_b=0.0, kappa_e=0.05))[2].g_opt)
+full = build_full_model(SystemParams(g=0.5, lambda_a=1.0, gamma_a=2.0, gamma_b=0.3), 3, 8)
+trace = steady_state(full).rho.matrix.trace().real
+step([sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy.")), trace])
 p = SystemParams(g=0.2, lambda_a=1.0, gamma_a=10.0, gamma_b=1.0, nbar=0.5)
 lyapunov = fluct_moments_lyapunov(build_W(p, steady_solutions(p)[0]), p).n_fluct
 step(abs(lyapunov / fluct_moments_analytic(p).n_fluct - 1))
@@ -292,8 +295,9 @@ def test_import_pdclab_defers_and_each_deferred_path_still_works():
     )
     assert proc.returncode == 0, proc.stderr
     steps = [json.loads(line) for line in proc.stdout.splitlines()]
-    (loaded, every_scipy), (special, vacuum), (optimize, g_opt), (lyapunov, rel_dev) = steps[:4]
-    (gap_modules, gap), (steady, n_ss), (blocks, drift), (integrate, trace) = steps[4:]
+    (loaded, every_scipy), (special, vacuum), (optimize, g_opt) = steps[:3]
+    (_, (full_scipy, full_trace)), (lyapunov, rel_dev) = steps[3:5]
+    (gap_modules, gap), (steady, n_ss), (blocks, drift), (integrate, trace) = steps[5:]
     # import pdclab.cli loads no scipy module at all
     assert loaded == [] and every_scipy == []
     # coherent_state's tail check is numpy alone: |<0|alpha>|^2 = exp(-|alpha|^2)
@@ -303,6 +307,10 @@ def test_import_pdclab_defers_and_each_deferred_path_still_works():
     # sqrt(gamma_a kappa_e / 2) with no scipy at all
     assert optimize == []
     assert g_opt == pytest.approx(math.sqrt(2.0 * 0.05 / 2), rel=1e-6)
+    # a full 3x8 model is built in numpy, and its steady state (trace block of
+    # side 156) is solved dense: still no scipy module at all
+    assert full_scipy == []
+    assert full_trace == pytest.approx(1.0, abs=1e-12)
     # fluct_moments_lyapunov's solve_sylvester loads scipy.linalg and nothing sparse
     assert lyapunov == ["scipy.linalg"]
     assert rel_dev < 1e-10  # the closed form, numpy alone
@@ -342,7 +350,7 @@ def test_a_steady_state_above_the_dense_cap_loads_the_sparse_lu():
     assert proc.returncode == 0, proc.stderr
     cap, loaded, trace = json.loads(proc.stdout.splitlines()[-1])
     assert cap < 272  # the side of the trace block at d = 32
-    # splu, norm(A, 1) and onenormest; scipy.sparse.linalg brings scipy.linalg
+    # splu and onenormest; scipy.sparse.linalg brings scipy.linalg
     assert loaded == ["scipy.linalg", "scipy.sparse", "scipy.sparse.linalg"]
     assert trace == pytest.approx(1.0, abs=1e-12)
 
