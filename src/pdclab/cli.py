@@ -36,6 +36,10 @@ _REQUIRED_PARAMS = tuple(f.name for f in fields(SystemParams) if f.default is MI
 
 _DEFAULTS = {"truncation.signal_dim": 40}
 
+# print-defaults gives each required param its value in configs/occupation.cfg,
+# so that the printed template runs as it stands
+_TEMPLATE_PARAMS = {"g": 0.1, "lambda_a": 0.01, "gamma_a": 10.0, "gamma_b": 1.0}
+
 # denominator floor of every rel_dev: below it the bound is absolute
 _REL_FLOOR = 1e-12
 
@@ -510,12 +514,16 @@ def run(config_path: str, out_dir: str = ".", threads: int = 1) -> int:
 
 
 def print_defaults() -> int:
-    print("# scenario template: every key shown with its default")
+    print("# scenario template, runnable as printed: each optional key shows its")
+    print("# default, each required key the value of configs/occupation.cfg")
     print("name = scenario")
     print("tasks = steady_moments            # comma list:", ", ".join(TASKS))
-    for f in _PARAM_FIELDS:
-        mark = "required" if f in _REQUIRED_PARAMS else "optional"
-        print(f"params.{f} = 0.0                  # {mark}")
+    for f in fields(SystemParams):
+        if f.default is MISSING:
+            value, mark = _TEMPLATE_PARAMS[f.name], "required"
+        else:
+            value, mark = f.default, "optional"
+        print(f"params.{f.name} = {value}                  # {mark}")
     print("# sweep.parameter = g")
     print("# sweep.values = 0.02, 0.05, 0.1")
     for key, value in _DEFAULTS.items():

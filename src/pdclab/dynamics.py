@@ -41,9 +41,9 @@ solver's accuracy is a module constant, not a per-call option: steady_state
 accepts a residual up to _RESIDUAL_TOL, and evolve_open checks trace
 (_TRACE_TOL) and, on small dimensions, positivity (_MIN_EIGENVALUE);
 violations raise instead of propagating silently. The three-level model is
-the reduced one at d = 3 and evolves through evolve_open. Closed evolution
-applies exp(-iHt) exactly (expm_multiply); the package's one ODE integration
-is evolve_open's DOP853 route (_evolve_ode), at _ODE_RTOL and _ODE_ATOL.
+the reduced one at d = 3 and evolves through evolve_open. No solver here
+integrates an ODE: both evolutions apply a matrix exponential, exact to
+rounding (expm_multiply on the whole generator, or expm per block of M).
 """
 
 from __future__ import annotations
@@ -122,16 +122,14 @@ __all__ = [
 _DENSE_EIG_MAX_SIDE = 2048
 
 # evolve_open exponentiates the invariant blocks of M (sides n_b) when
-# sum n_b^3 <= _EXPM_RATIO * nnz(M) * t * ||L||_inf, and integrates otherwise:
-# both sides scale the cost of a route, dense O(n_b^3) per block against
-# O(nnz) per ODE step with a step count growing with t ||L||. Fitted from the
-# crossover table of BENCH_evolve_open.json.
-_EXPM_RATIO = 4.0
+# sum n_b^3 <= _EXPM_RATIO * nnz(M) * t * ||L||_inf, and applies the action of
+# exp(t M) otherwise: both sides scale the cost of a route, dense O(n_b^3) per
+# block against O(nnz) per matrix-vector product with a product count growing
+# with t ||L||. Fitted from the crossover table of BENCH_one_propagator.json.
+_EXPM_RATIO = 8.0
 
-# evolve_open's DOP853 route (_evolve_ode) integrates at _ODE_RTOL, _ODE_ATOL;
 # either route's state must keep trace 1 within _TRACE_TOL and, at d <= 128,
 # a smallest eigenvalue of at least _MIN_EIGENVALUE.
-_ODE_RTOL, _ODE_ATOL = 1e-10, 1e-12
 _TRACE_TOL, _MIN_EIGENVALUE = 1e-8, -1e-7
 
 # _real_generator assembles M a run of positions at a time, about _CHUNK
@@ -161,7 +159,8 @@ _ZERO_MODE_CUT = 1e-10
 _GAP_DIM_STEP = 4
 _GAP_REL_TOL = 0.01
 
-# auto_truncated_steady stops once the top two Fock levels hold < _TOP_POP_TOL.
+# auto_truncated_steady stops once the top two Fock levels of every mode hold
+# < _TOP_POP_TOL.
 _TOP_POP_TOL = 1e-8
 
 
@@ -653,25 +652,21 @@ def _evolve_blocks(m: _Csr, blocks: list[np.ndarray], x0: np.ndarray,
     return x
 
 
+def _evolve_action(m: _Csr, x0: np.ndarray, t: float) -> np.ndarray:
+    """x(t) = expm(t M) x0 on the whole of M, by the action of the exponential
+    on x0 (expm_multiply, Al-Mohy & Higham 2011) with M's arrays wrapped as a
+    scipy.sparse matrix for the matrix-vector products."""
+    return spla.expm_multiply(t * m.scipy(), x0)
+
+
 def solve_ivp(*args, **kwargs):
-    """scipy.integrate.solve_ivp, imported on the first call so that import
-    pdclab skips scipy.integrate. A module attribute, not a local import in
-    _evolve_ode, so that callers can rebind dynamics.solve_ivp to observe the
-    ODE route."""
+    """scipy.integrate.solve_ivp, imported on the first call. No function of
+    the package calls it: it stays a module attribute because the benchmark's
+    tracer (perfbench/tracing.py) rebinds dynamics.solve_ivp to count ODE
+    steps, and goes with the next change to that benchmark."""
     from scipy.integrate import solve_ivp as scipy_solve_ivp
 
     return scipy_solve_ivp(*args, **kwargs)
-
-
-def _evolve_ode(m: _Csr, x0: np.ndarray, t: float) -> np.ndarray:
-    """x(t) of dx/dt = M x by adaptive DOP853 at _ODE_RTOL and _ODE_ATOL, on
-    M's arrays wrapped as a scipy.sparse matrix for the matrix-vector products."""
-    a = m.scipy()
-    sol = solve_ivp(lambda _t, x: a @ x, (0.0, t), x0, method="DOP853",
-                    rtol=_ODE_RTOL, atol=_ODE_ATOL)
-    if sol.status != 0:
-        raise IntegratorError(f"open evolution failed: {sol.message}")
-    return sol.y[:, -1]
 
 
 def evolve_open(model: LindbladModel, rho0: DensityMatrix, t: float) -> DensityMatrix:
@@ -682,11 +677,11 @@ def evolve_open(model: LindbladModel, rho0: DensityMatrix, t: float) -> DensityM
     the cheaper one is taken, from the invariant blocks of M (_blocks) of
     sides n_b: when every block fits the dense cap (_DENSE_EIG_MAX_SIDE) and
     sum n_b^3 <= _EXPM_RATIO * nnz(M) * t * ||L||_inf, each block is
-    exponentiated (scipy.linalg.expm, accurate to rounding); otherwise DOP853
-    integrates the whole of M at _ODE_RTOL and _ODE_ATOL (_evolve_ode). Either
-    way the result must be finite, its trace 1 within _TRACE_TOL and, when
-    d <= 128, its smallest eigenvalue at least _MIN_EIGENVALUE; a violation
-    raises IntegratorError.
+    exponentiated (scipy.linalg.expm); otherwise the action of exp(t M) on
+    x0 is formed on the whole of M (_evolve_action, expm_multiply). Both are
+    accurate to rounding. Either way the result must be finite, its trace 1
+    within _TRACE_TOL and, when d <= 128, its smallest eigenvalue at least
+    _MIN_EIGENVALUE; a violation raises IntegratorError.
     """
     _check_time(t)
     if model.space != rho0.space:
@@ -702,7 +697,7 @@ def evolve_open(model: LindbladModel, rho0: DensityMatrix, t: float) -> DensityM
             and np.sum(sides**3) <= _EXPM_RATIO * m.nnz * t * norm):
         x = _evolve_blocks(m, blocks, x0, t)
     else:
-        x = _evolve_ode(m, x0, t)
+        x = _evolve_action(m, x0, t)
     rho = _density(x, model.space)
 
     if not np.isfinite(rho).all():
@@ -967,7 +962,8 @@ def auto_truncated_steady(
     start_dim: int,
     max_dim: int = 160,
 ) -> tuple[SteadyStateResult, int]:
-    """Raise the truncation until the top two Fock levels hold < _TOP_POP_TOL.
+    """Raise the truncation until the top two Fock levels of every mode hold
+    < _TOP_POP_TOL.
 
     Returns the converged steady state together with the dimension used;
     start_dim > max_dim raises ValueError before any solve.
@@ -977,7 +973,9 @@ def auto_truncated_steady(
     d = start_dim
     while True:
         result = steady_state(builder(d))
-        top = top_level_population(result.rho)
+        space = result.rho.space
+        modes = len(space.factors) if isinstance(space, TensorSpace) else 1
+        top = max(top_level_population(result.rho, mode) for mode in range(modes))
         if top < _TOP_POP_TOL:
             return result, d
         if d >= max_dim:

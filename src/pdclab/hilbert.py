@@ -14,7 +14,7 @@ scipy.sparse CSR happen where sparse products or factorizations need them:
 dynamics.liouvillian_matrix, which builds the superoperator for callers
 outside the solvers, dynamics.evolve_closed for the Hamiltonian it
 exponentiates, and dynamics._Csr.scipy for the sparse LU of
-dynamics.steady_state and the ODE matrix-vector products of
+dynamics.steady_state and the action of the exponential (expm_multiply) in
 dynamics.evolve_open.
 """
 

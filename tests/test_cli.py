@@ -4,6 +4,7 @@ import csv
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from dataclasses import fields
@@ -679,6 +680,18 @@ def test_list_tasks_and_defaults(capsys):
     out = capsys.readouterr().out
     assert "params.g" in out and "truncation.signal_dim" in out
     assert "pump_dim" not in out and "omega" not in out and "tolerances" not in out
+
+
+def test_the_printed_template_runs(tmp_path, capsys):
+    # each required param carries the value of configs/occupation.cfg
+    assert main(["print-defaults"]) == 0
+    template = capsys.readouterr().out
+    for key, value in (("g", "0.1"), ("lambda_a", "0.01"), ("gamma_a", "10.0"), ("gamma_b", "1.0")):
+        assert re.search(rf"^params\.{key} = {re.escape(value)} +# required$", template, re.M), key
+    cfg = tmp_path / "template.cfg"
+    cfg.write_text(template)
+    assert main(["run", str(cfg), "--out-dir", str(tmp_path / "out")]) == 0
+    assert (tmp_path / "out" / "scenario_steady_moments.csv").exists()
 
 
 def test_module_entry_point_runs():

@@ -1,5 +1,5 @@
 """No module imports a name it never uses, no private module-level name of
-the package goes unreferenced (no linter ships with the package), one
+the package goes unreferenced (no linter ships with the package), no
 function of the package calls solve_ivp, and import pdclab loads numpy but no
 scipy: no module of the package imports scipy at module level, each scipy
 subpackage loads on the first call that needs it, spectral_gap and a small
@@ -172,14 +172,15 @@ def test_scanner_finds_solve_ivp_callers():
     assert solve_ivp_callers(source) == ["<module>", "b", "c"]
 
 
-def test_solve_ivp_has_one_call_site():
-    # evolve_open's DOP853 route is the package's one ODE integration
+def test_no_function_calls_solve_ivp():
+    # both routes of evolve_open apply a matrix exponential; dynamics.solve_ivp
+    # is kept only as the benchmark tracer's target
     found = [
         f"{path.stem}.{caller}"
         for path in sorted((ROOT / "src" / "pdclab").glob("*.py"))
         for caller in solve_ivp_callers(path.read_text())
     ]
-    assert found == ["dynamics._evolve_ode"]
+    assert found == []
 
 
 # no module-level import of scipy: each scipy name is imported by the
@@ -297,7 +298,7 @@ def test_import_pdclab_defers_and_each_deferred_path_still_works():
     steps = [json.loads(line) for line in proc.stdout.splitlines()]
     (loaded, every_scipy), (special, vacuum), (optimize, g_opt) = steps[:3]
     (_, (full_scipy, full_trace)), (lyapunov, rel_dev) = steps[3:5]
-    (gap_modules, gap), (steady, n_ss), (blocks, drift), (integrate, trace) = steps[5:]
+    (gap_modules, gap), (steady, n_ss), (blocks, drift), (action, trace) = steps[5:]
     # import pdclab.cli loads no scipy module at all
     assert loaded == [] and every_scipy == []
     # coherent_state's tail check is numpy alone: |<0|alpha>|^2 = exp(-|alpha|^2)
@@ -325,8 +326,10 @@ def test_import_pdclab_defers_and_each_deferred_path_still_works():
     # evolve_open's block route (expm from scipy.linalg) relaxes onto the steady state
     assert blocks == steady
     assert drift < 1e-6
-    # criterion 11's full 4x8 model at t = 2 takes the DOP853 route
-    assert "scipy.integrate" in integrate
+    # criterion 11's full 4x8 model at t = 2 takes expm_multiply on the whole
+    # of M: no ODE integrator, and none of what scipy.integrate brings
+    assert "scipy.sparse.linalg" in action
+    assert {"scipy.integrate", "scipy.optimize", "scipy.special"}.isdisjoint(action)
     assert trace == pytest.approx(1.0, abs=1e-9)
 
 
